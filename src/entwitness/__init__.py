@@ -6,15 +6,13 @@ equation, and derives the quantum-memory-assisted entropic uncertainty bound,
 the Wootters concurrence, and witness reports from the sampled evolution.
 """
 
-from .errors import (EmptyTrajectory, EntwitnessError, IntegrationDiverged,
-                     NoConvergence, NotDensityMatrix, NotHermitian, NotXState,
-                     ParseError, QuadratureUnconverged, ValidationError)
-from .linalg import (general_eigenvalue_moduli, hermitian_eigenvalues,
-                     matrix_entropy, rk4_step)
-from .dynamics import (Regime, ReservoirParams, SystemState, Trajectory,
-                       TrajectorySample, bell_initial, classify_regime,
-                       correlation_f, correlation_f_quadrature,
-                       liouvillian_apply, propagate)
+from .errors import (EmptyTrajectory, EntwitnessError, NoConvergence,
+                     NotDensityMatrix, NotHermitian, NotXState, ParseError,
+                     QuadratureUnconverged, ValidationError)
+from .linalg import hermitian_eigenvalues, matrix_entropy
+from .dynamics import (ReservoirParams, SystemState, Trajectory,
+                       TrajectorySample, bell_initial, correlation_f,
+                       correlation_f_quadrature, propagate)
 from .information import (SX_BASIS, SY_BASIS, MeasurementBasis,
                           UncertaintyRecord, conditional_entropy,
                           partial_trace, post_measurement_state,
@@ -27,13 +25,12 @@ from .scenario import (PRESETS, ScenarioConfig, SweepRow, emit_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmptyTrajectory", "EntwitnessError", "IntegrationDiverged", "NoConvergence",
+    "EmptyTrajectory", "EntwitnessError", "NoConvergence",
     "NotDensityMatrix", "NotHermitian", "NotXState", "ParseError",
     "QuadratureUnconverged", "ValidationError",
-    "general_eigenvalue_moduli", "hermitian_eigenvalues", "matrix_entropy", "rk4_step",
-    "Regime", "ReservoirParams", "SystemState", "Trajectory", "TrajectorySample",
-    "bell_initial", "classify_regime", "correlation_f", "correlation_f_quadrature",
-    "liouvillian_apply", "propagate",
+    "hermitian_eigenvalues", "matrix_entropy",
+    "ReservoirParams", "SystemState", "Trajectory", "TrajectorySample",
+    "bell_initial", "correlation_f", "correlation_f_quadrature", "propagate",
     "SX_BASIS", "SY_BASIS", "MeasurementBasis", "UncertaintyRecord",
     "conditional_entropy", "partial_trace", "post_measurement_state",
     "uncertainty_record",

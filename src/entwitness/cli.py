@@ -1,14 +1,16 @@
 """Command-line front end: run scenarios, reproduce preset panels, sweep grids.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 integration failure,
-1 I/O or unexpected error.  Diagnostics go to standard error.
+Exit codes: 0 success; 2 configuration/validation error, or a sweep in which
+every grid point failed; 3 numerical failure (any other package error, such as
+a state that is no longer a density matrix); 1 I/O error.  Diagnostics go to
+standard error.
 """
 
 import argparse
 import dataclasses
 import sys
 
-from .errors import IntegrationDiverged, ParseError, ValidationError
+from .errors import EntwitnessError, ParseError, ValidationError
 from .scenario import PRESETS, emit_csv, parse_config, run_scenario, sweep, write_sweep_csv
 
 
@@ -17,7 +19,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, metavar="CSV",
                         help="output CSV path (a sibling <CSV>.report is written too)")
     common.add_argument("--dt", type=float, default=None,
-                        help="override the integration step (units of 1/gamma0)")
+                        help="override the time step; t_max must be a whole number of "
+                             "dt * sample_every (units of 1/gamma0)")
     common.add_argument("--tmax", type=float, default=None,
                         help="override the final time (units of 1/gamma0)")
 
@@ -81,11 +84,14 @@ def main(argv=None) -> int:
             for row in failed:
                 print(f"sweep row (lambda={row.lam}, delta={row.delta}) failed: {row.error}",
                       file=sys.stderr)
+            if len(failed) == len(rows):
+                print("error: every sweep row failed", file=sys.stderr)
+                return 2
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationDiverged as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
+    except EntwitnessError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -21,10 +21,6 @@ class QuadratureUnconverged(EntwitnessError):
     """Numerical quadrature did not converge under node doubling."""
 
 
-class IntegrationDiverged(EntwitnessError):
-    """Time integration produced non-finite entries or excessive trace drift."""
-
-
 class NotXState(EntwitnessError):
     """Density matrix is not of X form (diagonal plus anti-diagonal)."""
 

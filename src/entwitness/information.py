@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IDENTITY_2
 from .errors import ValidationError
 from .linalg import TRACE_TOL, _as_matrix, matrix_entropy
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ SY_BASIS = MeasurementBasis("Sy", (
 
 # Pre-embedded measurement operators P (x) I_B, one pair per basis.
 _MEAS_OPS = {
-    basis.label: tuple(np.kron(p, IDENTITY_2) for p in basis.projectors())
+    basis.label: tuple(np.kron(p, _IDENTITY_2) for p in basis.projectors())
     for basis in (SX_BASIS, SY_BASIS)
 }
 
@@ -92,7 +92,7 @@ def post_measurement_state(rho, basis: MeasurementBasis) -> np.ndarray:
         raise ValidationError(f"post_measurement_state: expected 4x4, got {a.shape}")
     ops = _MEAS_OPS.get(basis.label)
     if ops is None:
-        ops = tuple(np.kron(p, IDENTITY_2) for p in basis.projectors())
+        ops = tuple(np.kron(p, _IDENTITY_2) for p in basis.projectors())
     out = np.zeros_like(a)
     for op in ops:
         out += op @ a @ op

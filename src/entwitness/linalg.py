@@ -42,39 +42,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def general_eigenvalue_moduli(m) -> np.ndarray:
-    """Real parts of the eigenvalues of a general 4x4 matrix, clamped at 0, ascending.
-
-    Intended for products like ``rho @ rho_tilde`` whose spectrum is real and
-    non-negative up to numerical noise even though the product itself is not
-    Hermitian.
-    """
-    a = _as_matrix(m)
-    if a.shape[0] != 4:
-        raise ValidationError(f"general_eigenvalue_moduli: expected 4x4, got {a.shape}")
-    try:
-        ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return np.sort(np.clip(ev.real, 0.0, None))
-
-
-def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step for ``dy/dt = f(t, y)``.
-
-    ``f`` is evaluated at the substage times ``t``, ``t + dt/2`` and ``t + dt``,
-    which preserves fourth order for non-autonomous systems.  Exact for
-    derivative fields polynomial in ``t`` of degree <= 3.
-    """
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def matrix_entropy(m) -> float:
     """Von Neumann entropy ``-sum(lambda * log2(lambda))`` in bits.
 

@@ -11,7 +11,7 @@ import yaml
 
 from .dynamics import (ReservoirParams, Trajectory, TrajectorySample,
                        bell_initial, correlation_f, propagate)
-from .errors import EmptyTrajectory, ParseError, ValidationError
+from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationError
 from .information import uncertainty_record
 from .witness import WitnessReport, concurrence, witness_report
 
@@ -219,8 +219,10 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
 
     Each grid value is applied to both reservoirs of ``base``; ``None`` for a
     whole axis keeps the base values.  Rows are independent: a failing point
-    is recorded in its row and does not disturb the others.  Row order follows
-    the given value order (lambdas outer, deltas inner).
+    is recorded in its row and does not disturb the others.  Only package
+    errors (:class:`EntwitnessError`) mark a row as failed; any other exception
+    is a programming error and propagates.  Row order follows the given value
+    order (lambdas outer, deltas inner).
     """
     lam_axis = list(lambdas) if lambdas else [None]
     delta_axis = list(deltas) if deltas else [None]
@@ -238,7 +240,7 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
                 cfg = dataclasses.replace(base, **overrides)
                 _, report = run_scenario(cfg)
                 rows.append(SweepRow(lam=lam, delta=delta, report=report))
-            except Exception as exc:  # row-level failure marker
+            except EntwitnessError as exc:
                 rows.append(SweepRow(lam=lam, delta=delta, report=None,
                                      error=f"{type(exc).__name__}: {exc}"))
     return rows

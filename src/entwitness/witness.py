@@ -9,20 +9,19 @@ maximally entangled start), and the time at which entanglement dies.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .dynamics import Trajectory, correlation_f, liouvillian_apply
-from .errors import EmptyTrajectory, NotXState, ValidationError
+from .dynamics import Trajectory, channel_states
+from .errors import EmptyTrajectory, NotXState
 from .information import uncertainty_record
-from .linalg import rk4_step, _as_matrix
+from .linalg import _as_matrix
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 X_STATE_TOL = 1e-10
 CONCURRENCE_ZERO_TOL = 3e-3
-CROSSING_TIME_TOL = 1e-3
+CROSSING_TIME_TOL = 1e-10
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -86,60 +85,28 @@ def _require_samples(traj: Trajectory) -> None:
         raise EmptyTrajectory("trajectory has no derived samples")
 
 
-def _interpolated_crossing(times, mus, concs, idx):
-    """Monotone-cubic refinement of the crossing inside [times[idx-1], times[idx]]."""
-    lo = max(0, idx - 3)
-    hi = min(len(times), idx + 3)
-    window_t = times[lo:hi]
-    mu_curve = PchipInterpolator(window_t, mus[lo:hi])
-    t_ew = float(brentq(lambda t: mu_curve(t) - 1.0, times[idx - 1], times[idx],
-                        xtol=CROSSING_TIME_TOL / 10.0))
-    c_curve = PchipInterpolator(window_t, concs[lo:hi])
-    return t_ew, float(c_curve(t_ew))
+def _exact_crossing(traj: Trajectory, lo: float, hi: float) -> tuple[float, float]:
+    """Root of the exact ``mu(t) - 1`` in ``[lo, hi]`` and the concurrence there."""
 
+    def state_at(t: float) -> np.ndarray:
+        return channel_states(traj.states[0], traj.r_a, traj.r_b, t)[0]
 
-def _reintegrated_crossing(traj: Trajectory, idx):
-    """Bisection on a local re-integration with step dt/10."""
-    anchor = traj.states[idx - 1]
-    fine_dt = traj.dt / 10.0
-
-    def deriv(t, rho):
-        return liouvillian_apply(rho, correlation_f(traj.r_a, t),
-                                 correlation_f(traj.r_b, t))
-
-    def state_at(t_target: float) -> np.ndarray:
-        rho = anchor.rho.copy()
-        t = anchor.t
-        while t < t_target - 1e-12:
-            step = min(fine_dt, t_target - t)
-            rho = rk4_step(deriv, t, rho, step)
-            t += step
-        return rho
-
-    lo, hi = traj.times[idx - 1], traj.times[idx]
-    while hi - lo > CROSSING_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        if uncertainty_record(state_at(mid), mid).mu >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    t_ew = 0.5 * (lo + hi)
+    t_ew = float(brentq(lambda t: uncertainty_record(state_at(t), t).mu - 1.0, lo, hi,
+                        xtol=CROSSING_TIME_TOL))
     return t_ew, concurrence(state_at(t_ew))
 
 
-def witness_report(traj: Trajectory, refine: str = "interpolate") -> WitnessReport:
+def witness_report(traj: Trajectory) -> WitnessReport:
     """Locate the first time ``mu`` reaches 1 and the concurrence there.
 
-    ``refine`` selects how the crossing is sharpened beyond the sample grid:
-    ``"interpolate"`` (default) fits a monotone cubic through the sampled
-    ``mu`` series; ``"reintegrate"`` bisects on a fresh integration from the
-    bracketing sample with a tenth of the original step.  Both meet an
-    absolute time tolerance of 1e-3.  Only the first crossing is reported;
-    re-entry below 1 afterwards is flagged in ``notes``.
+    The first sample with ``mu >= 1`` brackets the crossing together with the
+    sample before it; inside that bracket one root-find on the exact ``mu(t)``
+    of the closed-form state places ``t_ew`` to ``CROSSING_TIME_TOL``, and the
+    threshold is the concurrence of the exact state at ``t_ew``.  Only the
+    first crossing is reported; re-entry below 1 afterwards (seen on the
+    samples) is flagged in ``notes``.
     """
     _require_samples(traj)
-    if refine not in ("interpolate", "reintegrate"):
-        raise ValidationError(f"refine: expected 'interpolate' or 'reintegrate', got {refine!r}")
     times = np.asarray(traj.times, dtype=float)
     mus = np.array([s.mu for s in traj.samples])
     concs = np.array([s.concurrence for s in traj.samples])
@@ -155,10 +122,8 @@ def witness_report(traj: Trajectory, refine: str = "interpolate") -> WitnessRepo
     if idx == 0:
         t_ew, threshold = float(times[0]), float(concs[0])
         notes.append("mu starts at or above 1")
-    elif refine == "reintegrate":
-        t_ew, threshold = _reintegrated_crossing(traj, idx)
     else:
-        t_ew, threshold = _interpolated_crossing(times, mus, concs, idx)
+        t_ew, threshold = _exact_crossing(traj, times[idx - 1], times[idx])
     if (mus[idx:] < 1.0).any():
         notes.append("mu re-enters below 1 after the first crossing")
     return WitnessReport(crossing_found=True, t_ew=t_ew,

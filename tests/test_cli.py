@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+import entwitness.cli
+from entwitness import NotDensityMatrix
 from entwitness.cli import main
 from entwitness.scenario import CSV_HEADER
 
@@ -41,11 +43,31 @@ def test_run_parse_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_run_integration_failure_exit_code(tmp_path, capsys):
+def test_run_integration_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def broken_run(cfg):
+        raise NotDensityMatrix("eigenvalue -1e-3 below floor")
+
+    monkeypatch.setattr(entwitness.cli, "run_scenario", broken_run)
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("lambda_a: 5\nlambda_b: 5\nt_max: 2000\ndt: 10\n")
+    cfg.write_text(GOOD_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
-    assert "integration" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "eigenvalue" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "lambda_a: 0.1\nlambda_b: 0.1\nt_max: 2\ndt: 3\n",
+    "lambda_a: 1\nlambda_b: 1\nt_max: 1\ndt: 0.3\n",
+    "lambda_a: 5\nlambda_b: 5\ndelta_a: 1\ndelta_b: 1\nt_max: 0.5\nsample_every: 30\n",
+])
+def test_run_rejects_t_max_off_the_sample_grid(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "t_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -61,6 +83,16 @@ def test_sweep_subcommand(tmp_path):
                  "--out", str(out), "--tmax", "1"]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_sweep_with_every_row_failed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--lambda", "-1", "-2",
+                 "--out", str(out)]) == 2
+    assert "every sweep row failed" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 3     # failed rows are still written
 
 
 def test_sweep_without_grid_exits_2(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entwitness as ew
-from entwitness import (IntegrationDiverged, QuadratureUnconverged, Regime,
-                        ReservoirParams, ValidationError, bell_initial,
-                        classify_regime, correlation_f,
-                        correlation_f_quadrature, liouvillian_apply, propagate)
-from entwitness.dynamics import S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z
-from _oracles import bell_rho, channel_state, random_density
+from entwitness import (QuadratureUnconverged, ReservoirParams, ValidationError,
+                        bell_initial, correlation_f, correlation_f_quadrature,
+                        propagate)
+from _oracles import (S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
+                      liouvillian_apply, random_density, rk4_states)
 
 
 def test_atom_operator_algebra():
@@ -118,16 +118,6 @@ def test_liouvillian_traceless_and_hermiticity_preserving():
         assert np.abs(out - out.conj().T).max() < 1e-12
 
 
-def test_liouvillian_thermal_channel_structure():
-    # k terms push population upward: from |00><00| with k = 1/2 and f = 0,
-    # each atom gains excitation at rate 2 Re k = 1.
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    out = liouvillian_apply(rho, 0j, 0j, k_a=0.5 + 0j, k_b=0.5 + 0j)
-    assert np.allclose(out, np.diag([-2.0, 1.0, 1.0, 0.0]).astype(complex), atol=1e-15)
-    assert abs(np.trace(out)) < 1e-15
-
-
 def test_bell_initial_state():
     state = bell_initial()
     assert state.t == 0.0
@@ -135,12 +125,6 @@ def test_bell_initial_state():
     assert np.allclose(state.rho, expected, atol=0)
     assert np.trace(state.rho) == pytest.approx(1.0, abs=0)
     assert np.trace(state.rho @ state.rho).real == pytest.approx(1.0, abs=1e-15)
-
-
-def test_classify_regime():
-    assert classify_regime(ReservoirParams(5.0)) is Regime.MARKOVIAN
-    assert classify_regime(ReservoirParams(0.1)) is Regime.NON_MARKOVIAN
-    assert classify_regime(ReservoirParams(2.0)) is Regime.BOUNDARY
 
 
 def test_propagate_single_tiny_step_is_identity():
@@ -163,17 +147,36 @@ def test_propagate_markovian_limit_population_decay():
 
 
 def test_propagate_matches_exact_channel_solution():
+    # the closed-form channel against RK4 on the master equation at dt = 1e-2
     r_a = ReservoirParams(0.1, 1.2)
     r_b = ReservoirParams(5.0, 0.5)
     traj = propagate(bell_initial(), r_a, r_b, t_max=8.0, dt=1e-2)
-    for idx in (100, 400, 800):
-        exact = channel_state(bell_rho(), r_a, r_b, traj.times[idx])
-        assert np.abs(traj.states[idx].rho - exact).max() < 1e-9
+    idx = [0, 100, 400, 800]
+    oracle = rk4_states(bell_rho(), r_a, r_b, traj.times[idx], max_step=1e-2)
+    for i, rho in zip(idx, oracle):
+        assert np.abs(traj.states[i].rho - rho).max() < 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam_a=st.floats(0.01, 20.0), lam_b=st.floats(0.01, 20.0),
+       delta_a=st.floats(0.0, 5.0), delta_b=st.floats(0.0, 5.0),
+       t_max=st.floats(0.1, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_matches_rk4_oracle(lam_a, lam_b, delta_a, delta_b, t_max, seed):
+    # RK4 resolves the fastest scale of f, 1/|lam - i delta|, with 5 steps;
+    # its own error then stays below 2e-8 at the corners of the ranges
+    r_a, r_b = ReservoirParams(lam_a, delta_a), ReservoirParams(lam_b, delta_b)
+    rho0 = random_density(np.random.default_rng(seed), 4)
+    traj = propagate(ew.SystemState(0.0, rho0), r_a, r_b, t_max=t_max, dt=t_max / 20)
+    rate = max(abs(complex(r.lam, r.delta)) for r in (r_a, r_b))
+    oracle = rk4_states(rho0, r_a, r_b, traj.times, max_step=min(0.02, 0.2 / rate))
+    exact = np.array([s.rho for s in traj.states])
+    assert np.abs(exact - oracle).max() < 1e-7
 
 
 def test_propagate_preserves_trace_and_hermiticity(preset_run):
     traj, _ = preset_run("fig1a_d0")
-    assert traj.max_trace_drift < 1e-6
+    worst_trace = max(abs(np.trace(s.rho) - 1.0) for s in traj.states)
+    assert worst_trace < 1e-6
     worst = max(np.abs(s.rho - s.rho.conj().T).max() for s in traj.states)
     assert worst < 1e-8
 
@@ -228,10 +231,14 @@ def test_propagate_sampling_stride():
     assert np.allclose(np.diff(traj.times), 0.1)
 
 
-def test_propagate_diverges_on_absurd_step():
+def test_propagate_coarse_long_grid_stays_physical():
+    # a step that made RK4 diverge: the closed form stays a density matrix
     r = ReservoirParams(5.0, 0.0)
-    with pytest.raises(IntegrationDiverged):
-        propagate(bell_initial(), r, r, t_max=2000.0, dt=10.0)
+    traj = propagate(bell_initial(), r, r, t_max=2000.0, dt=10.0)
+    assert len(traj) == 201
+    for state in traj.states:
+        assert abs(np.trace(state.rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(state.rho).min() > -1e-12
 
 
 def test_propagate_validates_arguments():
@@ -242,6 +249,26 @@ def test_propagate_validates_arguments():
         propagate(bell_initial(), r, r, t_max=1.0, dt=-1e-2)
     with pytest.raises(ValidationError):
         propagate(bell_initial(), r, r, t_max=1.0, dt=1e-2, sample_every=0)
+
+
+@pytest.mark.parametrize("t_max,dt,sample_every", [
+    (2.0, 3.0, 1),     # one step would overshoot t_max
+    (1.0, 3.0, 1),     # no step fits
+    (1.0, 0.3, 1),     # the grid would stop at 0.9
+    (0.5, 0.01, 30),   # the last sample would be 0.3
+])
+def test_propagate_rejects_grid_missing_t_max(t_max, dt, sample_every):
+    r = ReservoirParams(1.0)
+    with pytest.raises(ValidationError, match="t_max"):
+        propagate(bell_initial(), r, r, t_max=t_max, dt=dt, sample_every=sample_every)
+
+
+def test_propagate_grid_lands_on_t_max():
+    r = ReservoirParams(1.0)
+    traj = propagate(bell_initial(), r, r, t_max=0.7, dt=0.1)
+    assert len(traj) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
+    traj = propagate(bell_initial(), r, r, t_max=0.6, dt=0.01, sample_every=30)
+    assert np.allclose(traj.times, [0.0, 0.3, 0.6], atol=1e-15)
 
 
 def test_system_state_validation():

