@@ -11,12 +11,11 @@ from .errors import (EmptyTrajectory, EntwitnessError, NoConvergence,
                      QuadratureUnconverged, ValidationError)
 from .linalg import hermitian_eigenvalues, matrix_entropy
 from .dynamics import (ReservoirParams, SystemState, Trajectory,
-                       TrajectorySample, bell_initial, correlation_f,
-                       correlation_f_quadrature, propagate)
+                       bell_initial, correlation_f, correlation_f_quadrature,
+                       propagate)
 from .information import (SX_BASIS, SY_BASIS, MeasurementBasis,
-                          UncertaintyRecord, conditional_entropy,
-                          partial_trace, post_measurement_state,
-                          uncertainty_record)
+                          UncertaintyRecord, partial_trace,
+                          post_measurement_state, uncertainty_record)
 from .witness import (WitnessReport, concurrence, concurrence_x_state,
                       entanglement_death_time, witness_report)
 from .scenario import (PRESETS, ScenarioConfig, SweepRow, emit_csv,
@@ -29,10 +28,10 @@ __all__ = [
     "NotDensityMatrix", "NotHermitian", "NotXState", "ParseError",
     "QuadratureUnconverged", "ValidationError",
     "hermitian_eigenvalues", "matrix_entropy",
-    "ReservoirParams", "SystemState", "Trajectory", "TrajectorySample",
+    "ReservoirParams", "SystemState", "Trajectory",
     "bell_initial", "correlation_f", "correlation_f_quadrature", "propagate",
     "SX_BASIS", "SY_BASIS", "MeasurementBasis", "UncertaintyRecord",
-    "conditional_entropy", "partial_trace", "post_measurement_state",
+    "partial_trace", "post_measurement_state",
     "uncertainty_record",
     "WitnessReport", "concurrence", "concurrence_x_state",
     "entanglement_death_time", "witness_report",

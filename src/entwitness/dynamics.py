@@ -75,48 +75,26 @@ class SystemState:
     t: float
     rho: np.ndarray
 
-    def validate(self, trace_tol: float = 1e-8, herm_tol: float = 1e-9,
-                 eig_floor: float = -1e-6) -> list[str]:
-        """Check the state invariants; returns soft warnings, raises on hard ones."""
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > trace_tol:
-            raise ValidationError(f"trace = {tr}, expected 1 within {trace_tol}")
-        herm = np.abs(self.rho - self.rho.conj().T).max()
-        if herm > herm_tol:
-            raise ValidationError(f"hermiticity defect {herm:.3e} above {herm_tol}")
-        warnings = []
-        lowest = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min()
-        if lowest < eig_floor:
-            warnings.append(f"eigenvalue {lowest:.3e} below soft floor {eig_floor}")
-        return warnings
-
-
-@dataclass
-class TrajectorySample:
-    """Derived observables at one sampled time."""
-
-    t: float
-    mu: float
-    lhs: float
-    concurrence: float
-    f_a: complex
-    f_b: complex
-
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: states on a uniform time grid plus derived records.
+    """Sampled evolution: ``(N, 4, 4)`` states ``rhos`` at ``times``, plus derived columns.
 
-    ``samples`` is filled by the scenario runner; ``propagate`` leaves it None.
-    The generating reservoir parameters are kept so that the exact state, and
-    so the witness crossing, can be evaluated between samples.
+    The per-sample columns ``mu``, ``lhs``, ``concurrence``, ``f_a`` and ``f_b``
+    are filled by the scenario runner; ``propagate`` leaves them None.  The
+    generating reservoir parameters are kept so that the exact state, and so
+    the witness crossing, can be evaluated between samples.
     """
 
     times: np.ndarray
-    states: list[SystemState]
+    rhos: np.ndarray
     r_a: ReservoirParams
     r_b: ReservoirParams
-    samples: list[TrajectorySample] | None = None
+    mu: np.ndarray | None = None
+    lhs: np.ndarray | None = None
+    concurrence: np.ndarray | None = None
+    f_a: np.ndarray | None = None
+    f_b: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -250,9 +228,7 @@ def propagate(initial: SystemState, r_a: ReservoirParams, r_b: ReservoirParams,
             f"t_max: must be a whole number of sample spacings dt * sample_every = "
             f"{spacing:.6g}, got {t_max}")
     times = initial.t + np.arange(0, n_samples * sample_every + 1, sample_every) * dt
-    rhos = channel_states(initial, r_a, r_b, times)
-    return Trajectory(times=times, states=[SystemState(float(t), rho)
-                                           for t, rho in zip(times, rhos)],
+    return Trajectory(times=times, rhos=channel_states(initial, r_a, r_b, times),
                       r_a=r_a, r_b=r_b)
 
 

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dynamics import (ReservoirParams, Trajectory, TrajectorySample,
-                       bell_initial, correlation_f, propagate)
+from .dynamics import ReservoirParams, Trajectory, bell_initial, correlation_f, propagate
 from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationError
 from .information import uncertainty_record
 from .witness import WitnessReport, concurrence, witness_report
@@ -150,17 +149,16 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
-    """Propagate the configured scenario and derive per-sample observables."""
+    """Propagate the configured scenario and derive the observable columns.
+
+    Each observable is computed once, over the whole stack of sampled states.
+    """
     r_a, r_b = cfg.reservoirs()
     traj = propagate(bell_initial(), r_a, r_b, cfg.t_max, cfg.dt, cfg.sample_every)
-    samples = []
-    for state in traj.states:
-        rec = uncertainty_record(state.rho, state.t)
-        samples.append(TrajectorySample(
-            t=state.t, mu=rec.mu, lhs=rec.lhs,
-            concurrence=concurrence(state.rho),
-            f_a=correlation_f(r_a, state.t), f_b=correlation_f(r_b, state.t)))
-    traj.samples = samples
+    rec = uncertainty_record(traj.rhos, traj.times)
+    traj.mu, traj.lhs = rec.mu, rec.lhs
+    traj.concurrence = concurrence(traj.rhos)
+    traj.f_a, traj.f_b = correlation_f(r_a, traj.times), correlation_f(r_b, traj.times)
     return traj, witness_report(traj)
 
 
@@ -172,27 +170,18 @@ def _fmt(x) -> str:
 
 def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
-    if traj.samples is None or len(traj.samples) == 0:
+    if traj.mu is None or len(traj.mu) == 0:
         raise EmptyTrajectory("trajectory has no derived samples to emit")
-    lines = [CSV_HEADER]
-    for s in traj.samples:
-        lines.append(",".join([
-            _fmt(s.t), _fmt(s.mu), _fmt(s.lhs), _fmt(s.concurrence),
-            _fmt(s.f_a.real), _fmt(s.f_a.imag), _fmt(s.f_b.real), _fmt(s.f_b.imag),
-        ]))
+    columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
+               traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     report_lines = []
-    values = {
-        "t_ew": report.t_ew,
-        "c_ew_threshold": report.c_ew_threshold,
-        "death_time": report.death_time,
-        "crossing_found": report.crossing_found,
-        "mu_series_max": report.mu_series_max,
-    }
     for key in REPORT_KEYS:
-        v = values[key]
+        v = getattr(report, key)
         if v is None:
             rendered = "none"
         elif isinstance(v, bool):

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import Trajectory, channel_states
+from .dynamics import SystemState, Trajectory, channel_states
 from .errors import EmptyTrajectory, NotXState
 from .information import uncertainty_record
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _first, _scalar_or_stack, _where
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 X_STATE_TOL = 1e-10
 CONCURRENCE_ZERO_TOL = 3e-3
@@ -25,12 +26,12 @@ CROSSING_TIME_TOL = 1e-10
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit density matrix, or of each in a stack.
 
     From the spectrum ``lambda_1 >= ... >= lambda_4`` of
     ``rho @ (sigma_y (x) sigma_y) conj(rho) (sigma_y (x) sigma_y)``:
@@ -40,30 +41,31 @@ def concurrence(rho) -> float:
     ``sqrt(rho_tilde) @ sqrt(rho)`` (whose Gram matrix is similar to the
     product above), which keeps them accurate near zero where a direct
     eigenvalue solve of the non-Hermitian product loses half the digits.
+    The spin flip is a real unitary involution, so
+    ``sqrt(rho_tilde) = YY conj(sqrt(rho)) YY`` needs no second eigensolve.
     """
-    a = _as_matrix(rho)
-    rho_tilde = _YY @ a.conj() @ _YY
-    roots = np.linalg.svd(_psd_sqrt(rho_tilde) @ _psd_sqrt(a), compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    sqrt_rho = _psd_sqrt(_as_matrix(rho, "rho", dims=(4,)))
+    roots = np.linalg.svd(_YY @ sqrt_rho.conj() @ _YY @ sqrt_rho, compute_uv=False)
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return _scalar_or_stack(np.maximum(0.0, c))
 
 
-def concurrence_x_state(rho) -> float:
+def concurrence_x_state(rho):
     """Closed-form concurrence for X-form states (analytic cross-check).
 
     ``2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))``
     (1-indexed entries).  Raises :class:`NotXState` if any entry outside the
     main diagonal and anti-diagonal exceeds ``X_STATE_TOL``.
     """
-    a = _as_matrix(rho)
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.arange(4), np.arange(4)] = True
-    mask[np.arange(4), 3 - np.arange(4)] = True
-    off = np.abs(a[~mask]).max()
-    if off > X_STATE_TOL:
-        raise NotXState(f"non-X entry of magnitude {off:.3e}")
-    outer = abs(a[0, 3]) - np.sqrt(max(a[1, 1].real, 0.0) * max(a[2, 2].real, 0.0))
-    inner = abs(a[1, 2]) - np.sqrt(max(a[0, 0].real, 0.0) * max(a[3, 3].real, 0.0))
-    return float(2.0 * max(0.0, outer, inner))
+    a = _as_matrix(rho, "rho", dims=(4,))
+    off = np.abs(np.where(_X_MASK, 0.0, a)).max(axis=(-2, -1))
+    i = _first(off > X_STATE_TOL)
+    if i is not None:
+        raise NotXState(f"non-X entry of magnitude {off[i]:.3e}{_where(i)}")
+    p = np.clip(a.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
+    outer = np.abs(a[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
+    inner = np.abs(a[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
+    return _scalar_or_stack(2.0 * np.maximum(np.maximum(0.0, outer), inner))
 
 
 @dataclass
@@ -81,15 +83,22 @@ class WitnessReport:
 def _require_samples(traj: Trajectory) -> None:
     if len(traj) == 0:
         raise EmptyTrajectory("trajectory has no samples")
-    if traj.samples is None or len(traj.samples) == 0:
+    if traj.mu is None or len(traj.mu) == 0:
         raise EmptyTrajectory("trajectory has no derived samples")
 
 
 def _exact_crossing(traj: Trajectory, lo: float, hi: float) -> tuple[float, float]:
-    """Root of the exact ``mu(t) - 1`` in ``[lo, hi]`` and the concurrence there."""
+    """Root of the exact ``mu(t) - 1`` in ``[lo, hi]`` and the concurrence there.
+
+    The objective holds only a copy of the initial state and the reservoirs,
+    not the trajectory: ``brentq`` wraps it in a self-referencing closure, so
+    whatever it holds stays alive until the next full garbage collection.
+    """
+    initial = SystemState(float(traj.times[0]), traj.rhos[0].copy())
+    r_a, r_b = traj.r_a, traj.r_b
 
     def state_at(t: float) -> np.ndarray:
-        return channel_states(traj.states[0], traj.r_a, traj.r_b, t)[0]
+        return channel_states(initial, r_a, r_b, t)[0]
 
     t_ew = float(brentq(lambda t: uncertainty_record(state_at(t), t).mu - 1.0, lo, hi,
                         xtol=CROSSING_TIME_TOL))
@@ -107,9 +116,7 @@ def witness_report(traj: Trajectory) -> WitnessReport:
     samples) is flagged in ``notes``.
     """
     _require_samples(traj)
-    times = np.asarray(traj.times, dtype=float)
-    mus = np.array([s.mu for s in traj.samples])
-    concs = np.array([s.concurrence for s in traj.samples])
+    times, mus, concs = traj.times, traj.mu, traj.concurrence
     death = entanglement_death_time(traj)
     mu_max = float(mus.max())
 
@@ -144,10 +151,7 @@ def entanglement_death_time(traj: Trajectory, zero_tol: float = CONCURRENCE_ZERO
     whole trajectory.
     """
     _require_samples(traj)
-    concs = np.array([s.concurrence for s in traj.samples])
-    below = concs <= zero_tol
-    limit = len(concs) - confirm_samples
-    for i in range(max(limit, 0)):
-        if below[i : i + confirm_samples + 1].all():
-            return float(traj.times[i])
-    return None
+    window = confirm_samples + 1
+    below = np.concatenate([[0], np.cumsum(traj.concurrence <= zero_tol)])
+    starts = np.flatnonzero(below[window:] - below[:-window] == window)
+    return float(traj.times[starts[0]]) if starts.size else None

@@ -96,3 +96,69 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     from scipy.linalg import expm
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return expm(1j * 0.5 * (a + a.conj().T))
+
+
+# Per-sample reference for the batched observables: one matrix at a time,
+# each entropy from its own eigvalsh, the partial trace and the measured
+# states written out element by element.
+_PLUS_MINUS = {
+    "Sx": (np.array([1, 1]) / math.sqrt(2), np.array([1, -1]) / math.sqrt(2)),
+    "Sy": (np.array([1, 1j]) / math.sqrt(2), np.array([1, -1j]) / math.sqrt(2)),
+}
+_SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
+def entropy_reference(rho: np.ndarray) -> float:
+    ev = np.linalg.eigvalsh(rho)
+    return -sum(x * math.log2(x) for x in ev if x > 0.0)
+
+
+def memory_marginal_reference(rho: np.ndarray) -> np.ndarray:
+    """``tr_A rho``: element ``[b, d] = sum_a rho[2a + b, 2a + d]``."""
+    out = np.zeros((2, 2), dtype=complex)
+    for b in range(2):
+        for d in range(2):
+            out[b, d] = rho[b, d] + rho[2 + b, 2 + d]
+    return out
+
+
+def measured_reference(rho: np.ndarray, basis: str) -> np.ndarray:
+    """``sum_j (|v_j><v_j| (x) I) rho (|v_j><v_j| (x) I)`` with explicit projectors."""
+    out = np.zeros((4, 4), dtype=complex)
+    for v in _PLUS_MINUS[basis]:
+        proj = np.kron(np.outer(v, v.conj()), np.eye(2))
+        out += proj @ rho @ proj
+    return out
+
+
+def concurrence_reference(rho: np.ndarray) -> float:
+    """Wootters concurrence from the Takagi form of the spin flip.
+
+    With ``rho = W W^dag`` (``W = V sqrt(diag(w))`` from one eigendecomposition),
+    the square roots of the eigenvalues of ``rho rho_tilde`` are the singular
+    values of the complex-symmetric ``W^T (sigma_y (x) sigma_y) W``.  Noise in
+    the null space of a rank-deficient state enters both factors alike, so the
+    result stays accurate to rounding, where two independent square roots of
+    ``rho`` and ``rho_tilde`` can disagree by ``sqrt(eps)``.
+    """
+    w, v = np.linalg.eigh(rho)
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    roots = np.linalg.svd(factor.T @ _SIGMA_YY @ factor, compute_uv=False)
+    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def observables_reference(rho: np.ndarray) -> tuple[float, float, float]:
+    """``(mu, lhs, concurrence)`` of one 4x4 state."""
+    h_b = entropy_reference(memory_marginal_reference(rho))
+    mu = 1.0 + entropy_reference(rho) - h_b
+    lhs = sum(entropy_reference(measured_reference(rho, basis)) - h_b for basis in ("Sx", "Sy"))
+    return mu, lhs, concurrence_reference(rho)
+
+
+def death_time_loop(times, concs, zero_tol: float, confirm_samples: int):
+    """First time from which ``confirm_samples + 1`` samples in a row are below ``zero_tol``."""
+    below = np.asarray(concs) <= zero_tol
+    for i in range(max(len(below) - confirm_samples, 0)):
+        if below[i : i + confirm_samples + 1].all():
+            return float(times[i])
+    return None

@@ -129,7 +129,7 @@ def test_criterion5_memory_detuning_insensitivity(preset_run):
     series = {}
     for preset_id in ("fig3b_db0", "fig3b_db1", "fig3b_db2"):
         traj, _ = preset_run(preset_id)
-        series[preset_id] = np.array([s.mu for s in traj.samples])
+        series[preset_id] = traj.mu
     ids = sorted(series)
     worst = 0.0
     for i in range(len(ids)):
@@ -160,28 +160,27 @@ def test_criterion7_property_suite(preset_run):
     checks = []
     runs = {preset_id: preset_run(preset_id) for preset_id in ALL_PRESETS}
 
-    worst_gap = min(s.lhs - s.mu for traj, _ in runs.values() for s in traj.samples)
+    worst_gap = min((traj.lhs - traj.mu).min() for traj, _ in runs.values())
     _check(checks, "criterion 7 uncertainty inequality", worst_gap >= -1e-7,
            f"min(lhs - mu) = {worst_gap:.3e} over all presets")
 
-    worst_drift = max(abs(np.trace(s.rho) - 1.0)
-                      for traj, _ in runs.values() for s in traj.states)
+    worst_drift = max(np.abs(np.trace(traj.rhos, axis1=1, axis2=2) - 1.0).max()
+                      for traj, _ in runs.values())
     _check(checks, "criterion 7 trace drift", worst_drift < 1e-6,
            f"max drift = {worst_drift:.3e}")
 
-    worst_herm = max(np.abs(s.rho - s.rho.conj().T).max()
-                     for traj, _ in runs.values() for s in traj.states[::10])
+    worst_herm = max(np.abs(traj.rhos - traj.rhos.conj().transpose(0, 2, 1)).max()
+                     for traj, _ in runs.values())
     _check(checks, "criterion 7 hermiticity", worst_herm < 1e-8,
            f"max |rho - rho^dag| = {worst_herm:.3e}")
 
-    mu0 = max(abs(traj.samples[0].mu) for traj, _ in runs.values())
-    c0 = max(abs(traj.samples[0].concurrence - 1.0) for traj, _ in runs.values())
+    mu0 = max(abs(traj.mu[0]) for traj, _ in runs.values())
+    c0 = max(abs(traj.concurrence[0] - 1.0) for traj, _ in runs.values())
     _check(checks, "criterion 7 initial identities", mu0 < 1e-10 and c0 < 1e-10,
            f"|mu(0)| = {mu0:.2e}, |C(0) - 1| = {c0:.2e}")
 
-    worst_x = max(abs(ew.concurrence_x_state(state.rho) - sample.concurrence)
-                  for traj, _ in runs.values()
-                  for state, sample in zip(traj.states[::5], traj.samples[::5]))
+    worst_x = max(np.abs(ew.concurrence_x_state(traj.rhos) - traj.concurrence).max()
+                  for traj, _ in runs.values())
     _check(checks, "criterion 7 X-state vs general concurrence", worst_x < 1e-8,
            f"max |C_x - C| = {worst_x:.3e}")
 
@@ -199,7 +198,7 @@ def test_criterion7_property_suite(preset_run):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[3, 3] = 1.0
     traj = ew.propagate(ew.SystemState(0.0, rho0), r, r, t_max=3.0, dt=1e-3)
-    worst_rel = max(abs(traj.states[int(round(t / 1e-3))].rho[3, 3].real
+    worst_rel = max(abs(traj.rhos[int(round(t / 1e-3)), 3, 3].real
                         / np.exp(-2.0 * t) - 1.0) for t in (0.1, 0.5, 1.0, 2.0, 3.0))
     _check(checks, "criterion 7 Markovian-limit decay", worst_rel < 2e-2,
            f"max relative error vs exp(-2t) = {worst_rel:.3e}")
@@ -221,9 +220,7 @@ def test_criterion7_property_suite(preset_run):
 def test_criterion8_witness_soundness_and_incompleteness(preset_run):
     checks = []
     traj, _ = preset_run("fig1a_d0")
-    mus = np.array([s.mu for s in traj.samples])
-    concs = np.array([s.concurrence for s in traj.samples])
-    times = traj.times
+    mus, concs, times = traj.mu, traj.concurrence, traj.times
     sound = (concs[mus < 1.0] > 0.0).all()
     _check(checks, "criterion 8 soundness", sound,
            f"min C where mu < 1: {concs[mus < 1.0].min():.4f}")

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import entwitness.cli
@@ -53,6 +54,23 @@ def test_run_integration_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "eigenvalue" in err
+    assert "Traceback" not in err
+
+
+def test_run_physics_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # an entropy off by 4 bits on the two-qubit states puts mu outside [-1, 2]
+    real_entropy = entwitness.information.matrix_entropy
+
+    def inflated(m):
+        h = real_entropy(m)
+        return h + 4.0 if np.shape(m)[-1] == 4 else h
+
+    monkeypatch.setattr(entwitness.information, "matrix_entropy", inflated)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mu = ") and "at sample 0" in err
     assert "Traceback" not in err
 
 

@@ -113,7 +113,7 @@ def test_emit_csv_round_trip(tmp_path, preset_run):
     emit_csv(traj, report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(traj.samples)
+    assert len(lines) == 1 + len(traj)
     # t = 0 identities: mu = lhs = 0, concurrence = 1, f = 0
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0
@@ -121,10 +121,10 @@ def test_emit_csv_round_trip(tmp_path, preset_run):
     assert abs(first[3] - 1.0) < 1e-12
     assert all(abs(v) < 1e-15 for v in first[4:])
     # every value round-trips exactly
-    for row, sample in zip(lines[1:], traj.samples):
+    for i, row in enumerate(lines[1:]):
         vals = [float(x) for x in row.split(",")]
-        expect = [sample.t, sample.mu, sample.lhs, sample.concurrence,
-                  sample.f_a.real, sample.f_a.imag, sample.f_b.real, sample.f_b.imag]
+        expect = [traj.times[i], traj.mu[i], traj.lhs[i], traj.concurrence[i],
+                  traj.f_a[i].real, traj.f_a[i].imag, traj.f_b[i].real, traj.f_b[i].imag]
         assert all(abs(a - b) <= 1e-10 * max(1.0, abs(b)) for a, b in zip(vals, expect))
 
     report_text = (tmp_path / "series.csv.report").read_text()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +9,8 @@ import entwitness as ew
 from entwitness import (EmptyTrajectory, NotXState, ReservoirParams,
                         concurrence, concurrence_x_state,
                         entanglement_death_time, witness_report)
-from entwitness.dynamics import Trajectory, TrajectorySample
-from _oracles import bell_rho, random_density, rk4_evolve
+from entwitness.dynamics import Trajectory
+from _oracles import bell_rho, death_time_loop, random_density, rk4_evolve
 
 _finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -22,11 +25,12 @@ def density_matrices(draw, dim=4):
 
 
 def _synthetic(times, mus, concs):
-    samples = [TrajectorySample(t=float(t), mu=float(m), lhs=float(m), concurrence=float(c),
-                                f_a=0j, f_b=0j)
-               for t, m, c in zip(times, mus, concs)]
-    return Trajectory(times=np.asarray(times, dtype=float), states=[],
-                      r_a=ReservoirParams(1.0), r_b=ReservoirParams(1.0), samples=samples)
+    times = np.asarray(times, dtype=float)
+    zeros = np.zeros_like(times, dtype=complex)
+    return Trajectory(times=times, rhos=np.zeros((len(times), 4, 4), dtype=complex),
+                      r_a=ReservoirParams(1.0), r_b=ReservoirParams(1.0),
+                      mu=np.asarray(mus, dtype=float), lhs=np.asarray(mus, dtype=float),
+                      concurrence=np.asarray(concs, dtype=float), f_a=zeros, f_b=zeros)
 
 
 def test_concurrence_bell():
@@ -82,8 +86,7 @@ def test_concurrence_x_state_rejects_non_x():
 
 def test_x_state_agrees_with_general_along_preset(preset_run):
     traj, _ = preset_run("fig1a_d0")
-    for state, sample in zip(traj.states[::25], traj.samples[::25]):
-        assert abs(concurrence_x_state(state.rho) - sample.concurrence) < 1e-8
+    assert np.abs(concurrence_x_state(traj.rhos) - traj.concurrence).max() < 1e-8
 
 
 def test_witness_report_no_crossing():
@@ -120,7 +123,7 @@ def test_witness_report_linear_crossing(preset_run):
     assert ew.uncertainty_record(rho).mu == pytest.approx(1.0, abs=1e-9)
     assert rep.c_ew_threshold == pytest.approx(concurrence_x_state(rho), abs=1e-9)
     idx = int(np.searchsorted(traj.times, rep.t_ew))
-    assert traj.samples[idx - 1].mu < 1.0 <= traj.samples[idx].mu
+    assert traj.mu[idx - 1] < 1.0 <= traj.mu[idx]
 
 
 def test_witness_report_notes_reentry():
@@ -129,7 +132,7 @@ def test_witness_report_notes_reentry():
     cfg = ew.ScenarioConfig(lambda_a=5.0, lambda_b=0.03, delta_b=3.0, t_max=10.0,
                             sample_every=10)
     traj, rep = ew.run_scenario(cfg)
-    mus = np.array([s.mu for s in traj.samples])
+    mus = traj.mu
     assert rep.crossing_found
     assert "re-enters" in rep.notes
     assert (mus[traj.times > rep.t_ew] < 1.0).any()
@@ -160,8 +163,8 @@ def test_witness_report_starting_above_one():
 def test_witness_report_empty_trajectory():
     with pytest.raises(EmptyTrajectory):
         witness_report(_synthetic(np.array([]), np.array([]), np.array([])))
-    bare = Trajectory(times=np.array([0.0]), states=[], r_a=ReservoirParams(1.0),
-                      r_b=ReservoirParams(1.0), samples=None)
+    bare = Trajectory(times=np.array([0.0]), rhos=bell_rho()[None], r_a=ReservoirParams(1.0),
+                      r_b=ReservoirParams(1.0))
     with pytest.raises(EmptyTrajectory):
         witness_report(bare)
 
@@ -187,6 +190,22 @@ def test_death_time_ignores_transient_dip():
     assert entanglement_death_time(traj) is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.lists(st.booleans(), max_size=30), confirm_samples=st.integers(0, 12))
+def test_death_time_matches_window_loop(pattern, confirm_samples):
+    # the cumulative-sum scan against the sample-by-sample window loop, on
+    # 0/1 concurrence patterns of lengths around the confirmation window
+    concs = np.where(pattern, 0.0, 1.0)
+    times = 0.1 * np.arange(len(concs))
+    traj = _synthetic(times, np.zeros_like(times), concs)
+    if len(concs) == 0:
+        with pytest.raises(EmptyTrajectory):
+            entanglement_death_time(traj, confirm_samples=confirm_samples)
+        return
+    got = entanglement_death_time(traj, confirm_samples=confirm_samples)
+    assert got == death_time_loop(times, concs, ew.witness.CONCURRENCE_ZERO_TOL, confirm_samples)
+
+
 def test_death_time_markovian_preset_parameters():
     # golden value frozen from the closed-form channel solution: with
     # lam = 5, delta = 1 the concurrence exp(-2 Gamma(t)) falls below the
@@ -201,8 +220,23 @@ def test_death_time_markovian_preset_parameters():
 
 def test_witness_sound_and_incomplete_on_reference_preset(preset_run):
     traj, rep = preset_run("fig1a_d0")
-    mus = np.array([s.mu for s in traj.samples])
-    concs = np.array([s.concurrence for s in traj.samples])
+    mus, concs = traj.mu, traj.concurrence
     assert (concs[mus < 1.0] > 0.0).all()            # witness never lies
     missed = (mus >= 1.0) & (concs > 1e-2)
     assert missed.any()                              # but it does miss entanglement
+
+
+def test_crossing_run_leaves_no_trajectory_in_cyclic_garbage():
+    # brentq wraps its objective in a self-referencing closure; the objective
+    # must not hold the trajectory, or every crossing run keeps its states
+    # alive until a full garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        traj, rep = ew.run_scenario(ew.PRESETS["fig1b_l5"])
+        assert rep.crossing_found and rep.t_ew > traj.times[0]
+        ref = weakref.ref(traj)
+        del traj, rep
+        assert ref() is None
+    finally:
+        gc.enable()
