@@ -9,15 +9,11 @@ the Wootters concurrence, and witness reports from the sampled evolution.
 from .errors import (EmptyTrajectory, EntwitnessError, NoConvergence,
                      NotDensityMatrix, NotHermitian, NotXState, ParseError,
                      QuadratureUnconverged, ValidationError)
-from .linalg import hermitian_eigenvalues, matrix_entropy
-from .dynamics import (ReservoirParams, SystemState, Trajectory,
-                       bell_initial, correlation_f, correlation_f_quadrature,
-                       propagate)
-from .information import (SX_BASIS, SY_BASIS, MeasurementBasis,
-                          UncertaintyRecord, partial_trace,
-                          post_measurement_state, uncertainty_record)
-from .witness import (WitnessReport, concurrence, concurrence_x_state,
-                      entanglement_death_time, witness_report)
+from .dynamics import (ReservoirParams, Trajectory, correlation_f,
+                       correlation_f_quadrature, excited_population, propagate)
+from .information import UncertaintyRecord, minimum_uncertainty, uncertainty_record
+from .witness import (WitnessReport, concurrence, entanglement_death_time,
+                      witness_report)
 from .scenario import (PRESETS, ScenarioConfig, SweepRow, emit_csv,
                        parse_config, run_scenario, sweep)
 
@@ -27,14 +23,10 @@ __all__ = [
     "EmptyTrajectory", "EntwitnessError", "NoConvergence",
     "NotDensityMatrix", "NotHermitian", "NotXState", "ParseError",
     "QuadratureUnconverged", "ValidationError",
-    "hermitian_eigenvalues", "matrix_entropy",
-    "ReservoirParams", "SystemState", "Trajectory",
-    "bell_initial", "correlation_f", "correlation_f_quadrature", "propagate",
-    "SX_BASIS", "SY_BASIS", "MeasurementBasis", "UncertaintyRecord",
-    "partial_trace", "post_measurement_state",
-    "uncertainty_record",
-    "WitnessReport", "concurrence", "concurrence_x_state",
-    "entanglement_death_time", "witness_report",
+    "ReservoirParams", "Trajectory", "correlation_f",
+    "correlation_f_quadrature", "excited_population", "propagate",
+    "UncertaintyRecord", "minimum_uncertainty", "uncertainty_record",
+    "WitnessReport", "concurrence", "entanglement_death_time", "witness_report",
     "PRESETS", "ScenarioConfig", "SweepRow", "emit_csv", "parse_config",
     "run_scenario", "sweep",
     "__version__",

@@ -22,8 +22,11 @@ A negative real part of ``f`` signals information backflow from the reservoir
 phase-covariant amplitude dampings, so the equation is solved exactly by the
 tensor product of two single-qubit amplitude-damping channels with coherence
 factors ``u_j(t) = exp(-integral_0^t f_j)`` (Breuer & Petruccione, *The
-Theory of Open Quantum Systems*, ch. 10); :func:`propagate` evaluates that
-closed form instead of integrating.
+Theory of Open Quantum Systems*, ch. 10).  From the Bell start the state stays
+an X state fixed by the two excited-state populations
+``p_j(t) = |u_j(t)|^2 = exp(-2 Re integral_0^t f_j)``; :func:`propagate`
+samples them in closed form, and every observable is an element-wise
+function of them (:mod:`entwitness.information`, :mod:`entwitness.witness`).
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state; all rates
@@ -36,11 +39,12 @@ computed fully in parallel.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .errors import QuadratureUnconverged, ValidationError
+from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
+from .numerics import _first, _where
 
 GAMMA0_DEFAULT = 1.0
+POPULATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,25 +73,18 @@ class ReservoirParams:
 
 
 @dataclass
-class SystemState:
-    """Two-qubit state ``rho`` at dimensionless time ``t``."""
-
-    t: float
-    rho: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Sampled evolution: ``(N, 4, 4)`` states ``rhos`` at ``times``, plus derived columns.
+    """Sampled evolution of the Bell start: excited populations ``p_a``, ``p_b`` at ``times``.
 
     The per-sample columns ``mu``, ``lhs``, ``concurrence``, ``f_a`` and ``f_b``
     are filled by the scenario runner; ``propagate`` leaves them None.  The
-    generating reservoir parameters are kept so that the exact state, and so
-    the witness crossing, can be evaluated between samples.
+    generating reservoir parameters are kept so that the exact populations,
+    and so the witness crossing, can be evaluated between samples.
     """
 
     times: np.ndarray
-    rhos: np.ndarray
+    p_a: np.ndarray
+    p_b: np.ndarray
     r_a: ReservoirParams
     r_b: ReservoirParams
     mu: np.ndarray | None = None
@@ -143,19 +140,29 @@ def correlation_f_quadrature(r: ReservoirParams, t: float,
         raise ValidationError(
             f"omega_window: must span at least 50 widths ({50.0 * r.lam}), got {omega_window}")
 
-    def integrate(n: int) -> complex:
-        if n % 2 == 0:
-            n += 1  # Simpson needs an odd node count
-        x = np.linspace(min(0.0, r.delta) - omega_window,
-                        max(0.0, r.delta) + omega_window, n)
-        spectrum = (r.gamma0 * r.lam ** 2 / (2.0 * np.pi)) / ((x - r.delta) ** 2 + r.lam ** 2)
-        safe_x = np.where(x == 0.0, 1.0, x)
-        kernel = np.where(x == 0.0, -1j * t, (1.0 - np.exp(1j * x * t)) / safe_x)
-        integrand = 1j * spectrum * kernel
-        return complex(simpson(integrand.real, x=x) + 1j * simpson(integrand.imag, x=x))
+    from scipy.integrate import simpson  # only this cross-check needs scipy
 
-    coarse = integrate(n_points)
-    fine = integrate(2 * n_points)
+    n = n_points | 1                     # Simpson needs an odd node count
+    lo, hi = min(0.0, r.delta) - omega_window, max(0.0, r.delta) + omega_window
+    x = np.linspace(lo, hi, 2 * n - 1)
+    at_zero = x == 0.0
+    # built in place: every fresh temporary of 2n - 1 nodes costs page faults
+    integrand = np.multiply(x, 1j * t)
+    np.exp(integrand, out=integrand)
+    np.subtract(1.0, integrand, out=integrand)
+    integrand /= np.where(at_zero, 1.0, x)
+    integrand[at_zero] = -1j * t
+    integrand /= (x - r.delta) ** 2 + r.lam ** 2
+    integrand *= 1j * r.gamma0 * r.lam ** 2 / (2.0 * np.pi)
+    spacing = (hi - lo) / (2 * n - 2)
+
+    def integrate(step: int) -> complex:
+        values = integrand[::step]
+        return complex(simpson(values.real, dx=step * spacing)
+                       + 1j * simpson(values.imag, dx=step * spacing))
+
+    coarse = integrate(2)                # the n nodes of the coarse grid
+    fine = integrate(1)
     if abs(fine - coarse) > 1e-5:
         raise QuadratureUnconverged(
             f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
@@ -169,51 +176,30 @@ def correlation_integral(r: ReservoirParams, t):
     return scale * (t - np.expm1(z * t) / z)
 
 
-def _damping_map(u: np.ndarray) -> np.ndarray:
-    """Amplitude-damping channels with coherence factors ``u``, shape ``(N, 2, 2, 2, 2)``.
+def excited_population(r: ReservoirParams, t):
+    """Excited-state population ``p(t) = |u(t)|^2 = exp(-2 Re integral_0^t f)``.
 
-    Entry ``[n, a, g, c, e]`` maps the input element ``rho[c, e]`` to the output
-    element ``[a, g]``; it is ``sum_k K_k[a, c] conj(K_k[g, e])`` over the Kraus
-    pair ``K_0 = diag(1, u)``, ``K_1 = sqrt(1 - |u|^2) |0><1|``.
+    The population at ``t`` of an atom that starts excited; in [0, 1], since
+    the accumulated decay ``2 Re integral_0^t f`` is a spectral average of
+    ``(1 - cos)`` terms and so never negative.  Scalar or array ``t``.
     """
-    m = np.zeros(u.shape + (2, 2, 2, 2), dtype=complex)
-    decayed = np.abs(u) ** 2
-    m[:, 0, 0, 0, 0] = 1.0
-    m[:, 0, 0, 1, 1] = 1.0 - decayed
-    m[:, 1, 1, 1, 1] = decayed
-    m[:, 0, 1, 0, 1] = u.conj()
-    m[:, 1, 0, 1, 0] = u
-    return m
+    return np.exp(-2.0 * correlation_integral(r, t).real)
 
 
-def channel_states(initial: SystemState, r_a: ReservoirParams, r_b: ReservoirParams,
-                   times) -> np.ndarray:
-    """Exact solution of the master equation at ``times >= initial.t``, shape ``(N, 4, 4)``.
-
-    The generator splits over the two atoms, and each term is a phase-covariant
-    amplitude damping, so the state at ``t`` is ``(Lambda_A (x) Lambda_B) rho(t0)``
-    with coherence factors ``u_j = exp(-integral_t0^t f_j)``.  Each output
-    element is summed in the same order whatever the length of ``times``, so a
-    single time gives bit for bit the state a whole grid gives there; the
-    witness root-find relies on this to see the same sign of ``mu - 1`` at a
-    sample as the sampled series does.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    t0 = initial.t
-    maps = [_damping_map(np.exp(correlation_integral(r, t0) - correlation_integral(r, times)))
-            for r in (r_a, r_b)]
-    rho0 = np.asarray(initial.rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("nagce,nbhdf,cdef->nabgh", *maps, rho0).reshape(-1, 4, 4)
-
-
-def propagate(initial: SystemState, r_a: ReservoirParams, r_b: ReservoirParams,
-              t_max: float, dt: float = 1e-2, sample_every: int = 1) -> Trajectory:
-    """Exact states on the sample grid ``initial.t + k * dt * sample_every``.
+def propagate(r_a: ReservoirParams, r_b: ReservoirParams, t_max: float, dt: float = 1e-2,
+              sample_every: int = 1) -> Trajectory:
+    """Exact excited populations of both atoms on the sample grid ``k * dt * sample_every``.
 
     The grid lands on ``t_max`` (the duration of the run), so ``t_max`` must be
     a whole number of sample spacings ``dt * sample_every``, within 1e-9
-    relative.  Every stored state is the closed-form solution at its time; no
-    error accumulates along the grid.
+    relative.  Every sample is the closed form at its time; no error
+    accumulates along the grid.
+
+    Raises
+    ------
+    NotDensityMatrix
+        naming the first sample (and its time) whose ``p_a`` or ``p_b`` lies
+        outside [0, 1] by more than ``POPULATION_TOL``.
     """
     if dt <= 0:
         raise ValidationError(f"dt: must be > 0, got {dt}")
@@ -227,14 +213,10 @@ def propagate(initial: SystemState, r_a: ReservoirParams, r_b: ReservoirParams,
         raise ValidationError(
             f"t_max: must be a whole number of sample spacings dt * sample_every = "
             f"{spacing:.6g}, got {t_max}")
-    times = initial.t + np.arange(0, n_samples * sample_every + 1, sample_every) * dt
-    return Trajectory(times=times, rhos=channel_states(initial, r_a, r_b, times),
-                      r_a=r_a, r_b=r_b)
-
-
-def bell_initial() -> SystemState:
-    """Maximally entangled initial state |Phi+> = (|00> + |11>)/sqrt(2) at t = 0."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5
-    return SystemState(t=0.0, rho=rho)
-
+    times = np.arange(0, n_samples * sample_every + 1, sample_every) * dt
+    p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        i = _first(~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)))
+        if i is not None:
+            raise NotDensityMatrix(f"{name} = {p[i]} outside [0, 1]{_where(i, times)}")
+    return Trajectory(times=times, p_a=p_a, p_b=p_b, r_a=r_a, r_b=r_b)

@@ -8,118 +8,85 @@ with atom B kept as a quantum memory, the uncertainty bound reads
 where ``H(X|B) = H(rho_XB) - H(rho_B)`` are conditional von Neumann entropies
 in bits.  The right-hand side ``mu = 1 + H(A|B)`` is the minimum uncertainty;
 ``mu < 1`` (negative conditional entropy) witnesses entanglement between A
-and B.  Every function takes one 4x4 state or a ``(..., 4, 4)`` stack of them.
-All functions are stateless and safe for concurrent use.
+and B (Berta et al., Nat. Phys. 6, 659 (2010)).
+
+Under two local amplitude dampings the Bell start stays an X state whose
+entries depend only on the excited-state populations ``p_A``, ``p_B``
+(:func:`entwitness.dynamics.excited_population`):
+
+    rho_11,11 = p_A p_B / 2,   rho_10,10 = p_A (1 - p_B) / 2,
+    rho_01,01 = (1 - p_A) p_B / 2,   |rho_00,11| = sqrt(p_A p_B) / 2,
+
+and ``rho_00,00`` the rest.  Its spectrum is that of the ``{|00>, |11>}``
+block plus the two middle populations; the memory's marginal is
+``diag(1 - p_B/2, p_B/2)``; and measuring ``S_x`` or ``S_y`` on A leaves two
+2x2 blocks of weight 1/2 with the common spectrum
+``1/2 +- sqrt((1 - p_B)^2 / 4 + p_A p_B / 4)``, so ``H(S_x|B) = H(S_y|B)``.
+Every quantity is therefore a short element-wise function of ``p_A`` and
+``p_B``, given as scalars or as per-sample columns.  All functions are
+stateless and safe for concurrent use.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDensityMatrix, ValidationError
-from .linalg import TRACE_TOL, _as_matrix, _first, _where, matrix_entropy
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Orthonormal eigenbasis of a measured observable on atom A.
-
-    Only the eigenprojectors matter for every entropic quantity, so the
-    observable's eigenvalues are not stored.  Global phases are fixed
-    (first amplitude real positive) to keep derived numbers bit-stable.
-    """
-
-    label: str
-    vectors: tuple[np.ndarray, np.ndarray]
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.outer(v, v.conj()) for v in self.vectors)
-
-
-SX_BASIS = MeasurementBasis("Sx", (
-    np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-    np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex),
-))
-SY_BASIS = MeasurementBasis("Sy", (
-    np.array([_SQRT_HALF, 1j * _SQRT_HALF], dtype=complex),
-    np.array([_SQRT_HALF, -1j * _SQRT_HALF], dtype=complex),
-))
+from .errors import NotDensityMatrix
+from .numerics import _first, _where, entropy_bits
 
 
 @dataclass(frozen=True)
 class UncertaintyRecord:
-    """Entropic uncertainty quantities in bits: floats for one state, arrays for a stack."""
+    """The bound ``mu`` and the left-hand side ``lhs`` in bits: floats, or per-sample columns."""
 
-    t: float | np.ndarray
-    h_sx_b: float | np.ndarray
-    h_sy_b: float | np.ndarray
-    lhs: float | np.ndarray
-    h_a_b: float | np.ndarray
     mu: float | np.ndarray
+    lhs: float | np.ndarray
 
 
-def partial_trace(rho, keep: str) -> np.ndarray:
-    """Reduced 2x2 states of subsystem ``keep`` ("A" or "B") of 4x4 states."""
-    a = _as_matrix(rho, "partial_trace", dims=(4,))
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    i = _first(np.abs(tr - 1.0) > TRACE_TOL)
-    if i is not None:
-        raise ValidationError(f"partial_trace: trace = {tr[i]}, expected 1{_where(i)}")
-    blocks = a.reshape(a.shape[:-2] + (2, 2, 2, 2))  # (A row, B row, A col, B col)
-    if keep == "A":
-        return np.trace(blocks, axis1=-3, axis2=-1)
-    if keep == "B":
-        return np.trace(blocks, axis1=-4, axis2=-2)
-    raise ValidationError(f"keep: expected 'A' or 'B', got {keep!r}")
+def _memory_entropy(p_b):
+    """``H(rho_B)`` of the memory's marginal ``diag(1 - p_B/2, p_B/2)``."""
+    return entropy_bits(1.0 - 0.5 * p_b, 0.5 * p_b)
 
 
-def post_measurement_state(rho, basis: MeasurementBasis) -> np.ndarray:
-    """States after a projective measurement of ``basis`` on atom A.
+def minimum_uncertainty(p_a, p_b):
+    """``mu = 1 + H(A|B)`` of the X state with excited populations ``p_a``, ``p_b``.
 
-    Returns ``sum_j (P_j (x) I) rho (P_j (x) I)``: block-diagonal in the
-    measured basis on A, trace preserving, idempotent.
+    The ``{|00>, |11>}`` block has eigenvalues ``big`` and ``det / big``; taking
+    the smaller one from the determinant keeps it accurate where it nears 0.
     """
-    a = _as_matrix(rho, "post_measurement_state", dims=(4,))
-    out = np.zeros_like(a)
-    for p in basis.projectors():
-        op = np.kron(p, _IDENTITY_2)
-        out += op @ a @ op
-    return out
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    both_decayed = (1.0 - p_a) * (1.0 - p_b)
+    excited = 0.5 * p_a * p_b                     # rho_11,11; also 2 |rho_00,11|^2
+    ground = 0.5 + 0.5 * both_decayed             # rho_00,00
+    big = 0.5 * (ground + excited) + np.sqrt((0.5 * (ground - excited)) ** 2 + 0.5 * excited)
+    small = 0.5 * excited * both_decayed / big    # (rho_00,00 rho_11,11 - |rho_00,11|^2) / big
+    h_joint = entropy_bits(big, small, 0.5 * (1.0 - p_a) * p_b, 0.5 * p_a * (1.0 - p_b))
+    return 1.0 + h_joint - _memory_entropy(p_b)
 
 
-def uncertainty_record(rho, t=0.0) -> UncertaintyRecord:
-    """Both measured-side entropies, the bound ``mu``, and the left-hand side.
+def uncertainty_record(p_a, p_b, t=0.0) -> UncertaintyRecord:
+    """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, per sample.
 
-    ``mu = log2(1/c) + H(A|B)`` with ``log2(1/c) = 1`` exactly for the
-    mutually unbiased pair; ``lhs = H(Sx|B) + H(Sy|B)``.  ``rho`` is one state
-    or a stack with sample times ``t``; each entropy is one batched
-    eigenvalue solve over the stack, and the memory's ``H(rho_B)`` is computed
-    once, since measuring A leaves B's marginal unchanged.
+    ``p_a``, ``p_b`` are the excited populations at the sample times ``t``
+    (scalars give floats, columns give arrays).
 
     Raises
     ------
     NotDensityMatrix
-        naming the first sample with ``mu`` outside [-1, 2] or with
-        ``lhs < mu`` (beyond 1e-7): the state is not physical.
+        naming the first sample (and its time) with ``mu`` outside [-1, 2]
+        or with ``lhs < mu`` beyond 1e-7: the state is not physical.
     """
-    a = _as_matrix(rho, "rho", dims=(4,))
-    h_joint = matrix_entropy(a)
-    h_b = matrix_entropy(partial_trace(a, "B"))
-    h_a_b = h_joint - h_b
-    h_sx_b = matrix_entropy(post_measurement_state(a, SX_BASIS)) - h_b
-    h_sy_b = matrix_entropy(post_measurement_state(a, SY_BASIS)) - h_b
-    mu = 1.0 + h_a_b
-    lhs = h_sx_b + h_sy_b
-    mu_arr, lhs_arr = np.asarray(mu), np.asarray(lhs)
-    times = np.broadcast_to(np.asarray(t, dtype=float), mu_arr.shape)
-    i = _first(~((mu_arr >= -1.0 - 1e-7) & (mu_arr <= 2.0 + 1e-7)))
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    mu = minimum_uncertainty(p_a, p_b)
+    big = 0.5 + 0.5 * np.sqrt((1.0 - p_b) ** 2 + p_a * p_b)
+    small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
+    lhs = 2.0 * (1.0 + entropy_bits(big, small) - _memory_entropy(p_b))
+    times = np.broadcast_to(np.asarray(t, dtype=float), np.shape(mu))
+    i = _first(~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)))
     if i is not None:
-        raise NotDensityMatrix(f"mu = {mu_arr[i]} outside [-1, 2]{_where(i, times)}")
-    i = _first(lhs_arr < mu_arr - 1e-7)
+        raise NotDensityMatrix(f"mu = {mu[i]} outside [-1, 2]{_where(i, times)}")
+    i = _first(lhs < mu - 1e-7)
     if i is not None:
-        raise NotDensityMatrix(f"uncertainty inequality violated: lhs = {lhs_arr[i]}, "
-                               f"mu = {mu_arr[i]}{_where(i, times)}")
-    return UncertaintyRecord(t=t, h_sx_b=h_sx_b, h_sy_b=h_sy_b, lhs=lhs, h_a_b=h_a_b, mu=mu)
+        raise NotDensityMatrix(f"uncertainty inequality violated: lhs = {lhs[i]}, "
+                               f"mu = {mu[i]}{_where(i, times)}")
+    return UncertaintyRecord(mu=mu, lhs=lhs)

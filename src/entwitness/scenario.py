@@ -9,13 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .dynamics import ReservoirParams, Trajectory, bell_initial, correlation_f, propagate
+from .dynamics import ReservoirParams, Trajectory, correlation_f, propagate
 from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationError
 from .information import uncertainty_record
 from .witness import WitnessReport, concurrence, witness_report
 
-ALLOWED_OUTPUTS = ("mu", "lhs", "concurrence", "f_a", "f_b", "rho")
-DEFAULT_OUTPUTS = ("mu", "lhs", "concurrence", "f_a", "f_b")
 INITIAL_STATES = ("bell_phi_plus",)
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
@@ -35,7 +33,6 @@ class ScenarioConfig:
     dt: float = 1e-2
     sample_every: int = 1
     initial_state: str = "bell_phi_plus"
-    outputs: tuple[str, ...] = DEFAULT_OUTPUTS
 
     def __post_init__(self):
         for key in ("lambda_a", "lambda_b", "t_max", "gamma0", "delta_a", "delta_b", "dt"):
@@ -56,10 +53,6 @@ class ScenarioConfig:
         if self.initial_state not in INITIAL_STATES:
             raise ValidationError(
                 f"initial_state: expected one of {INITIAL_STATES}, got {self.initial_state!r}")
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        bad = [o for o in self.outputs if o not in ALLOWED_OUTPUTS]
-        if bad:
-            raise ValidationError(f"outputs: unknown entries {bad}; allowed {ALLOWED_OUTPUTS}")
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a, gamma0=self.gamma0),
@@ -126,11 +119,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, value in raw.items():
         if key not in _FIELD_TYPES:
             raise ValidationError(f"{key}: unknown key")
-        if key == "outputs":
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise ValidationError("outputs: must be a list of names")
-            kwargs[key] = tuple(value)
-        elif key == "initial_state":
+        if key == "initial_state":
             if not isinstance(value, str):
                 raise ValidationError(f"initial_state: must be a string, got {value!r}")
             kwargs[key] = value
@@ -151,13 +140,13 @@ def parse_config(text: str) -> ScenarioConfig:
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     """Propagate the configured scenario and derive the observable columns.
 
-    Each observable is computed once, over the whole stack of sampled states.
+    Each column is one element-wise pass over the sampled excited populations.
     """
     r_a, r_b = cfg.reservoirs()
-    traj = propagate(bell_initial(), r_a, r_b, cfg.t_max, cfg.dt, cfg.sample_every)
-    rec = uncertainty_record(traj.rhos, traj.times)
+    traj = propagate(r_a, r_b, cfg.t_max, cfg.dt, cfg.sample_every)
+    rec = uncertainty_record(traj.p_a, traj.p_b, traj.times)
     traj.mu, traj.lhs = rec.mu, rec.lhs
-    traj.concurrence = concurrence(traj.rhos)
+    traj.concurrence = concurrence(traj.p_a, traj.p_b)
     traj.f_a, traj.f_b = correlation_f(r_a, traj.times), correlation_f(r_b, traj.times)
     return traj, witness_report(traj)
 

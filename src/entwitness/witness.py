@@ -9,63 +9,25 @@ maximally entangled start), and the time at which entanglement dies.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dynamics import SystemState, Trajectory, channel_states
-from .errors import EmptyTrajectory, NotXState
-from .information import uncertainty_record
-from .linalg import _as_matrix, _first, _scalar_or_stack, _where
+from .dynamics import Trajectory, excited_population
+from .errors import EmptyTrajectory
+from .information import minimum_uncertainty
+from .numerics import bracketed_root
 
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
-
-X_STATE_TOL = 1e-10
 CONCURRENCE_ZERO_TOL = 3e-3
 CROSSING_TIME_TOL = 1e-10
 
 
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def concurrence(p_a, p_b):
+    """Wootters concurrence of the X state with excited populations ``p_a``, ``p_b``.
 
-
-def concurrence(rho):
-    """Wootters concurrence of a two-qubit density matrix, or of each in a stack.
-
-    From the spectrum ``lambda_1 >= ... >= lambda_4`` of
-    ``rho @ (sigma_y (x) sigma_y) conj(rho) (sigma_y (x) sigma_y)``:
-    ``max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))``, in [0, 1].
-
-    The square roots are evaluated as singular values of
-    ``sqrt(rho_tilde) @ sqrt(rho)`` (whose Gram matrix is similar to the
-    product above), which keeps them accurate near zero where a direct
-    eigenvalue solve of the non-Hermitian product loses half the digits.
-    The spin flip is a real unitary involution, so
-    ``sqrt(rho_tilde) = YY conj(sqrt(rho)) YY`` needs no second eigensolve.
+    ``2 max(0, |rho_00,11| - sqrt(rho_01,01 rho_10,10))`` for the damped Bell
+    start, that is ``sqrt(p_A p_B) (1 - sqrt((1 - p_A)(1 - p_B)))`` (Bellomo,
+    Lo Franco & Compagno, PRL 99, 160502 (2007)), element by element; in [0, 1].
     """
-    sqrt_rho = _psd_sqrt(_as_matrix(rho, "rho", dims=(4,)))
-    roots = np.linalg.svd(_YY @ sqrt_rho.conj() @ _YY @ sqrt_rho, compute_uv=False)
-    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-    return _scalar_or_stack(np.maximum(0.0, c))
-
-
-def concurrence_x_state(rho):
-    """Closed-form concurrence for X-form states (analytic cross-check).
-
-    ``2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))``
-    (1-indexed entries).  Raises :class:`NotXState` if any entry outside the
-    main diagonal and anti-diagonal exceeds ``X_STATE_TOL``.
-    """
-    a = _as_matrix(rho, "rho", dims=(4,))
-    off = np.abs(np.where(_X_MASK, 0.0, a)).max(axis=(-2, -1))
-    i = _first(off > X_STATE_TOL)
-    if i is not None:
-        raise NotXState(f"non-X entry of magnitude {off[i]:.3e}{_where(i)}")
-    p = np.clip(a.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
-    outer = np.abs(a[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
-    inner = np.abs(a[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
-    return _scalar_or_stack(2.0 * np.maximum(np.maximum(0.0, outer), inner))
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    return np.sqrt(p_a * p_b) * (1.0 - np.sqrt(np.maximum((1.0 - p_a) * (1.0 - p_b), 0.0)))
 
 
 @dataclass
@@ -87,33 +49,35 @@ def _require_samples(traj: Trajectory) -> None:
         raise EmptyTrajectory("trajectory has no derived samples")
 
 
-def _exact_crossing(traj: Trajectory, lo: float, hi: float) -> tuple[float, float]:
-    """Root of the exact ``mu(t) - 1`` in ``[lo, hi]`` and the concurrence there.
+def _exact_crossing(traj: Trajectory, idx: int) -> tuple[float, float]:
+    """Root of the exact ``mu(t) - 1`` between samples ``idx - 1`` and ``idx``, and ``C`` there.
 
-    The objective holds only a copy of the initial state and the reservoirs,
-    not the trajectory: ``brentq`` wraps it in a self-referencing closure, so
-    whatever it holds stays alive until the next full garbage collection.
+    The objective runs the same element-wise array code as the sampled ``mu``
+    column (on one-element arrays: numpy's scalar kernels may round
+    differently), and the bracket's end values are taken from that column,
+    so the root-find sees the sign change the samples show.  It holds only
+    the two reservoirs, not the trajectory.
     """
-    initial = SystemState(float(traj.times[0]), traj.rhos[0].copy())
     r_a, r_b = traj.r_a, traj.r_b
 
-    def state_at(t: float) -> np.ndarray:
-        return channel_states(initial, r_a, r_b, t)[0]
+    def excess(t):
+        return minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t)) - 1.0
 
-    t_ew = float(brentq(lambda t: uncertainty_record(state_at(t), t).mu - 1.0, lo, hi,
-                        xtol=CROSSING_TIME_TOL))
-    return t_ew, concurrence(state_at(t_ew))
+    lo, hi = slice(idx - 1, idx), slice(idx, idx + 1)
+    t_ew = bracketed_root(excess, traj.times[lo], traj.times[hi],
+                          traj.mu[lo] - 1.0, traj.mu[hi] - 1.0, CROSSING_TIME_TOL)
+    return float(t_ew[0]), float(concurrence(excited_population(r_a, t_ew),
+                                             excited_population(r_b, t_ew))[0])
 
 
 def witness_report(traj: Trajectory) -> WitnessReport:
     """Locate the first time ``mu`` reaches 1 and the concurrence there.
 
     The first sample with ``mu >= 1`` brackets the crossing together with the
-    sample before it; inside that bracket one root-find on the exact ``mu(t)``
-    of the closed-form state places ``t_ew`` to ``CROSSING_TIME_TOL``, and the
-    threshold is the concurrence of the exact state at ``t_ew``.  Only the
-    first crossing is reported; re-entry below 1 afterwards (seen on the
-    samples) is flagged in ``notes``.
+    sample before it; inside that bracket one root-find on the exact
+    ``mu(t)`` places ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is
+    the exact concurrence at ``t_ew``.  Only the first crossing is reported;
+    re-entry below 1 afterwards (seen on the samples) is flagged in ``notes``.
     """
     _require_samples(traj)
     times, mus, concs = traj.times, traj.mu, traj.concurrence
@@ -130,7 +94,7 @@ def witness_report(traj: Trajectory) -> WitnessReport:
         t_ew, threshold = float(times[0]), float(concs[0])
         notes.append("mu starts at or above 1")
     else:
-        t_ew, threshold = _exact_crossing(traj, times[idx - 1], times[idx])
+        t_ew, threshold = _exact_crossing(traj, idx)
     if (mus[idx:] < 1.0).any():
         notes.append("mu re-enters below 1 after the first crossing")
     return WitnessReport(crossing_found=True, t_ew=t_ew,
@@ -144,8 +108,7 @@ def entanglement_death_time(traj: Trajectory, zero_tol: float = CONCURRENCE_ZERO
     """First sampled time at which concurrence falls to zero and stays there.
 
     "Zero" means below ``zero_tol`` (the model's concurrence decays to zero
-    asymptotically without an exact root, and near machine zero the general
-    eigensolver route is noise-limited); the drop must persist for the next
+    asymptotically without an exact root); the drop must persist for the next
     ``confirm_samples`` samples so that a transient dip during a revival
     oscillation is not flagged.  Returns None if entanglement survives the
     whole trajectory.

@@ -1,16 +1,29 @@
 """Independent oracles and state factories for the test suite.
 
-The evolution oracle integrates the master equation itself, ``L_A + L_B``
-assembled from explicit atom operators, with classical fixed-step RK4.  It
-shares nothing with the closed-form channel solution under test except the
-correlation function ``f(t)``, which has its own quadrature cross-check.
+Two oracles check the closed forms of the package:
+
+* the evolution oracle integrates the master equation itself, ``L_A + L_B``
+  assembled from explicit atom operators, with classical fixed-step RK4.  It
+  shares nothing with the closed form under test except the correlation
+  function ``f(t)``, which has its own quadrature cross-check;
+* the general-state oracle applies the exact two-channel solution to any
+  initial 4x4 state and reads every observable from the full density matrix:
+  entropies from ``eigvalsh``, the partial trace and the measured states
+  written out, the concurrence from the Takagi form of the spin flip.  It
+  knows nothing of the X-state structure the package's formulas rest on.
+
+Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
+checks raise the package's error types and name the first offending sample.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from entwitness import correlation_f
+from entwitness import (NoConvergence, NotDensityMatrix, NotHermitian, NotXState,
+                        ValidationError, correlation_f)
+from entwitness.dynamics import correlation_integral
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -98,40 +111,138 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return expm(1j * 0.5 * (a + a.conj().T))
 
 
-# Per-sample reference for the batched observables: one matrix at a time,
-# each entropy from its own eigvalsh, the partial trace and the measured
-# states written out element by element.
-_PLUS_MINUS = {
-    "Sx": (np.array([1, 1]) / math.sqrt(2), np.array([1, -1]) / math.sqrt(2)),
-    "Sy": (np.array([1, 1j]) / math.sqrt(2), np.array([1, -1j]) / math.sqrt(2)),
-}
-_SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+# ---------------------------------------------------------------- general-state oracle
+
+HERMITIAN_TOL = 1e-10
+TRACE_TOL = 1e-8
+EIGENVALUE_FLOOR = -1e-9
+X_STATE_TOL = 1e-10
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 
-def entropy_reference(rho: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh(rho)
-    return -sum(x * math.log2(x) for x in ev if x > 0.0)
+def _first(bad):
+    bad = np.asarray(bad)
+    return np.unravel_index(int(np.argmax(bad)), bad.shape) if bad.any() else None
 
 
-def memory_marginal_reference(rho: np.ndarray) -> np.ndarray:
-    """``tr_A rho``: element ``[b, d] = sum_a rho[2a + b, 2a + d]``."""
-    out = np.zeros((2, 2), dtype=complex)
-    for b in range(2):
-        for d in range(2):
-            out[b, d] = rho[b, d] + rho[2 + b, 2 + d]
+def _at(index) -> str:
+    return f" at sample {index[0] if len(index) == 1 else index}" if index else ""
+
+
+def _scalar_or_stack(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _as_matrix(m, name: str = "matrix", dims=(2, 4)) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
+        raise ValidationError(f"{name}: expected d x d matrices, d in {dims}, got {a.shape}")
+    i = _first(~np.isfinite(a.view(float)).all(axis=(-2, -1)))
+    if i is not None:
+        raise ValidationError(f"{name}: non-finite entries{_at(i)}")
+    return a
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix (``NotHermitian`` beyond 1e-10)."""
+    a = _as_matrix(m)
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    i = _first(defect > HERMITIAN_TOL)
+    if i is not None:
+        raise NotHermitian(f"max |m - m^dag| = {defect[i]:.3e}{_at(i)}")
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def matrix_entropy(m):
+    """Von Neumann entropy in bits of each density matrix.
+
+    Unit trace within ``TRACE_TOL`` and eigenvalues above ``EIGENVALUE_FLOOR``
+    are required; the noise band below zero is clamped, ``0 log 0 = 0``.
+    """
+    a = _as_matrix(m)
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    i = _first(np.abs(tr - 1.0) > TRACE_TOL)
+    if i is not None:
+        raise NotDensityMatrix(f"trace = {tr[i]}, expected 1 within {TRACE_TOL}{_at(i)}")
+    ev = hermitian_eigenvalues(a)
+    i = _first(ev[..., 0] < EIGENVALUE_FLOOR)
+    if i is not None:
+        raise NotDensityMatrix(f"eigenvalue {ev[i][0]:.3e} below floor {EIGENVALUE_FLOOR}{_at(i)}")
+    ev = np.clip(ev, 0.0, None)
+    return _scalar_or_stack(-np.sum(ev * np.log2(np.where(ev > 0.0, ev, 1.0)), axis=-1))
+
+
+def partial_trace(rho, keep: str) -> np.ndarray:
+    """Reduced 2x2 states of subsystem ``keep`` ("A" or "B") of 4x4 states."""
+    a = _as_matrix(rho, "partial_trace", dims=(4,))
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    i = _first(np.abs(tr - 1.0) > TRACE_TOL)
+    if i is not None:
+        raise ValidationError(f"partial_trace: trace = {tr[i]}, expected 1{_at(i)}")
+    blocks = a.reshape(a.shape[:-2] + (2, 2, 2, 2))  # (A row, B row, A col, B col)
+    if keep == "A":
+        return np.trace(blocks, axis1=-3, axis2=-1)
+    if keep == "B":
+        return np.trace(blocks, axis1=-4, axis2=-2)
+    raise ValidationError(f"keep: expected 'A' or 'B', got {keep!r}")
+
+
+@dataclass(frozen=True)
+class MeasurementBasis:
+    """Orthonormal eigenbasis of an observable measured on atom A."""
+
+    label: str
+    vectors: tuple[np.ndarray, np.ndarray]
+
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.outer(v, v.conj()) for v in self.vectors)
+
+
+SX_BASIS = MeasurementBasis("Sx", (np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
+                                   np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)))
+SY_BASIS = MeasurementBasis("Sy", (np.array([_SQRT_HALF, 1j * _SQRT_HALF], dtype=complex),
+                                   np.array([_SQRT_HALF, -1j * _SQRT_HALF], dtype=complex)))
+
+
+def post_measurement_state(rho, basis: MeasurementBasis) -> np.ndarray:
+    """``sum_j (P_j (x) I) rho (P_j (x) I)`` for the projectors of ``basis`` on atom A."""
+    a = _as_matrix(rho, "post_measurement_state", dims=(4,))
+    out = np.zeros_like(a)
+    for p in basis.projectors():
+        op = np.kron(p, IDENTITY_2)
+        out += op @ a @ op
     return out
 
 
-def measured_reference(rho: np.ndarray, basis: str) -> np.ndarray:
-    """``sum_j (|v_j><v_j| (x) I) rho (|v_j><v_j| (x) I)`` with explicit projectors."""
-    out = np.zeros((4, 4), dtype=complex)
-    for v in _PLUS_MINUS[basis]:
-        proj = np.kron(np.outer(v, v.conj()), np.eye(2))
-        out += proj @ rho @ proj
-    return out
+@dataclass(frozen=True)
+class Record:
+    """Every entropic quantity of the uncertainty bound, in bits."""
+
+    h_sx_b: float | np.ndarray
+    h_sy_b: float | np.ndarray
+    lhs: float | np.ndarray
+    h_a_b: float | np.ndarray
+    mu: float | np.ndarray
 
 
-def concurrence_reference(rho: np.ndarray) -> float:
+def uncertainty_record(rho) -> Record:
+    """``mu = 1 + H(A|B)`` and ``lhs = H(Sx|B) + H(Sy|B)`` from the full states."""
+    a = _as_matrix(rho, "rho", dims=(4,))
+    h_b = matrix_entropy(partial_trace(a, "B"))
+    h_a_b = matrix_entropy(a) - h_b
+    h_sx_b = matrix_entropy(post_measurement_state(a, SX_BASIS)) - h_b
+    h_sy_b = matrix_entropy(post_measurement_state(a, SY_BASIS)) - h_b
+    return Record(h_sx_b=h_sx_b, h_sy_b=h_sy_b, lhs=h_sx_b + h_sy_b, h_a_b=h_a_b,
+                  mu=1.0 + h_a_b)
+
+
+def concurrence(rho):
     """Wootters concurrence from the Takagi form of the spin flip.
 
     With ``rho = W W^dag`` (``W = V sqrt(diag(w))`` from one eigendecomposition),
@@ -141,18 +252,68 @@ def concurrence_reference(rho: np.ndarray) -> float:
     result stays accurate to rounding, where two independent square roots of
     ``rho`` and ``rho_tilde`` can disagree by ``sqrt(eps)``.
     """
-    w, v = np.linalg.eigh(rho)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    roots = np.linalg.svd(factor.T @ _SIGMA_YY @ factor, compute_uv=False)
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    a = _as_matrix(rho, "rho", dims=(4,))
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    roots = np.linalg.svd(factor.swapaxes(-1, -2) @ _YY @ factor, compute_uv=False)
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return _scalar_or_stack(np.maximum(0.0, c))
 
 
-def observables_reference(rho: np.ndarray) -> tuple[float, float, float]:
-    """``(mu, lhs, concurrence)`` of one 4x4 state."""
-    h_b = entropy_reference(memory_marginal_reference(rho))
-    mu = 1.0 + entropy_reference(rho) - h_b
-    lhs = sum(entropy_reference(measured_reference(rho, basis)) - h_b for basis in ("Sx", "Sy"))
-    return mu, lhs, concurrence_reference(rho)
+def concurrence_x_state(rho):
+    """``2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))`` (1-indexed).
+
+    Raises ``NotXState`` if an entry off the diagonal and anti-diagonal exceeds
+    ``X_STATE_TOL``.
+    """
+    a = _as_matrix(rho, "rho", dims=(4,))
+    off = np.abs(np.where(_X_MASK, 0.0, a)).max(axis=(-2, -1))
+    i = _first(off > X_STATE_TOL)
+    if i is not None:
+        raise NotXState(f"non-X entry of magnitude {off[i]:.3e}{_at(i)}")
+    p = np.clip(a.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
+    outer = np.abs(a[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
+    inner = np.abs(a[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
+    return _scalar_or_stack(2.0 * np.maximum(np.maximum(0.0, outer), inner))
+
+
+def damped_states(rho0, u_a, u_b) -> np.ndarray:
+    """``(Lambda_A (x) Lambda_B) rho0`` for amplitude dampings with coherence factors ``u``.
+
+    Each channel has the Kraus pair ``K_0 = diag(1, u)``,
+    ``K_1 = sqrt(1 - |u|^2) |0><1|``; ``u_a``, ``u_b`` are equal-length arrays
+    and the result is an ``(N, 4, 4)`` stack.
+    """
+    def kraus(u):
+        k = np.zeros(u.shape + (2, 2, 2), dtype=complex)
+        k[:, 0, 0, 0] = 1.0
+        k[:, 0, 1, 1] = u
+        k[:, 1, 0, 1] = np.sqrt(np.clip(1.0 - np.abs(u) ** 2, 0.0, None))
+        return k
+
+    k_a = kraus(np.atleast_1d(np.asarray(u_a, dtype=complex)))
+    k_b = kraus(np.atleast_1d(np.asarray(u_b, dtype=complex)))
+    r0 = np.asarray(rho0, dtype=complex).reshape(2, 2, 2, 2)
+    out = np.einsum("niac,njbd,cdef,nige,njhf->nabgh", k_a, k_b, r0, k_a.conj(), k_b.conj(),
+                    optimize=True)
+    return out.reshape(-1, 4, 4)
+
+
+def channel_states(rho0, r_a, r_b, times) -> np.ndarray:
+    """Exact solution of the master equation from ``rho0`` at ``t = 0``, shape ``(N, 4, 4)``.
+
+    The generator splits into two local, phase-covariant amplitude dampings, so
+    the state at ``t`` is ``(Lambda_A (x) Lambda_B) rho0`` with coherence
+    factors ``u_j = exp(-integral_0^t f_j)``.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return damped_states(rho0, *(np.exp(-correlation_integral(r, times)) for r in (r_a, r_b)))
+
+
+def observables(rhos):
+    """``(mu, lhs, concurrence)`` of each state in a stack."""
+    rec = uncertainty_record(rhos)
+    return rec.mu, rec.lhs, concurrence(rhos)
 
 
 def death_time_loop(times, concs, zero_tol: float, confirm_samples: int):

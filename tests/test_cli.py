@@ -58,20 +58,38 @@ def test_run_integration_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_run_physics_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
-    # an entropy off by 4 bits on the two-qubit states puts mu outside [-1, 2]
-    real_entropy = entwitness.information.matrix_entropy
+    # the joint entropy (the one over four eigenvalues) off by 4 bits puts mu
+    # outside [-1, 2]
+    real_entropy = entwitness.information.entropy_bits
 
-    def inflated(m):
-        h = real_entropy(m)
-        return h + 4.0 if np.shape(m)[-1] == 4 else h
+    def inflated(*probs):
+        h = real_entropy(*probs)
+        return h + 4.0 if len(probs) == 4 else h
 
-    monkeypatch.setattr(entwitness.information, "matrix_entropy", inflated)
+    monkeypatch.setattr(entwitness.information, "entropy_bits", inflated)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: mu = ") and "at sample 0" in err
     assert "Traceback" not in err
+
+
+def test_run_unphysical_population_exits_3(tmp_path, capsys, monkeypatch):
+    # a decay population above 1 is named with its sample and time
+    real_population = entwitness.dynamics.excited_population
+
+    def broken(r, t):
+        return real_population(r, t) + np.where(t >= 1.0, 1.0, 0.0)
+
+    monkeypatch.setattr(entwitness.dynamics, "excited_population", broken)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: p_a = ") and "at sample 100 (t = 1)" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -123,6 +141,14 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["preset", "fig9z", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the quadrature cross-check and is imported inside it
+    code = "import sys, entwitness.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entwitness as ew
-from entwitness import (QuadratureUnconverged, ReservoirParams, ValidationError,
-                        bell_initial, correlation_f, correlation_f_quadrature,
-                        propagate)
-from _oracles import (S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
-                      liouvillian_apply, random_density, rk4_states)
+from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
+                        ValidationError, correlation_f, correlation_f_quadrature,
+                        excited_population, propagate)
+from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
+                      channel_states, liouvillian_apply, partial_trace, random_density,
+                      rk4_states)
 
 
 def test_atom_operator_algebra():
@@ -119,41 +120,46 @@ def test_liouvillian_traceless_and_hermiticity_preserving():
 
 
 def test_bell_initial_state():
-    state = bell_initial()
-    assert state.t == 0.0
-    expected = bell_rho()
-    assert np.allclose(state.rho, expected, atol=0)
-    assert np.trace(state.rho) == pytest.approx(1.0, abs=0)
-    assert np.trace(state.rho @ state.rho).real == pytest.approx(1.0, abs=1e-15)
+    # the run starts undecayed (p_A = p_B = 1), which is the pure Bell state
+    traj = propagate(ReservoirParams(0.1), ReservoirParams(5.0, 2.0), t_max=1.0)
+    assert traj.times[0] == 0.0 and traj.p_a[0] == 1.0 and traj.p_b[0] == 1.0
+    rho = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times[:1])[0]
+    assert np.allclose(rho, bell_rho(), atol=0)
+    assert np.trace(rho) == pytest.approx(1.0, abs=0)
+    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_propagate_single_tiny_step_is_identity():
     # lam -> 0 limit: f(0) = 0, so one tiny step leaves the state unchanged
     r = ReservoirParams(lam=1e-6)
-    traj = propagate(bell_initial(), r, r, t_max=1e-4, dt=1e-4)
-    assert np.abs(traj.rhos[-1] - bell_rho()).max() < 1e-8
+    traj = propagate(r, r, t_max=1e-4, dt=1e-4)
+    assert 1.0 - traj.p_a[-1] < 1e-8 and 1.0 - traj.p_b[-1] < 1e-8
 
 
 def test_propagate_markovian_limit_population_decay():
-    # flat-spectrum limit: doubly-excited population decays as exp(-2 t)
+    # flat-spectrum limit: the doubly-excited population p_A p_B of an
+    # initial |11> decays as exp(-2 t)
     r = ReservoirParams(lam=300.0)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[3, 3] = 1.0
-    traj = propagate(ew.SystemState(0.0, rho0), r, r, t_max=3.0, dt=1e-3)
+    traj = propagate(r, r, t_max=3.0, dt=1e-3)
     for t_probe in (0.1, 1.0, 3.0):
         idx = int(round(t_probe / 1e-3))
-        pop = traj.rhos[idx, 3, 3].real
+        pop = traj.p_a[idx] * traj.p_b[idx]
         assert pop == pytest.approx(np.exp(-2.0 * t_probe), rel=2e-2)
 
 
 def test_propagate_matches_exact_channel_solution():
-    # the closed-form channel against RK4 on the master equation at dt = 1e-2
+    # the closed-form populations against RK4 on the master equation at
+    # dt = 1e-2, entry by entry of the damped Bell state
     r_a = ReservoirParams(0.1, 1.2)
     r_b = ReservoirParams(5.0, 0.5)
-    traj = propagate(bell_initial(), r_a, r_b, t_max=8.0, dt=1e-2)
+    traj = propagate(r_a, r_b, t_max=8.0, dt=1e-2)
     idx = [0, 100, 400, 800]
-    oracle = rk4_states(bell_rho(), r_a, r_b, traj.times[idx], max_step=1e-2)
-    assert np.abs(traj.rhos[idx] - oracle).max() < 1e-9
+    rhos = rk4_states(bell_rho(), r_a, r_b, traj.times[idx], max_step=1e-2)
+    p_a, p_b = traj.p_a[idx], traj.p_b[idx]
+    diagonal = np.stack([0.5 + 0.5 * (1 - p_a) * (1 - p_b), 0.5 * (1 - p_a) * p_b,
+                         0.5 * p_a * (1 - p_b), 0.5 * p_a * p_b], axis=1)
+    assert np.abs(rhos.diagonal(axis1=1, axis2=2).real - diagonal).max() < 1e-9
+    assert np.abs(np.abs(rhos[:, 0, 3]) - 0.5 * np.sqrt(p_a * p_b)).max() < 1e-9
 
 
 @settings(max_examples=10, deadline=None)
@@ -162,46 +168,57 @@ def test_propagate_matches_exact_channel_solution():
        t_max=st.floats(0.1, 50.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_propagate_matches_rk4_oracle(lam_a, lam_b, delta_a, delta_b, t_max, seed):
     # RK4 resolves the fastest scale of f, 1/|lam - i delta|, with 5 steps;
-    # its own error then stays below 2e-8 at the corners of the ranges
+    # its own error then stays below 2e-8 at the corners of the ranges.  The
+    # general-state oracle's channel solution matches it from any initial
+    # state, and each atom's excited population scales by the closed-form p
     r_a, r_b = ReservoirParams(lam_a, delta_a), ReservoirParams(lam_b, delta_b)
     rho0 = random_density(np.random.default_rng(seed), 4)
-    traj = propagate(ew.SystemState(0.0, rho0), r_a, r_b, t_max=t_max, dt=t_max / 20)
+    traj = propagate(r_a, r_b, t_max=t_max, dt=t_max / 20)
     rate = max(abs(complex(r.lam, r.delta)) for r in (r_a, r_b))
-    oracle = rk4_states(rho0, r_a, r_b, traj.times, max_step=min(0.02, 0.2 / rate))
-    assert np.abs(traj.rhos - oracle).max() < 1e-7
+    rhos = rk4_states(rho0, r_a, r_b, traj.times, max_step=min(0.02, 0.2 / rate))
+    assert np.abs(channel_states(rho0, r_a, r_b, traj.times) - rhos).max() < 1e-7
+    for n, p in ((N_A, traj.p_a), (N_B, traj.p_b)):
+        excited = np.trace(n @ rhos, axis1=1, axis2=2).real
+        assert np.abs(excited - p * excited[0]).max() < 1e-7
 
 
 def test_propagate_preserves_trace_and_hermiticity(preset_run):
+    # the oracle's exact states on the preset grid are unit-trace and
+    # Hermitian, and their diagonals are the closed-form populations
     traj, _ = preset_run("fig1a_d0")
-    assert np.abs(np.trace(traj.rhos, axis1=1, axis2=2) - 1.0).max() < 1e-6
-    assert np.abs(traj.rhos - traj.rhos.conj().transpose(0, 2, 1)).max() < 1e-8
+    rhos = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times)
+    assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-6
+    assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-8
+    assert np.abs(rhos[:, 3, 3].real - 0.5 * traj.p_a * traj.p_b).max() < 1e-15
+    assert np.abs(rhos[:, 2, 2].real - 0.5 * traj.p_a * (1 - traj.p_b)).max() < 1e-15
 
 
 def test_propagate_product_states_stay_product():
-    # the two dissipators act on disjoint factors, so |10><10| stays a product
+    # the two dissipators act on disjoint factors, so |10><10| stays the
+    # product of A's decayed state diag(1 - p_A, p_A) and B's ground state
     r_a = ReservoirParams(0.1, 1.2)
     r_b = ReservoirParams(5.0, 0.0)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[2, 2] = 1.0
-    traj = propagate(ew.SystemState(0.0, rho0), r_a, r_b, t_max=20.0, dt=1e-2)
+    traj = propagate(r_a, r_b, t_max=20.0, dt=1e-2)
     for t_probe in (1.0, 5.0, 20.0):
         idx = int(round(t_probe / 1e-2))
-        rho = traj.rhos[idx]
-        rho_a = ew.partial_trace(rho, "A")
-        rho_b = ew.partial_trace(rho, "B")
+        rho = channel_states(rho0, r_a, r_b, traj.times[idx])[0]
+        rho_a = partial_trace(rho, "A")
+        rho_b = partial_trace(rho, "B")
         assert np.abs(rho - np.kron(rho_a, rho_b)).max() < 1e-6
+        assert np.abs(rho_a - np.diag([1.0 - traj.p_a[idx], traj.p_a[idx]])).max() < 1e-12
 
 
 def test_propagate_swap_symmetry():
+    # swapping the reservoirs swaps the populations, and the concurrence with them
     r_a = ReservoirParams(0.1, 0.0)
     r_b = ReservoirParams(5.0, 2.0)
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    t_fwd = propagate(bell_initial(), r_a, r_b, t_max=2.0, dt=1e-2)
-    t_rev = propagate(bell_initial(), r_b, r_a, t_max=2.0, dt=1e-2)
-    for idx in (50, 200):
-        swapped = swap @ t_rev.rhos[idx] @ swap
-        assert np.abs(t_fwd.rhos[idx] - swapped).max() < 1e-10
+    t_fwd = propagate(r_a, r_b, t_max=2.0, dt=1e-2)
+    t_rev = propagate(r_b, r_a, t_max=2.0, dt=1e-2)
+    assert np.array_equal(t_fwd.p_a, t_rev.p_b) and np.array_equal(t_fwd.p_b, t_rev.p_a)
+    assert np.abs(ew.concurrence(t_fwd.p_a, t_fwd.p_b)
+                  - ew.concurrence(t_rev.p_a, t_rev.p_b)).max() < 1e-15
 
 
 def test_propagate_step_halving_leaves_mu_unchanged(preset_run):
@@ -209,37 +226,60 @@ def test_propagate_step_halving_leaves_mu_unchanged(preset_run):
     for preset_id in ("fig1a_d0", "fig1a_d12", "fig1a_d16"):
         traj, _ = preset_run(preset_id)
         cfg = ew.PRESETS[preset_id]
-        fine = propagate(bell_initial(), *cfg.reservoirs(), cfg.t_max,
-                         dt=cfg.dt / 2, sample_every=2)
+        fine = propagate(*cfg.reservoirs(), cfg.t_max, dt=cfg.dt / 2, sample_every=2)
         assert np.allclose(fine.times, traj.times)
-        mu_fine = ew.uncertainty_record(fine.rhos, fine.times).mu
+        mu_fine = ew.uncertainty_record(fine.p_a, fine.p_b, fine.times).mu
         assert np.abs(traj.mu - mu_fine).max() < 1e-5
 
 
 def test_propagate_sampling_stride():
     r = ReservoirParams(0.1)
-    traj = propagate(bell_initial(), r, r, t_max=1.0, dt=1e-2, sample_every=10)
+    traj = propagate(r, r, t_max=1.0, dt=1e-2, sample_every=10)
     assert len(traj.times) == 11
     assert np.allclose(np.diff(traj.times), 0.1)
 
 
 def test_propagate_coarse_long_grid_stays_physical():
-    # a step that made RK4 diverge: the closed form stays a density matrix
+    # a step that made RK4 diverge: the closed form stays physical
     r = ReservoirParams(5.0, 0.0)
-    traj = propagate(bell_initial(), r, r, t_max=2000.0, dt=10.0)
+    traj = propagate(r, r, t_max=2000.0, dt=10.0)
     assert len(traj) == 201
-    assert np.abs(np.trace(traj.rhos, axis1=1, axis2=2) - 1.0).max() < 1e-12
-    assert np.linalg.eigvalsh(traj.rhos).min() > -1e-12
+    assert np.all((traj.p_a >= 0.0) & (traj.p_a <= 1.0))
+    rhos = channel_states(bell_rho(), r, r, traj.times)
+    assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-12
+    assert np.linalg.eigvalsh(rhos).min() > -1e-12
+
+
+def test_propagate_rejects_unphysical_population(monkeypatch):
+    # a population pushed past 1 from t = 0.3 on is named at its first sample
+    real_population = ew.dynamics.excited_population
+
+    def broken(r, t):
+        return real_population(r, t) + np.where(t >= 0.3 - 1e-12, 0.5, 0.0)
+
+    monkeypatch.setattr(ew.dynamics, "excited_population", broken)
+    r = ReservoirParams(1.0)
+    with pytest.raises(NotDensityMatrix, match=r"p_a = .* outside \[0, 1\] at sample 3 \(t = 0.3\)"):
+        propagate(r, r, t_max=1.0, dt=0.1)
+
+
+def test_excited_population_is_a_decay_in_the_unit_interval():
+    # p = exp(-2 Re integral f) stays in [0, 1]: the accumulated decay is a
+    # spectral average of (1 - cos) terms, non-negative even while Re f < 0
+    t = np.linspace(0.0, 50.0, 5001)
+    for r in (ReservoirParams(0.01, 5.0), ReservoirParams(0.1, 1.6), ReservoirParams(20.0)):
+        p = excited_population(r, t)
+        assert p[0] == 1.0 and np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_propagate_validates_arguments():
     r = ReservoirParams(1.0)
     with pytest.raises(ValidationError):
-        propagate(bell_initial(), r, r, t_max=0.0, dt=1e-2)
+        propagate(r, r, t_max=0.0, dt=1e-2)
     with pytest.raises(ValidationError):
-        propagate(bell_initial(), r, r, t_max=1.0, dt=-1e-2)
+        propagate(r, r, t_max=1.0, dt=-1e-2)
     with pytest.raises(ValidationError):
-        propagate(bell_initial(), r, r, t_max=1.0, dt=1e-2, sample_every=0)
+        propagate(r, r, t_max=1.0, dt=1e-2, sample_every=0)
 
 
 @pytest.mark.parametrize("t_max,dt,sample_every", [
@@ -251,13 +291,13 @@ def test_propagate_validates_arguments():
 def test_propagate_rejects_grid_missing_t_max(t_max, dt, sample_every):
     r = ReservoirParams(1.0)
     with pytest.raises(ValidationError, match="t_max"):
-        propagate(bell_initial(), r, r, t_max=t_max, dt=dt, sample_every=sample_every)
+        propagate(r, r, t_max=t_max, dt=dt, sample_every=sample_every)
 
 
 def test_propagate_grid_lands_on_t_max():
     r = ReservoirParams(1.0)
-    traj = propagate(bell_initial(), r, r, t_max=0.7, dt=0.1)
+    traj = propagate(r, r, t_max=0.7, dt=0.1)
     assert len(traj) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
-    traj = propagate(bell_initial(), r, r, t_max=0.6, dt=0.01, sample_every=30)
+    traj = propagate(r, r, t_max=0.6, dt=0.01, sample_every=30)
     assert np.allclose(traj.times, [0.0, 0.3, 0.6], atol=1e-15)
 

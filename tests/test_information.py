@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 import entwitness as ew
-from entwitness import (SX_BASIS, SY_BASIS, NotDensityMatrix, ValidationError,
-                        concurrence, matrix_entropy, partial_trace,
-                        post_measurement_state, uncertainty_record)
-from _oracles import bell_rho, observables_reference, random_density
+from entwitness import (NotDensityMatrix, ValidationError, concurrence, excited_population,
+                        minimum_uncertainty, uncertainty_record)
+from _oracles import (SX_BASIS, SY_BASIS, bell_rho, damped_states, matrix_entropy,
+                      partial_trace, post_measurement_state, random_density)
 
 _finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -106,42 +107,50 @@ def test_post_measurement_commutes_and_entropy_grows(rho):
 
 def test_conditional_entropy_landmarks():
     # H(A|B) = -1 for a Bell state, 1 for the maximally mixed state, 0 for |00>
-    assert uncertainty_record(bell_rho()).h_a_b == pytest.approx(-1.0, abs=1e-12)
-    assert uncertainty_record(np.eye(4) / 4).h_a_b == pytest.approx(1.0, abs=1e-12)
+    assert oracle.uncertainty_record(bell_rho()).h_a_b == pytest.approx(-1.0, abs=1e-12)
+    assert oracle.uncertainty_record(np.eye(4) / 4).h_a_b == pytest.approx(1.0, abs=1e-12)
     rho00 = np.zeros((4, 4), dtype=complex)
     rho00[0, 0] = 1.0
-    assert uncertainty_record(rho00).h_a_b == pytest.approx(0.0, abs=1e-12)
+    assert oracle.uncertainty_record(rho00).h_a_b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uncertainty_record_bell():
-    rec = uncertainty_record(bell_rho(), t=0.0)
-    assert rec.mu == pytest.approx(0.0, abs=1e-10)
-    assert rec.lhs == pytest.approx(0.0, abs=1e-10)
-    assert rec.h_a_b == pytest.approx(-1.0, abs=1e-10)
+    # no decay yet (p_A = p_B = 1) is the Bell state itself
+    rec = uncertainty_record(1.0, 1.0, t=0.0)
+    assert rec.mu == pytest.approx(0.0, abs=1e-12)
+    assert rec.lhs == pytest.approx(0.0, abs=1e-12)
+    ref = oracle.uncertainty_record(bell_rho())
+    assert ref.mu == pytest.approx(0.0, abs=1e-10)
+    assert ref.lhs == pytest.approx(0.0, abs=1e-10)
+    assert ref.h_a_b == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_uncertainty_record_maximally_mixed():
-    rec = uncertainty_record(np.eye(4, dtype=complex) / 4)
+    rec = oracle.uncertainty_record(np.eye(4, dtype=complex) / 4)
     assert rec.mu == pytest.approx(2.0, abs=1e-12)
     assert rec.lhs == pytest.approx(2.0, abs=1e-12)
 
 
 def test_uncertainty_record_ground_product():
     # both measured entropies are one full bit while H(A|B) = 0, so the
-    # inequality is strict: lhs = 2 > mu = 1
+    # inequality is strict: lhs = 2 > mu = 1; full decay (p_A = p_B = 0)
+    # leaves exactly this state
     rho00 = np.zeros((4, 4), dtype=complex)
     rho00[0, 0] = 1.0
-    rec = uncertainty_record(rho00)
+    rec = oracle.uncertainty_record(rho00)
     assert rec.h_sx_b == pytest.approx(1.0, abs=1e-12)
     assert rec.h_sy_b == pytest.approx(1.0, abs=1e-12)
     assert rec.mu == pytest.approx(1.0, abs=1e-12)
     assert rec.lhs == pytest.approx(2.0, abs=1e-12)
+    closed = uncertainty_record(0.0, 0.0)
+    assert closed.mu == pytest.approx(1.0, abs=1e-15)
+    assert closed.lhs == pytest.approx(2.0, abs=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
 @given(density_matrices())
 def test_uncertainty_inequality_holds(rho):
-    rec = uncertainty_record(rho)
+    rec = oracle.uncertainty_record(rho)
     assert rec.lhs >= rec.mu - 1e-7
     assert -1.0 - 1e-7 <= rec.mu <= 2.0 + 1e-7
 
@@ -150,104 +159,99 @@ def test_uncertainty_inequality_holds(rho):
 @given(product_states())
 def test_product_states_are_never_witnessed(pair):
     rho_a, rho_b = pair
-    rec = uncertainty_record(np.kron(rho_a, rho_b))
+    rec = oracle.uncertainty_record(np.kron(rho_a, rho_b))
     assert rec.h_a_b == pytest.approx(matrix_entropy(rho_a), abs=1e-9)
     assert rec.h_a_b >= -1e-9
     assert rec.mu >= 1.0 - 1e-9
 
 
 def test_single_state_gives_scalars_and_stack_gives_columns():
-    rec = uncertainty_record(bell_rho(), t=0.5)
-    assert all(isinstance(v, float) for v in (rec.mu, rec.lhs, rec.h_a_b, rec.h_sx_b))
-    assert isinstance(concurrence(bell_rho()), float)
-    stack = np.array([bell_rho(), np.eye(4) / 4])
-    rec = uncertainty_record(stack, t=np.array([0.0, 1.0]))
+    rec = uncertainty_record(1.0, 1.0, t=0.5)
+    assert all(isinstance(v, float) for v in (rec.mu, rec.lhs))
+    assert isinstance(concurrence(1.0, 1.0), float)
+    p_a, p_b = np.array([1.0, 0.0]), np.array([1.0, 0.0])
+    rec = uncertainty_record(p_a, p_b, t=np.array([0.0, 1.0]))
     assert rec.mu.shape == rec.lhs.shape == (2,)
-    assert np.allclose(rec.mu, [0.0, 2.0], atol=1e-12)
-    assert np.allclose(concurrence(stack), [1.0, 0.0], atol=1e-10)
-    assert partial_trace(stack, "B").shape == (2, 2, 2)
+    assert np.allclose(rec.mu, [0.0, 1.0], atol=1e-15)
+    assert np.allclose(concurrence(p_a, p_b), [1.0, 0.0], atol=1e-15)
 
 
-@st.composite
-def rank_deficient_states(draw):
-    rank = draw(st.integers(1, 3))
-    re = draw(st.lists(_finite, min_size=4 * rank, max_size=4 * rank))
-    im = draw(st.lists(_finite, min_size=4 * rank, max_size=4 * rank))
-    a = (np.array(re) + 1j * np.array(im)).reshape(4, rank)
-    assume(np.linalg.norm(a) > 1e-3)
-    h = a @ a.conj().T
-    return h / np.trace(h).real
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_phase = st.floats(min_value=0.0, max_value=2.0 * np.pi)
 
 
-@st.composite
-def state_stacks(draw):
-    kinds = st.one_of(density_matrices(), rank_deficient_states(),
-                      product_states().map(lambda pair: np.kron(*pair)))
-    return np.array(draw(st.lists(kinds, min_size=1, max_size=6)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(state_stacks())
-def test_batched_observables_match_per_sample_reference(rhos):
-    # one batched pass against an independent per-matrix reference: its own
-    # eigvalsh per entropy, an explicit partial trace, explicit Sx/Sy projectors
-    rec = uncertainty_record(rhos)
-    c = concurrence(rhos)
-    ref = np.array([observables_reference(rho) for rho in rhos])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_unit, _unit, _phase, _phase), min_size=1, max_size=8))
+def test_batched_observables_match_per_sample_reference(samples):
+    # the closed-form columns against the general-state oracle, one damped
+    # Bell state at a time: coherence factors sqrt(p) e^(i phase), entropies
+    # from eigvalsh, explicit partial trace and Sx/Sy projectors, Takagi-form
+    # concurrence.  The populations handed to the closed form are the oracle's
+    # own |u|^2, so both sides see the same 1 - p.
+    p_a, p_b, phi_a, phi_b = (np.array(c) for c in zip(*samples))
+    u_a, u_b = np.sqrt(p_a) * np.exp(1j * phi_a), np.sqrt(p_b) * np.exp(1j * phi_b)
+    p_a, p_b = np.abs(u_a) ** 2, np.abs(u_b) ** 2
+    rhos = damped_states(bell_rho(), u_a, u_b)
+    rec = uncertainty_record(p_a, p_b)
+    c = concurrence(p_a, p_b)
+    ref = np.array([[float(np.squeeze(v)) for v in oracle.observables(rho)] for rho in rhos])
     assert np.abs(rec.mu - ref[:, 0]).max() < 1e-10
     assert np.abs(rec.lhs - ref[:, 1]).max() < 1e-10
-    assert np.abs(c - ref[:, 2]).max() < 1e-10
+    assert np.abs(c - oracle.concurrence_x_state(rhos)).max() < 1e-10
+    # the spectral route takes square roots of the state's eigenvalues, so a
+    # rounding-level eigenvalue of a (nearly) rank-deficient state moves it
+    # by up to sqrt(eps); elsewhere it is accurate to rounding
+    well_conditioned = np.linalg.eigvalsh(rhos)[:, 0] > 1e-6
+    assert np.abs(c - ref[:, 2])[well_conditioned].max(initial=0.0) < 1e-10
+    assert np.abs(c - ref[:, 2]).max() < 1e-7
 
 
 def test_batched_mu_is_bit_identical_to_single_state(preset_run):
-    # the crossing root-find evaluates single states and must see the same
-    # sign of mu - 1 at a sample as the batched series does
+    # the crossing root-find evaluates mu at single times, as one-element
+    # arrays, through the same element-wise code and must see the same sign
+    # of mu - 1 at a sample as the sampled column does
     traj, _ = preset_run("fig1b_l5")
-    rec = uncertainty_record(traj.rhos, traj.times)
+    r_a, r_b = traj.r_a, traj.r_b
     for i in range(len(traj)):
-        single = uncertainty_record(traj.rhos[i], traj.times[i])
-        assert rec.mu[i] == single.mu
-        assert rec.lhs[i] == single.lhs
+        t = traj.times[i:i + 1]
+        single = minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t))
+        assert single[0] == traj.mu[i]
+    rec = uncertainty_record(traj.p_a, traj.p_b, traj.times)
     assert np.array_equal(rec.mu, traj.mu)
 
 
 def test_checks_name_the_first_offending_sample():
-    stack = np.array([bell_rho()] * 5)
-    stack[3] *= 1.5
-    stack[4] *= 2.0
-    with pytest.raises(NotDensityMatrix, match="at sample 3"):
-        matrix_entropy(stack)
-    stack = np.array([bell_rho()] * 4)
-    stack[2, 0, 1] = np.nan
-    with pytest.raises(ValidationError, match="non-finite entries at sample 2"):
-        uncertainty_record(stack)
+    # a non-finite population fails the mu range mask at its own sample
+    p_a = np.ones(5)
+    p_a[[2, 4]] = np.nan
+    with pytest.raises(NotDensityMatrix, match=r"mu = nan outside \[-1, 2\] at sample 2 \(t = 0.2\)"):
+        uncertainty_record(p_a, np.ones(5), 0.1 * np.arange(5))
+
+
+def _skew_joint_entropy(monkeypatch, bits):
+    """Add ``bits`` to every ``H(rho_AB)``, the only entropy over four eigenvalues."""
+    real_entropy = ew.information.entropy_bits
+
+    def skewed(*probs):
+        h = real_entropy(*probs)
+        return h + bits if len(probs) == 4 else h
+
+    monkeypatch.setattr(ew.information, "entropy_bits", skewed)
 
 
 def test_physics_invariant_violation_raises_not_density_matrix(monkeypatch):
-    # H(rho_AB) inflated by 4 bits on 4x4 states pushes mu above 2 everywhere
-    real_entropy = ew.information.matrix_entropy
-
-    def inflated(m):
-        h = real_entropy(m)
-        return h + 4.0 if np.shape(m)[-1] == 4 else h
-
-    monkeypatch.setattr(ew.information, "matrix_entropy", inflated)
+    # H(rho_AB) inflated by 4 bits pushes mu above 2 everywhere
+    _skew_joint_entropy(monkeypatch, 4.0)
     times = np.array([0.0, 0.25, 0.5])
     with pytest.raises(NotDensityMatrix, match=r"outside \[-1, 2\] at sample 0 \(t = 0\)"):
-        uncertainty_record(np.array([bell_rho()] * 3), times)
+        uncertainty_record(np.ones(3), np.ones(3), times)
 
 
 def test_uncertainty_inequality_violation_names_sample_and_time(monkeypatch):
-    # half a bit added to H(rho_AB) of the input stack only: mu rises by 0.5,
-    # lhs (from the measured states) does not
-    real_entropy = ew.information.matrix_entropy
-    ground = np.zeros((4, 4), dtype=complex)
-    ground[0, 0] = 1.0                     # lhs = 2 > mu + 0.5 = 1.5
-    stack = np.array([ground, bell_rho(), bell_rho()])
-
-    def skewed(m):
-        return real_entropy(m) + 0.5 if m is stack else real_entropy(m)
-
-    monkeypatch.setattr(ew.information, "matrix_entropy", skewed)
+    # half a bit added to H(rho_AB): mu rises by 0.5, lhs (from the measured
+    # states) does not.  Full decay keeps lhs = 2 > mu + 0.5 = 1.5; the Bell
+    # state (no decay) has lhs = 0 < mu + 0.5
+    _skew_joint_entropy(monkeypatch, 0.5)
+    p = np.array([0.0, 1.0, 1.0])
     with pytest.raises(NotDensityMatrix, match=r"inequality violated.*at sample 1 \(t = 0.25\)"):
-        uncertainty_record(stack, np.array([0.0, 0.25, 0.5]))
+        uncertainty_record(p, p, np.array([0.0, 0.25, 0.5]))

@@ -1,10 +1,14 @@
+"""The test oracles' own numerics: the general-state oracle's eigenvalue and
+entropy routines with their input checks, and the RK4 step of the evolution
+oracle."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwitness import (NoConvergence, NotDensityMatrix, NotHermitian,
-                        ValidationError, hermitian_eigenvalues, matrix_entropy)
-from _oracles import bell_rho, random_density, random_unitary, rk4_step
+from entwitness import NoConvergence, NotDensityMatrix, NotHermitian, ValidationError
+from _oracles import (bell_rho, hermitian_eigenvalues, matrix_entropy, random_density,
+                      random_unitary, rk4_step)
 
 _finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

@@ -23,6 +23,9 @@ def test_parse_config_negative_lambda_names_key():
 def test_parse_config_unknown_key_rejected():
     with pytest.raises(ValidationError, match="lambda_c"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nlambda_c: 0.1\nt_max: 10\n")
+    # the CSV schema is fixed, so there is no output selector
+    with pytest.raises(ValidationError, match="outputs: unknown key"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\noutputs: [mu]\n")
 
 
 def test_parse_config_missing_required_key():
@@ -44,8 +47,6 @@ def test_parse_config_rejects_wrong_types():
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: yes\n")
     with pytest.raises(ValidationError, match="sample_every"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\nsample_every: 1.5\n")
-    with pytest.raises(ValidationError, match="outputs"):
-        parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\noutputs: mu\n")
     with pytest.raises(ValidationError, match="initial_state"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ninitial_state: ghz\n")
 
@@ -61,7 +62,6 @@ t_max: 70
 dt: 0.01
 sample_every: 1
 initial_state: bell_phi_plus
-outputs: [mu, lhs, concurrence, f_a, f_b]
 """
     assert parse_config(text) == PRESETS["fig1a_d16"]
 
@@ -103,8 +103,8 @@ def test_run_scenario_reference_preset(preset_run):
 def test_scenario_config_rejects_bad_values():
     with pytest.raises(ValidationError, match="t_max"):
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=-1.0)
-    with pytest.raises(ValidationError, match="outputs"):
-        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, outputs=("banana",))
+    with pytest.raises(ValidationError, match="initial_state"):
+        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, initial_state="ghz")
 
 
 def test_emit_csv_round_trip(tmp_path, preset_run):
@@ -136,7 +136,7 @@ def test_emit_csv_round_trip(tmp_path, preset_run):
 
 def test_emit_csv_refuses_underived_trajectory(tmp_path):
     r = ew.ReservoirParams(0.1)
-    traj = ew.propagate(ew.bell_initial(), r, r, t_max=0.1, dt=1e-2)
+    traj = ew.propagate(r, r, t_max=0.1, dt=1e-2)
     with pytest.raises(EmptyTrajectory):
         emit_csv(traj, ew.WitnessReport(False, None, None, None, 0.0), tmp_path / "x.csv")
 

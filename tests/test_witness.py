@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 import entwitness as ew
-from entwitness import (EmptyTrajectory, NotXState, ReservoirParams,
-                        concurrence, concurrence_x_state,
+from entwitness import (EmptyTrajectory, NotXState, ReservoirParams, concurrence,
                         entanglement_death_time, witness_report)
 from entwitness.dynamics import Trajectory
-from _oracles import bell_rho, death_time_loop, random_density, rk4_evolve
+from _oracles import (bell_rho, channel_states, concurrence_x_state, death_time_loop,
+                      random_density, rk4_evolve)
 
 _finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -27,21 +28,25 @@ def density_matrices(draw, dim=4):
 def _synthetic(times, mus, concs):
     times = np.asarray(times, dtype=float)
     zeros = np.zeros_like(times, dtype=complex)
-    return Trajectory(times=times, rhos=np.zeros((len(times), 4, 4), dtype=complex),
+    return Trajectory(times=times, p_a=zeros.real, p_b=zeros.real,
                       r_a=ReservoirParams(1.0), r_b=ReservoirParams(1.0),
                       mu=np.asarray(mus, dtype=float), lhs=np.asarray(mus, dtype=float),
                       concurrence=np.asarray(concs, dtype=float), f_a=zeros, f_b=zeros)
 
 
 def test_concurrence_bell():
-    assert concurrence(bell_rho()) == pytest.approx(1.0, abs=1e-10)
+    assert oracle.concurrence(bell_rho()) == pytest.approx(1.0, abs=1e-10)
+    assert concurrence(1.0, 1.0) == 1.0          # no decay: still the Bell state
 
 
 def test_concurrence_product_states():
     rng = np.random.default_rng(23)
     for _ in range(20):
         rho = np.kron(random_density(rng, 2), random_density(rng, 2))
-        assert concurrence(rho) < 1e-7
+        assert oracle.concurrence(rho) < 1e-7
+    # one atom fully decayed leaves a product state
+    p = np.linspace(0.0, 1.0, 11)
+    assert np.all(concurrence(p, 0.0) == 0.0) and np.all(concurrence(0.0, p) == 0.0)
 
 
 def test_concurrence_werner_state():
@@ -55,14 +60,15 @@ def test_concurrence_werner_state():
     rho_tilde = yy @ rho.conj() @ yy
     lam = np.sort(np.linalg.eigvals(rho @ rho_tilde).real)
     assert np.allclose(lam, [0.015625, 0.015625, 0.015625, 0.390625], atol=1e-12)
-    assert concurrence(rho) == pytest.approx(0.25, abs=1e-10)
+    assert oracle.concurrence(rho) == pytest.approx(0.25, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
-@given(density_matrices())
-def test_concurrence_in_unit_interval(rho):
-    c = concurrence(rho)
+@given(density_matrices(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_concurrence_in_unit_interval(rho, p_a, p_b):
+    c = oracle.concurrence(rho)
     assert 0.0 <= c <= 1.0 + 1e-9
+    assert 0.0 <= concurrence(p_a, p_b) <= 1.0
 
 
 def test_concurrence_x_state_landmarks():
@@ -74,7 +80,7 @@ def test_concurrence_x_state_example_matches_general():
     rho = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
     rho[0, 3] = rho[3, 0] = 0.3
     assert concurrence_x_state(rho) == pytest.approx(0.4, abs=1e-12)
-    assert concurrence(rho) == pytest.approx(0.4, abs=1e-10)
+    assert oracle.concurrence(rho) == pytest.approx(0.4, abs=1e-10)
 
 
 def test_concurrence_x_state_rejects_non_x():
@@ -85,8 +91,12 @@ def test_concurrence_x_state_rejects_non_x():
 
 
 def test_x_state_agrees_with_general_along_preset(preset_run):
+    # the closed-form column against the oracle's exact states at every sample,
+    # read through the X-state formula and through the general spectral route
     traj, _ = preset_run("fig1a_d0")
-    assert np.abs(concurrence_x_state(traj.rhos) - traj.concurrence).max() < 1e-8
+    rhos = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times)
+    assert np.abs(concurrence_x_state(rhos) - traj.concurrence).max() < 1e-8
+    assert np.abs(oracle.concurrence(rhos) - traj.concurrence).max() < 1e-8
 
 
 def test_witness_report_no_crossing():
@@ -104,7 +114,7 @@ def _rk4_crossing(cfg, lo, hi, tol=1e-7):
     anchor = rk4_evolve(bell_rho(), r_a, r_b, 0.0, anchor_t, 1e-3)
 
     def mu(t):
-        return ew.uncertainty_record(rk4_evolve(anchor, r_a, r_b, anchor_t, t, 1e-3)).mu
+        return oracle.uncertainty_record(rk4_evolve(anchor, r_a, r_b, anchor_t, t, 1e-3)).mu
 
     assert mu(lo) < 1.0 <= mu(hi)
     while hi - lo > tol:
@@ -120,7 +130,7 @@ def test_witness_report_linear_crossing(preset_run):
     assert rep.crossing_found and rep.notes == ""
     r_a, r_b = ew.PRESETS["fig1b_l5"].reservoirs()
     rho = rk4_evolve(bell_rho(), r_a, r_b, 0.0, rep.t_ew, 1e-3)
-    assert ew.uncertainty_record(rho).mu == pytest.approx(1.0, abs=1e-9)
+    assert oracle.uncertainty_record(rho).mu == pytest.approx(1.0, abs=1e-9)
     assert rep.c_ew_threshold == pytest.approx(concurrence_x_state(rho), abs=1e-9)
     idx = int(np.searchsorted(traj.times, rep.t_ew))
     assert traj.mu[idx - 1] < 1.0 <= traj.mu[idx]
@@ -163,8 +173,7 @@ def test_witness_report_starting_above_one():
 def test_witness_report_empty_trajectory():
     with pytest.raises(EmptyTrajectory):
         witness_report(_synthetic(np.array([]), np.array([]), np.array([])))
-    bare = Trajectory(times=np.array([0.0]), rhos=bell_rho()[None], r_a=ReservoirParams(1.0),
-                      r_b=ReservoirParams(1.0))
+    bare = ew.propagate(ReservoirParams(1.0), ReservoirParams(1.0), t_max=0.1, dt=0.1)
     with pytest.raises(EmptyTrajectory):
         witness_report(bare)
 
@@ -227,9 +236,9 @@ def test_witness_sound_and_incomplete_on_reference_preset(preset_run):
 
 
 def test_crossing_run_leaves_no_trajectory_in_cyclic_garbage():
-    # brentq wraps its objective in a self-referencing closure; the objective
-    # must not hold the trajectory, or every crossing run keeps its states
-    # alive until a full garbage collection
+    # the crossing root-find must not tie the trajectory into a reference
+    # cycle, or every crossing run keeps its columns alive until a full
+    # garbage collection
     gc.collect()
     gc.disable()
     try:
@@ -240,3 +249,39 @@ def test_crossing_run_leaves_no_trajectory_in_cyclic_garbage():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# The witness fixed point of identical reservoirs: with p_A = p_B = p the
+# bound mu(p, p) reaches 1 at one population p*, whatever the reservoir, and
+# the concurrence there is p*^2.
+FIXED_POINT_POPULATION = 0.7555782718905804
+FIXED_POINT_THRESHOLD = 0.5708985249531557
+
+
+def test_fixed_point_constants_match_the_general_state_oracle():
+    # bisection on the oracle's spectral mu of the damped Bell state
+    def mu(p):
+        return oracle.uncertainty_record(oracle.damped_states(bell_rho(), [p ** 0.5], [p ** 0.5])).mu
+
+    lo, hi = 0.5, 0.9
+    assert mu(lo) >= 1.0 > mu(hi)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mu(mid) >= 1.0 else (lo, mid)
+    assert lo == pytest.approx(FIXED_POINT_POPULATION, abs=1e-13)
+    assert lo ** 2 == pytest.approx(FIXED_POINT_THRESHOLD, abs=1e-13)
+    assert concurrence(FIXED_POINT_POPULATION, FIXED_POINT_POPULATION) == pytest.approx(
+        FIXED_POINT_THRESHOLD, abs=1e-15)
+
+
+def test_identical_reservoir_threshold_is_the_witness_fixed_point(preset_run):
+    identical = [pid for pid, cfg in ew.PRESETS.items()
+                 if (cfg.lambda_a, cfg.delta_a) == (cfg.lambda_b, cfg.delta_b)]
+    assert len(identical) == 13
+    for preset_id in identical:
+        traj, rep = preset_run(preset_id)
+        if preset_id in ("fig4a_d16", "fig4b_l005"):     # these end before mu reaches 1
+            assert not rep.crossing_found and traj.mu.max() < 1.0
+            continue
+        assert rep.crossing_found, preset_id
+        assert rep.c_ew_threshold == pytest.approx(FIXED_POINT_THRESHOLD, abs=1e-12), preset_id
