@@ -7,8 +7,8 @@ the Wootters concurrence, and witness reports from the sampled evolution.
 """
 
 from .errors import (EmptyTrajectory, EntwitnessError, NoConvergence,
-                     NotDensityMatrix, NotHermitian, NotXState, ParseError,
-                     QuadratureUnconverged, ValidationError)
+                     NotDensityMatrix, ParseError, QuadratureUnconverged,
+                     ValidationError)
 from .dynamics import (ReservoirParams, Trajectory, correlation_f,
                        correlation_f_quadrature, excited_population, propagate)
 from .information import UncertaintyRecord, minimum_uncertainty, uncertainty_record
@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmptyTrajectory", "EntwitnessError", "NoConvergence",
-    "NotDensityMatrix", "NotHermitian", "NotXState", "ParseError",
-    "QuadratureUnconverged", "ValidationError",
+    "NotDensityMatrix", "ParseError", "QuadratureUnconverged", "ValidationError",
     "ReservoirParams", "Trajectory", "correlation_f",
     "correlation_f_quadrature", "excited_population", "propagate",
     "UncertaintyRecord", "minimum_uncertainty", "uncertainty_record",

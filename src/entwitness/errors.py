@@ -5,12 +5,8 @@ class EntwitnessError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitian(EntwitnessError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
 class NoConvergence(EntwitnessError):
-    """An iterative eigenvalue solve did not converge."""
+    """A bracketed root-find did not close its bracket within its evaluation budget."""
 
 
 class NotDensityMatrix(EntwitnessError):
@@ -19,10 +15,6 @@ class NotDensityMatrix(EntwitnessError):
 
 class QuadratureUnconverged(EntwitnessError):
     """Numerical quadrature did not converge under node doubling."""
-
-
-class NotXState(EntwitnessError):
-    """Density matrix is not of X form (diagonal plus anti-diagonal)."""
 
 
 class EmptyTrajectory(EntwitnessError):

@@ -14,8 +14,6 @@ from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationErro
 from .information import uncertainty_record
 from .witness import WitnessReport, concurrence, witness_report
 
-INITIAL_STATES = ("bell_phi_plus",)
-
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
 
@@ -32,7 +30,6 @@ class ScenarioConfig:
     delta_b: float = 0.0
     dt: float = 1e-2
     sample_every: int = 1
-    initial_state: str = "bell_phi_plus"
 
     def __post_init__(self):
         for key in ("lambda_a", "lambda_b", "t_max", "gamma0", "delta_a", "delta_b", "dt"):
@@ -50,9 +47,6 @@ class ScenarioConfig:
         if not (isinstance(self.sample_every, int) and not isinstance(self.sample_every, bool)
                 and self.sample_every >= 1):
             raise ValidationError(f"sample_every: must be an integer >= 1, got {self.sample_every!r}")
-        if self.initial_state not in INITIAL_STATES:
-            raise ValidationError(
-                f"initial_state: expected one of {INITIAL_STATES}, got {self.initial_state!r}")
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a, gamma0=self.gamma0),
@@ -119,11 +113,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, value in raw.items():
         if key not in _FIELD_TYPES:
             raise ValidationError(f"{key}: unknown key")
-        if key == "initial_state":
-            if not isinstance(value, str):
-                raise ValidationError(f"initial_state: must be a string, got {value!r}")
-            kwargs[key] = value
-        elif key == "sample_every":
+        if key == "sample_every":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"sample_every: must be an integer, got {value!r}")
             kwargs[key] = value

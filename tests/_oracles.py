@@ -13,7 +13,9 @@ Two oracles check the closed forms of the package:
   knows nothing of the X-state structure the package's formulas rest on.
 
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
-checks raise the package's error types and name the first offending sample.
+checks name the first offending sample; a matrix that is not Hermitian, or
+not of X form where that is required, raises ``ValueError``, and the other
+checks raise the package's error types.
 """
 
 import math
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entwitness import (NoConvergence, NotDensityMatrix, NotHermitian, NotXState,
-                        ValidationError, correlation_f)
+from entwitness import NotDensityMatrix, ValidationError, correlation_f
 from entwitness.dynamics import correlation_integral
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
@@ -147,16 +148,13 @@ def _as_matrix(m, name: str = "matrix", dims=(2, 4)) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix (``NotHermitian`` beyond 1e-10)."""
+    """Ascending eigenvalues of each Hermitian matrix (``ValueError`` beyond 1e-10)."""
     a = _as_matrix(m)
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     i = _first(defect > HERMITIAN_TOL)
     if i is not None:
-        raise NotHermitian(f"max |m - m^dag| = {defect[i]:.3e}{_at(i)}")
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise ValueError(f"not Hermitian: max |m - m^dag| = {defect[i]:.3e}{_at(i)}")
+    return np.linalg.eigvalsh(a)
 
 
 def matrix_entropy(m):
@@ -263,14 +261,14 @@ def concurrence(rho):
 def concurrence_x_state(rho):
     """``2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))`` (1-indexed).
 
-    Raises ``NotXState`` if an entry off the diagonal and anti-diagonal exceeds
+    Raises ``ValueError`` if an entry off the diagonal and anti-diagonal exceeds
     ``X_STATE_TOL``.
     """
     a = _as_matrix(rho, "rho", dims=(4,))
     off = np.abs(np.where(_X_MASK, 0.0, a)).max(axis=(-2, -1))
     i = _first(off > X_STATE_TOL)
     if i is not None:
-        raise NotXState(f"non-X entry of magnitude {off[i]:.3e}{_at(i)}")
+        raise ValueError(f"not an X state: non-X entry of magnitude {off[i]:.3e}{_at(i)}")
     p = np.clip(a.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
     outer = np.abs(a[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
     inner = np.abs(a[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])

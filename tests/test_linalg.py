@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwitness import NoConvergence, NotDensityMatrix, NotHermitian, ValidationError
+from entwitness import NoConvergence, NotDensityMatrix, ValidationError
 from _oracles import (bell_rho, hermitian_eigenvalues, matrix_entropy, random_density,
                       random_unitary, rk4_step)
 
@@ -46,7 +46,7 @@ def test_hermitian_eigenvalues_perturbed_diagonal():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-6
-    with pytest.raises(NotHermitian):
+    with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigenvalues(m)
 
 

@@ -67,5 +67,34 @@ def test_bracketed_root_keeps_the_bracket_on_a_jump():
 
     root = bracketed_root(f, 0.0, 1.0, -1.0, 1.0, xtol=1e-10)
     assert abs(root - 0.3) < 1e-10
+    # with no absolute tolerance, a jump at x = 0 leaves only the relative
+    # one, 4 eps |x|, which shrinks as fast as the bracket: never done
     with pytest.raises(NoConvergence):
-        bracketed_root(f, 0.0, 1.0, -1.0, 1.0, xtol=1e-10, max_iter=5)
+        bracketed_root(lambda x: np.where(x < 0.0, -1.0, 1.0), -1.0, 1.0, -1.0, 1.0, xtol=0.0)
+
+
+def test_bracketed_root_halves_the_bracket_every_three_evaluations():
+    # roots where the two sides follow different powers, on which the inverse
+    # quadratic steps alone often keep most of the bracket; the bracket that
+    # the evaluated points enclose must still halve every three evaluations
+    rng = np.random.default_rng(7)
+    n = 2000
+    r = rng.uniform(0.01, 0.99, n)
+    p_pos, p_neg = 10 ** rng.uniform(-1, 0.5, (2, n))
+    scale = 10 ** rng.uniform(-3, 3, n)
+    lo, hi = np.zeros(n), np.ones(n)
+    widths = [hi - lo]
+
+    def f(x):
+        nonlocal lo, hi
+        y = np.abs(x - r)
+        v = np.where(x > r, scale * y ** p_pos, -(y ** p_neg))
+        lo, hi = np.where(v < 0, np.maximum(lo, x), lo), np.where(v >= 0, np.minimum(hi, x), hi)
+        widths.append(hi - lo)
+        return v
+
+    roots = bracketed_root(f, 0.0, 1.0, f(np.zeros(n)), f(np.ones(n)), xtol=1e-10)
+    assert np.abs(roots - r).max() < 1e-10
+    w = np.array(widths[2:])  # from the bracket [0, 1] on
+    live = w[:-3] > 1e-9
+    assert not (live & (w[3:] > 0.5 * w[:-3] * (1.0 + 1e-12))).any()

@@ -12,7 +12,6 @@ def test_parse_config_minimal_defaults():
     assert cfg.dt == 1e-2
     assert cfg.delta_a == 0.0 and cfg.delta_b == 0.0
     assert cfg.sample_every == 1
-    assert cfg.initial_state == "bell_phi_plus"
 
 
 def test_parse_config_negative_lambda_names_key():
@@ -23,9 +22,12 @@ def test_parse_config_negative_lambda_names_key():
 def test_parse_config_unknown_key_rejected():
     with pytest.raises(ValidationError, match="lambda_c"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nlambda_c: 0.1\nt_max: 10\n")
-    # the CSV schema is fixed, so there is no output selector
+    # the CSV schema is fixed and every run starts from the Bell state, so
+    # there is neither an output nor an initial-state selector
     with pytest.raises(ValidationError, match="outputs: unknown key"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\noutputs: [mu]\n")
+    with pytest.raises(ValidationError, match="initial_state: unknown key"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ninitial_state: bell_phi_plus\n")
 
 
 def test_parse_config_missing_required_key():
@@ -47,8 +49,6 @@ def test_parse_config_rejects_wrong_types():
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: yes\n")
     with pytest.raises(ValidationError, match="sample_every"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\nsample_every: 1.5\n")
-    with pytest.raises(ValidationError, match="initial_state"):
-        parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ninitial_state: ghz\n")
 
 
 def test_parse_config_full_equals_preset():
@@ -61,7 +61,6 @@ delta_b: 1.6
 t_max: 70
 dt: 0.01
 sample_every: 1
-initial_state: bell_phi_plus
 """
     assert parse_config(text) == PRESETS["fig1a_d16"]
 
@@ -103,8 +102,8 @@ def test_run_scenario_reference_preset(preset_run):
 def test_scenario_config_rejects_bad_values():
     with pytest.raises(ValidationError, match="t_max"):
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=-1.0)
-    with pytest.raises(ValidationError, match="initial_state"):
-        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, initial_state="ghz")
+    with pytest.raises(ValidationError, match="sample_every"):
+        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, sample_every=0)
 
 
 def test_emit_csv_round_trip(tmp_path, preset_run):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import (EmptyTrajectory, NotXState, ReservoirParams, concurrence,
+from entwitness import (EmptyTrajectory, ReservoirParams, concurrence,
                         entanglement_death_time, witness_report)
 from entwitness.dynamics import Trajectory
 from _oracles import (bell_rho, channel_states, concurrence_x_state, death_time_loop,
@@ -86,7 +86,7 @@ def test_concurrence_x_state_example_matches_general():
 def test_concurrence_x_state_rejects_non_x():
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = rho[1, 0] = 1e-3
-    with pytest.raises(NotXState):
+    with pytest.raises(ValueError, match="not an X state"):
         concurrence_x_state(rho)
 
 
