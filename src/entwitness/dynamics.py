@@ -24,9 +24,16 @@ tensor product of two single-qubit amplitude-damping channels with coherence
 factors ``u_j(t) = exp(-integral_0^t f_j)`` (Breuer & Petruccione, *The
 Theory of Open Quantum Systems*, ch. 10).  From the Bell start the state stays
 an X state fixed by the two excited-state populations
-``p_j(t) = |u_j(t)|^2 = exp(-2 Re integral_0^t f_j)``; :func:`propagate`
-samples them in closed form, and every observable is an element-wise
-function of them (:mod:`entwitness.information`, :mod:`entwitness.witness`).
+``p_j(t) = |u_j(t)|^2 = exp(-2 Re integral_0^t f_j)``, sampled in closed form,
+and every observable is an element-wise function of them
+(:mod:`entwitness.information`, :mod:`entwitness.witness`).
+
+The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
+holds the prefactor and exponent of ``f`` for G reservoirs as ``(G, 1)``
+columns, and :func:`populations` evaluates G reservoir pairs on one shared
+``(N,)`` grid (:func:`sample_times`) as ``(G, N)`` arrays, with a separate
+error per row.  A sweep is one such batch; a single run (:func:`propagate`,
+:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state; all rates
@@ -36,12 +43,14 @@ All functions are pure; trajectories for different parameter sets may be
 computed fully in parallel.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
-from .numerics import _first, _where
+from .numerics import flag_rows, raise_first
 
 GAMMA0_DEFAULT = 1.0
 POPULATION_TOL = 1e-9
@@ -62,7 +71,7 @@ class ReservoirParams:
     def __post_init__(self):
         for name in ("lam", "delta", "gamma0"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValidationError(f"{name}: must be finite, got {v}")
         if self.lam <= 0:
             raise ValidationError(f"lam: must be > 0, got {self.lam}")
@@ -70,6 +79,42 @@ class ReservoirParams:
             raise ValidationError(f"gamma0: must be > 0, got {self.gamma0}")
         if self.delta < 0:
             raise ValidationError(f"delta: must be >= 0, got {self.delta}")
+
+    @property
+    def scale(self) -> complex:
+        """Prefactor ``gamma0 lam / (2 (lam - i delta))`` of ``f``."""
+        return self.gamma0 * self.lam / (2.0 * (self.lam - 1j * self.delta))
+
+    @property
+    def z(self) -> complex:
+        """Exponent ``i delta - lam`` of ``f``."""
+        return 1j * self.delta - self.lam
+
+
+class ReservoirColumns(NamedTuple):
+    """``f``'s ``scale`` and ``z`` for G reservoirs, as arrays that broadcast against times.
+
+    :meth:`stack` gives ``(G, 1)`` columns for a ``(G, N)`` batch over a
+    shared ``(N,)`` grid; :meth:`take` picks ``(K,)`` rows, one per abscissa
+    of a ``(K,)`` array of times.  :func:`correlation_integral` and
+    :func:`excited_population` take these columns wherever they take a
+    :class:`ReservoirParams`.
+    """
+
+    scale: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def stack(cls, reservoirs) -> "ReservoirColumns":
+        # Each prefactor comes from Python complex arithmetic, one reservoir at
+        # a time: numpy's complex division of stacked columns rounds some of
+        # them differently by an ulp, which would move the written columns.
+        reservoirs = list(reservoirs)
+        return cls(np.array([r.scale for r in reservoirs], dtype=complex)[:, None],
+                   np.array([r.z for r in reservoirs], dtype=complex)[:, None])
+
+    def take(self, rows) -> "ReservoirColumns":
+        return ReservoirColumns(self.scale[rows, 0], self.z[rows, 0])
 
 
 @dataclass
@@ -107,8 +152,7 @@ def correlation_f(r: ReservoirParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError(f"t: must be >= 0, got {t.min()}")
-    scale = r.gamma0 * r.lam / (2.0 * (r.lam - 1j * r.delta))
-    out = scale * (1.0 - np.exp((1j * r.delta - r.lam) * t))
+    out = r.scale * (1.0 - np.exp(r.z * t))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -169,37 +213,32 @@ def correlation_f_quadrature(r: ReservoirParams, t: float,
     return fine
 
 
-def correlation_integral(r: ReservoirParams, t):
-    """Closed form of ``integral_0^t f(s) ds`` for a scalar or an array of times."""
-    z = 1j * r.delta - r.lam
-    scale = r.gamma0 * r.lam / (2.0 * (r.lam - 1j * r.delta))
-    return scale * (t - np.expm1(z * t) / z)
+def correlation_integral(r, t):
+    """Closed form of ``integral_0^t f(s) ds``.
+
+    ``r`` is a :class:`ReservoirParams` (scalar or array ``t``) or
+    :class:`ReservoirColumns` that broadcast against ``t``.
+    """
+    return r.scale * (t - np.expm1(r.z * t) / r.z)
 
 
-def excited_population(r: ReservoirParams, t):
+def excited_population(r, t):
     """Excited-state population ``p(t) = |u(t)|^2 = exp(-2 Re integral_0^t f)``.
 
     The population at ``t`` of an atom that starts excited; in [0, 1], since
     the accumulated decay ``2 Re integral_0^t f`` is a spectral average of
-    ``(1 - cos)`` terms and so never negative.  Scalar or array ``t``.
+    ``(1 - cos)`` terms and so never negative.  ``r`` and ``t`` as in
+    :func:`correlation_integral`.
     """
     return np.exp(-2.0 * correlation_integral(r, t).real)
 
 
-def propagate(r_a: ReservoirParams, r_b: ReservoirParams, t_max: float, dt: float = 1e-2,
-              sample_every: int = 1) -> Trajectory:
-    """Exact excited populations of both atoms on the sample grid ``k * dt * sample_every``.
+def sample_times(t_max: float, dt: float = 1e-2, sample_every: int = 1) -> np.ndarray:
+    """The sample grid ``k * dt * sample_every`` from 0 to ``t_max``.
 
     The grid lands on ``t_max`` (the duration of the run), so ``t_max`` must be
     a whole number of sample spacings ``dt * sample_every``, within 1e-9
-    relative.  Every sample is the closed form at its time; no error
-    accumulates along the grid.
-
-    Raises
-    ------
-    NotDensityMatrix
-        naming the first sample (and its time) whose ``p_a`` or ``p_b`` lies
-        outside [0, 1] by more than ``POPULATION_TOL``.
+    relative.
     """
     if dt <= 0:
         raise ValidationError(f"dt: must be > 0, got {dt}")
@@ -213,10 +252,40 @@ def propagate(r_a: ReservoirParams, r_b: ReservoirParams, t_max: float, dt: floa
         raise ValidationError(
             f"t_max: must be a whole number of sample spacings dt * sample_every = "
             f"{spacing:.6g}, got {t_max}")
-    times = np.arange(0, n_samples * sample_every + 1, sample_every) * dt
+    return np.arange(0, n_samples * sample_every + 1, sample_every) * dt
+
+
+def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray):
+    """Exact excited populations ``p_a``, ``p_b`` of G reservoir pairs at ``times``.
+
+    Returns the two ``(G, N)`` arrays and a list of G errors: None for a good
+    row, or a :class:`NotDensityMatrix` naming the row's first sample (and
+    its time) whose ``p_a`` or ``p_b`` lies outside [0, 1] by more than
+    ``POPULATION_TOL``.  Every sample is the closed form at its time; no error
+    accumulates along the grid.
+    """
     p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
+    errors = [None] * len(p_a)
     for name, p in (("p_a", p_a), ("p_b", p_b)):
-        i = _first(~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)))
-        if i is not None:
-            raise NotDensityMatrix(f"{name} = {p[i]} outside [0, 1]{_where(i, times)}")
-    return Trajectory(times=times, p_a=p_a, p_b=p_b, r_a=r_a, r_b=r_b)
+        flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
+                  lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
+    return p_a, p_b, errors
+
+
+def propagate(r_a: ReservoirParams, r_b: ReservoirParams, t_max: float, dt: float = 1e-2,
+              sample_every: int = 1) -> Trajectory:
+    """Exact excited populations of one reservoir pair on :func:`sample_times`.
+
+    The one-row case of :func:`populations`.
+
+    Raises
+    ------
+    NotDensityMatrix
+        naming the first sample (and its time) whose ``p_a`` or ``p_b`` lies
+        outside [0, 1] by more than ``POPULATION_TOL``.
+    """
+    times = sample_times(t_max, dt, sample_every)
+    p_a, p_b, errors = populations(ReservoirColumns.stack([r_a]),
+                                   ReservoirColumns.stack([r_b]), times)
+    raise_first(errors)
+    return Trajectory(times=times, p_a=p_a[0], p_b=p_b[0], r_a=r_a, r_b=r_b)

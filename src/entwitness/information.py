@@ -23,8 +23,8 @@ block plus the two middle populations; the memory's marginal is
 2x2 blocks of weight 1/2 with the common spectrum
 ``1/2 +- sqrt((1 - p_B)^2 / 4 + p_A p_B / 4)``, so ``H(S_x|B) = H(S_y|B)``.
 Every quantity is therefore a short element-wise function of ``p_A`` and
-``p_B``, given as scalars or as per-sample columns.  All functions are
-stateless and safe for concurrent use.
+``p_B``, given as scalars, per-sample columns or ``(G, N)`` batches of rows.
+All functions are stateless and safe for concurrent use.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDensityMatrix
-from .numerics import _first, _where, entropy_bits
+from .numerics import entropy_bits, flag_rows, raise_first
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,32 @@ def minimum_uncertainty(p_a, p_b):
     return 1.0 + h_joint - _memory_entropy(p_b)
 
 
+def uncertainty_columns(p_a, p_b):
+    """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, element by element."""
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    mu = minimum_uncertainty(p_a, p_b)
+    big = 0.5 + 0.5 * np.sqrt((1.0 - p_b) ** 2 + p_a * p_b)
+    small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
+    lhs = 2.0 * (1.0 + entropy_bits(big, small) - _memory_entropy(p_b))
+    return mu, lhs
+
+
+def check_uncertainty(mu, lhs, times, errors) -> None:
+    """Flag in ``errors`` each row of the ``(G, N)`` columns that is not physical.
+
+    A row's first sample with ``mu`` outside [-1, 2], or else with
+    ``lhs < mu`` beyond 1e-7, gives it a :class:`NotDensityMatrix` naming the
+    sample and its time; a row already flagged keeps its error.
+    """
+    flag_rows(errors, ~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)), times,
+              lambda g, k, where: NotDensityMatrix(f"mu = {mu[g, k]} outside [-1, 2]{where}"))
+    flag_rows(errors, lhs < mu - 1e-7, times,
+              lambda g, k, where: NotDensityMatrix(
+                  f"uncertainty inequality violated: lhs = {lhs[g, k]}, mu = {mu[g, k]}{where}"))
+
+
 def uncertainty_record(p_a, p_b, t=0.0) -> UncertaintyRecord:
-    """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, per sample.
+    """The bound ``mu`` and ``lhs`` of :func:`uncertainty_columns`, checked, per sample.
 
     ``p_a``, ``p_b`` are the excited populations at the sample times ``t``
     (scalars give floats, columns give arrays).
@@ -76,17 +100,10 @@ def uncertainty_record(p_a, p_b, t=0.0) -> UncertaintyRecord:
         naming the first sample (and its time) with ``mu`` outside [-1, 2]
         or with ``lhs < mu`` beyond 1e-7: the state is not physical.
     """
-    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
-    mu = minimum_uncertainty(p_a, p_b)
-    big = 0.5 + 0.5 * np.sqrt((1.0 - p_b) ** 2 + p_a * p_b)
-    small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
-    lhs = 2.0 * (1.0 + entropy_bits(big, small) - _memory_entropy(p_b))
-    times = np.broadcast_to(np.asarray(t, dtype=float), np.shape(mu))
-    i = _first(~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)))
-    if i is not None:
-        raise NotDensityMatrix(f"mu = {mu[i]} outside [-1, 2]{_where(i, times)}")
-    i = _first(lhs < mu - 1e-7)
-    if i is not None:
-        raise NotDensityMatrix(f"uncertainty inequality violated: lhs = {lhs[i]}, "
-                               f"mu = {mu[i]}{_where(i, times)}")
+    mu, lhs = uncertainty_columns(p_a, p_b)
+    rows_mu, rows_lhs = np.atleast_2d(mu), np.atleast_2d(lhs)
+    times = np.broadcast_to(np.asarray(t, dtype=float), rows_mu.shape[-1:])
+    errors = [None] * len(rows_mu)
+    check_uncertainty(rows_mu, rows_lhs, times, errors)
+    raise_first(errors)
     return UncertaintyRecord(mu=mu, lhs=lhs)

@@ -1,26 +1,34 @@
 """Element-wise numerics over per-sample columns.
 
-Shannon entropies of probability columns, first-offender masks for the
-physical checks, and a bracketed root-finder that works on an array of
-brackets at once.  Everything here is a pure function over its arguments and
-safe to call concurrently.
+Shannon entropies of probability columns, the per-row first-offender errors
+of the physical checks, and a bracketed root-finder that works on an array of
+brackets at once.  Everything here works only on its arguments (``flag_rows``
+fills the error list it is given) and is safe to call concurrently on
+distinct arguments.
 """
 
 import numpy as np
 
-from .errors import NoConvergence
+
+def flag_rows(errors, bad, times, error) -> None:
+    """Give each row of the ``(G, N)`` mask ``bad`` its first offending sample's error.
+
+    A row with a set entry and no error in ``errors`` yet gets
+    ``error(g, k, where)``, where ``k`` is its first set sample and ``where``
+    reads ``" at sample k (t = ...)"``.  Rows are independent, so one row's
+    offence leaves every other row as it was.
+    """
+    for g in np.flatnonzero(np.any(bad, axis=-1)):
+        if errors[g] is None:
+            k = int(np.argmax(bad[g]))
+            errors[g] = error(g, k, f" at sample {k} (t = {float(times[k]):.6g})")
 
 
-def _first(bad):
-    """Index of the first set entry of a per-sample mask, or None if none is set."""
-    bad = np.asarray(bad)
-    return np.unravel_index(int(np.argmax(bad)), bad.shape) if bad.any() else None
-
-
-def _where(index, times=None) -> str:
-    """Name a sample of a column (empty for a scalar), with its time if known."""
-    text = f" at sample {index[0] if len(index) == 1 else index}" if index else ""
-    return text if times is None else f"{text} (t = {float(times[index]):.6g})"
+def raise_first(errors) -> None:
+    """Raise the first error of a list of per-row errors (None for a good row)."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def entropy_bits(*probs):
@@ -56,11 +64,8 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol: float):
     narrower than ``xtol + 4 eps |x|`` or an end is an exact root.  The root
     returned is where the chord through the final bracket's ends crosses zero:
     inside the bracket, and on a smooth root far closer to it than ``xtol``.
-
-    Raises
-    ------
-    NoConvergence
-        if a bracket is not done after ``MAX_EVALUATIONS`` evaluations of ``f``.
+    A bracket that is not done after ``MAX_EVALUATIONS`` evaluations of ``f``
+    gets NaN, so each caller decides which of its rows failed.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
     x3, f3 = np.full_like(x1, np.nan), np.full_like(x1, np.nan)  # no third point yet
@@ -74,10 +79,8 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol: float):
             newly = ~done & ((width < tol) | (f1 == 0.0) | (f2 == 0.0))
             root[newly] = (x1 - f1 * (x2 - x1) / (f2 - f1))[newly]
             done |= newly
-            if done.all():
+            if done.all() or evaluations == MAX_EVALUATIONS:
                 return root
-            if evaluations == MAX_EVALUATIONS:
-                break
             xi = (x1 - x2) / (x3 - x2)
             phi = (f1 - f2) / (f3 - f2)
             alpha = (x3 - x1) / (x2 - x1)
@@ -94,4 +97,3 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol: float):
             x3, f3 = np.where(same_side, x1, x2), np.where(same_side, f1, f2)
             x2, f2 = np.where(same_side, x2, x1), np.where(same_side, f2, f1)
             x1, f1 = x, fx
-    raise NoConvergence(f"bracketed root-find not done after {MAX_EVALUATIONS} evaluations")

@@ -4,15 +4,18 @@ Configs are flat YAML mappings; every quantity is in units of ``gamma0``.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .dynamics import ReservoirParams, Trajectory, correlation_f, propagate
+from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
+                       populations, sample_times)
 from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationError
-from .information import uncertainty_record
-from .witness import WitnessReport, concurrence, witness_report
+from .information import check_uncertainty, uncertainty_columns
+from .numerics import raise_first
+from .witness import WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
@@ -35,7 +38,7 @@ class ScenarioConfig:
         for key in ("lambda_a", "lambda_b", "t_max", "gamma0", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
+                    or not math.isfinite(value):
                 raise ValidationError(f"{key}: must be a finite number, got {value!r}")
             object.__setattr__(self, key, float(value))
         for key in ("lambda_a", "lambda_b", "t_max", "dt", "gamma0"):
@@ -127,18 +130,41 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def _run_batch(pairs, times: np.ndarray):
+    """Propagate G reservoir pairs on the sample grid ``times`` and derive their columns and reports.
+
+    Returns the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)``, the G
+    reports and the G errors (None for a good row, whose report is set).
+    Each column is one element-wise pass over the populations; the checks and
+    the crossing root-find mark a failing row in its error and leave the
+    other rows as they are.
+    """
+    r_a = ReservoirColumns.stack(pair[0] for pair in pairs)
+    r_b = ReservoirColumns.stack(pair[1] for pair in pairs)
+    p_a, p_b, errors = populations(r_a, r_b, times)
+    with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
+        mu, lhs = uncertainty_columns(p_a, p_b)
+        concs = concurrence(p_a, p_b)
+    check_uncertainty(mu, lhs, times, errors)
+    reports = witness_rows(times, mu, concs, r_a, r_b, errors)
+    return (p_a, p_b, mu, lhs, concs), reports, errors
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     """Propagate the configured scenario and derive the observable columns.
 
-    Each column is one element-wise pass over the sampled excited populations.
+    The one-row batch of :func:`sweep`: every column is one element-wise pass
+    over the sampled excited populations.
     """
     r_a, r_b = cfg.reservoirs()
-    traj = propagate(r_a, r_b, cfg.t_max, cfg.dt, cfg.sample_every)
-    rec = uncertainty_record(traj.p_a, traj.p_b, traj.times)
-    traj.mu, traj.lhs = rec.mu, rec.lhs
-    traj.concurrence = concurrence(traj.p_a, traj.p_b)
-    traj.f_a, traj.f_b = correlation_f(r_a, traj.times), correlation_f(r_b, traj.times)
-    return traj, witness_report(traj)
+    times = sample_times(cfg.t_max, cfg.dt, cfg.sample_every)
+    columns, reports, errors = _run_batch([(r_a, r_b)], times)
+    raise_first(errors)
+    p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
+    traj = Trajectory(times=times, p_a=p_a, p_b=p_b, r_a=r_a, r_b=r_b, mu=mu, lhs=lhs,
+                      concurrence=concs, f_a=correlation_f(r_a, times),
+                      f_b=correlation_f(r_b, times))
+    return traj, reports[0]
 
 
 def _fmt(x) -> str:
@@ -153,11 +179,11 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
         raise EmptyTrajectory("trajectory has no derived samples to emit")
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
-    rows = zip(*(c.tolist() for c in columns))
-    lines = [CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
+    # formatted a column at a time: one repr per float, then one join per row
+    cells = [list(map(repr, c.tolist())) for c in columns]
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
     report_lines = []
     for key in REPORT_KEYS:
         v = getattr(report, key)
@@ -186,17 +212,18 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     """Witness reports over the Cartesian grid of widths and detunings.
 
     Each grid value is applied to both reservoirs of ``base``; ``None`` for a
-    whole axis keeps the base values.  Rows are independent: a failing point
-    is recorded in its row and does not disturb the others.  Only package
-    errors (:class:`EntwitnessError`) mark a row as failed; any other exception
-    is a programming error and propagates.  Row order follows the given value
-    order (lambdas outer, deltas inner).
+    whole axis keeps the base values.  All valid grid points run as one batch
+    on ``base``'s sample grid (see :func:`run_scenario`).  Rows are
+    independent: a failing point is recorded in its row and does not disturb
+    the others.  Only package errors (:class:`EntwitnessError`) mark a row as
+    failed; any other exception is a programming error and propagates.  Row
+    order follows the given value order (lambdas outer, deltas inner).
     """
     lam_axis = list(lambdas) if lambdas else [None]
     delta_axis = list(deltas) if deltas else [None]
     if lam_axis == [None] and delta_axis == [None]:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
-    rows = []
+    rows, pairs, valid = [], [], []
     for lam in lam_axis:
         for delta in delta_axis:
             overrides = {}
@@ -204,13 +231,24 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
                 overrides["lambda_a"] = overrides["lambda_b"] = float(lam)
             if delta is not None:
                 overrides["delta_a"] = overrides["delta_b"] = float(delta)
+            row = SweepRow(lam=lam, delta=delta, report=None)
             try:
-                cfg = dataclasses.replace(base, **overrides)
-                _, report = run_scenario(cfg)
-                rows.append(SweepRow(lam=lam, delta=delta, report=report))
+                pairs.append(dataclasses.replace(base, **overrides).reservoirs())
+                valid.append(row)
             except EntwitnessError as exc:
-                rows.append(SweepRow(lam=lam, delta=delta, report=None,
-                                     error=f"{type(exc).__name__}: {exc}"))
+                row.error = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
+    try:
+        times = sample_times(base.t_max, base.dt, base.sample_every)
+    except EntwitnessError as exc:                # the grid every valid row shares
+        results = [(None, exc)] * len(valid)
+    else:
+        _, reports, errors = _run_batch(pairs, times)
+        results = zip(reports, errors)
+    for row, (report, error) in zip(valid, results):
+        row.report = report
+        if error is not None:
+            row.error = f"{type(error).__name__}: {error}"
     return rows
 
 

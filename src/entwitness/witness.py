@@ -4,18 +4,23 @@ The witness succeeds while ``mu < 1``.  A report records the first crossing
 time ``t_ew`` (so the witness works on ``[0, t_ew)``), the concurrence at the
 crossing (the witnessed-concurrence interval is ``(threshold, 1]`` for a
 maximally entangled start), and the time at which entanglement dies.
+Reports are made for a ``(G, N)`` batch of rows at once (:func:`witness_rows`),
+with one bracketed root-find for every crossing of the batch; a single
+trajectory is the batch with ``G = 1``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, excited_population
-from .errors import EmptyTrajectory
+from .dynamics import ReservoirColumns, Trajectory, excited_population
+from .errors import EmptyTrajectory, NoConvergence
 from .information import minimum_uncertainty
-from .numerics import bracketed_root
+from .numerics import MAX_EVALUATIONS, bracketed_root, raise_first
 
 CONCURRENCE_ZERO_TOL = 3e-3
+CONFIRM_SAMPLES = 10
 CROSSING_TIME_TOL = 1e-10
 
 
@@ -49,72 +54,114 @@ def _require_samples(traj: Trajectory) -> None:
         raise EmptyTrajectory("trajectory has no derived samples")
 
 
-def _exact_crossing(traj: Trajectory, idx: int) -> tuple[float, float]:
-    """Root of the exact ``mu(t) - 1`` between samples ``idx - 1`` and ``idx``, and ``C`` there.
+def death_times(times, concs, zero_tol: float = CONCURRENCE_ZERO_TOL,
+                confirm_samples: int = CONFIRM_SAMPLES) -> list[float | None]:
+    """Each row's first sampled time at which the concurrence falls to zero and stays there.
 
-    The objective runs the same element-wise array code as the sampled ``mu``
-    column (on one-element arrays: numpy's scalar kernels may round
-    differently), and the bracket's end values are taken from that column,
-    so the root-find sees the sign change the samples show.  It holds only
-    the two reservoirs, not the trajectory.
-    """
-    r_a, r_b = traj.r_a, traj.r_b
-
-    def excess(t):
-        return minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t)) - 1.0
-
-    lo, hi = slice(idx - 1, idx), slice(idx, idx + 1)
-    t_ew = bracketed_root(excess, traj.times[lo], traj.times[hi],
-                          traj.mu[lo] - 1.0, traj.mu[hi] - 1.0, CROSSING_TIME_TOL)
-    return float(t_ew[0]), float(concurrence(excited_population(r_a, t_ew),
-                                             excited_population(r_b, t_ew))[0])
-
-
-def witness_report(traj: Trajectory) -> WitnessReport:
-    """Locate the first time ``mu`` reaches 1 and the concurrence there.
-
-    The first sample with ``mu >= 1`` brackets the crossing together with the
-    sample before it; inside that bracket one root-find on the exact
-    ``mu(t)`` places ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is
-    the exact concurrence at ``t_ew``.  Only the first crossing is reported;
-    re-entry below 1 afterwards (seen on the samples) is flagged in ``notes``.
-    """
-    _require_samples(traj)
-    times, mus, concs = traj.times, traj.mu, traj.concurrence
-    death = entanglement_death_time(traj)
-    mu_max = float(mus.max())
-
-    above = mus >= 1.0
-    if not above.any():
-        return WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
-                             death_time=death, mu_series_max=mu_max)
-    idx = int(np.argmax(above))
-    notes = []
-    if idx == 0:
-        t_ew, threshold = float(times[0]), float(concs[0])
-        notes.append("mu starts at or above 1")
-    else:
-        t_ew, threshold = _exact_crossing(traj, idx)
-    if (mus[idx:] < 1.0).any():
-        notes.append("mu re-enters below 1 after the first crossing")
-    return WitnessReport(crossing_found=True, t_ew=t_ew,
-                         c_ew_threshold=min(max(threshold, 0.0), 1.0),
-                         death_time=death, mu_series_max=mu_max,
-                         notes="; ".join(notes))
-
-
-def entanglement_death_time(traj: Trajectory, zero_tol: float = CONCURRENCE_ZERO_TOL,
-                            confirm_samples: int = 10) -> float | None:
-    """First sampled time at which concurrence falls to zero and stays there.
-
+    ``concs`` is a ``(G, N)`` batch of concurrence rows sampled at ``times``.
     "Zero" means below ``zero_tol`` (the model's concurrence decays to zero
     asymptotically without an exact root); the drop must persist for the next
     ``confirm_samples`` samples so that a transient dip during a revival
-    oscillation is not flagged.  Returns None if entanglement survives the
-    whole trajectory.
+    oscillation is not flagged.  A row whose entanglement survives the whole
+    grid gets None.
+    """
+    window = confirm_samples + 1
+    below = np.zeros((len(concs), concs.shape[-1] + 1), dtype=np.intp)
+    np.cumsum(concs <= zero_tol, axis=-1, out=below[:, 1:])
+    dead = below[:, window:] - below[:, :-window] == window
+    if dead.shape[-1] == 0:                    # the grid is shorter than the window
+        return [None] * len(concs)
+    starts = np.argmax(dead, axis=-1)
+    return [float(times[k]) if found else None
+            for k, found in zip(starts.tolist(), np.any(dead, axis=-1).tolist())]
+
+
+def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
+                 errors) -> list[WitnessReport | None]:
+    """Witness reports of a ``(G, N)`` batch: first time each row's ``mu`` reaches 1.
+
+    ``mu`` and ``concs`` hold each row's samples at ``times``; ``r_a``, ``r_b``
+    are the rows' reservoirs, for the exact ``mu(t)`` between samples.  A row's
+    first sample with ``mu >= 1`` brackets its crossing together with the
+    sample before it; one root-find over all these brackets places every
+    ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is the exact
+    concurrence at ``t_ew``.  Only the first crossing is reported; re-entry
+    below 1 afterwards (seen on the samples) is flagged in ``notes``.
+
+    A row with an error in ``errors`` gets None.  So does a row whose
+    root-find does not converge, and its entry in ``errors`` becomes a
+    :class:`NoConvergence`; every other row is unaffected.
+    """
+    above = mu >= 1.0
+    crossed = np.any(above, axis=-1)
+    first = np.argmax(above, axis=-1)
+    reenters = np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
+    good = np.array([error is None for error in errors], dtype=bool)
+    rows = np.flatnonzero(good & crossed & (first > 0))
+    hi = first[rows]
+    cut_a, cut_b = r_a.take(rows), r_b.take(rows)
+
+    def excess(t):
+        # the same element-wise code as the sampled mu, so the root-find sees
+        # the sign change that the samples show
+        return minimum_uncertainty(excited_population(cut_a, t),
+                                   excited_population(cut_b, t)) - 1.0
+
+    t_ew = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
+                          mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
+    c_ew = concurrence(excited_population(cut_a, t_ew), excited_population(cut_b, t_ew))
+    crossing = dict(zip(rows.tolist(), zip(t_ew.tolist(), c_ew.tolist())))
+
+    for g, (t, _) in crossing.items():
+        if math.isnan(t):
+            errors[g] = NoConvergence(f"crossing root-find not done after "
+                                      f"{MAX_EVALUATIONS} evaluations")
+
+    deaths = death_times(times, concs)
+    mu_max = np.max(mu, axis=-1).tolist()
+    reports = []
+    for g, (error, found, again) in enumerate(zip(errors, crossed.tolist(), reenters.tolist())):
+        if error is not None:
+            reports.append(None)
+            continue
+        if not found:
+            reports.append(WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
+                                         death_time=deaths[g], mu_series_max=mu_max[g]))
+            continue
+        notes = []
+        if g in crossing:
+            t, threshold = crossing[g]
+        else:
+            t, threshold = float(times[0]), float(concs[g, 0])
+            notes.append("mu starts at or above 1")
+        if again:
+            notes.append("mu re-enters below 1 after the first crossing")
+        reports.append(WitnessReport(crossing_found=True, t_ew=t,
+                                     c_ew_threshold=min(max(threshold, 0.0), 1.0),
+                                     death_time=deaths[g], mu_series_max=mu_max[g],
+                                     notes="; ".join(notes)))
+    return reports
+
+
+def witness_report(traj: Trajectory) -> WitnessReport:
+    """The :func:`witness_rows` report of one trajectory, whose ``mu`` column is filled.
+
+    Raises
+    ------
+    NoConvergence
+        if the crossing root-find does not converge.
     """
     _require_samples(traj)
-    window = confirm_samples + 1
-    below = np.concatenate([[0], np.cumsum(traj.concurrence <= zero_tol)])
-    starts = np.flatnonzero(below[window:] - below[:-window] == window)
-    return float(traj.times[starts[0]]) if starts.size else None
+    errors = [None]
+    reports = witness_rows(traj.times, traj.mu[None], traj.concurrence[None],
+                           ReservoirColumns.stack([traj.r_a]),
+                           ReservoirColumns.stack([traj.r_b]), errors)
+    raise_first(errors)
+    return reports[0]
+
+
+def entanglement_death_time(traj: Trajectory, zero_tol: float = CONCURRENCE_ZERO_TOL,
+                            confirm_samples: int = CONFIRM_SAMPLES) -> float | None:
+    """The :func:`death_times` entry of one trajectory, or None if entanglement survives."""
+    _require_samples(traj)
+    return death_times(traj.times, traj.concurrence[None], zero_tol, confirm_samples)[0]

@@ -12,18 +12,23 @@ Two oracles check the closed forms of the package:
   written out, the concurrence from the Takagi form of the spin flip.  It
   knows nothing of the X-state structure the package's formulas rest on.
 
+A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
+through ``run_scenario``, against which the batched sweep is compared.
+
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
 checks name the first offending sample; a matrix that is not Hermitian, or
 not of X form where that is required, raises ``ValueError``, and the other
 checks raise the package's error types.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from entwitness import NotDensityMatrix, ValidationError, correlation_f
+from entwitness import (EntwitnessError, NotDensityMatrix, SweepRow, ValidationError,
+                        correlation_f, run_scenario)
 from entwitness.dynamics import correlation_integral
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
@@ -321,3 +326,22 @@ def death_time_loop(times, concs, zero_tol: float, confirm_samples: int):
         if below[i : i + confirm_samples + 1].all():
             return float(times[i])
     return None
+
+
+def sweep_loop(lambdas, deltas, base):
+    """``sweep`` one grid point at a time: a ``run_scenario`` per point, its error in its row."""
+    rows = []
+    for lam in list(lambdas) if lambdas else [None]:
+        for delta in list(deltas) if deltas else [None]:
+            overrides = {}
+            if lam is not None:
+                overrides["lambda_a"] = overrides["lambda_b"] = float(lam)
+            if delta is not None:
+                overrides["delta_a"] = overrides["delta_b"] = float(delta)
+            try:
+                _, report = run_scenario(dataclasses.replace(base, **overrides))
+                rows.append(SweepRow(lam=lam, delta=delta, report=report))
+            except EntwitnessError as exc:
+                rows.append(SweepRow(lam=lam, delta=delta, report=None,
+                                     error=f"{type(exc).__name__}: {exc}"))
+    return rows

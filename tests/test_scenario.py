@@ -1,5 +1,11 @@
+import dataclasses
+import math
+import random
+
+import numpy as np
 import pytest
 
+import _oracles as oracle
 import entwitness as ew
 from entwitness import (EmptyTrajectory, ParseError, ScenarioConfig,
                         ValidationError, parse_config, run_scenario, sweep)
@@ -178,18 +184,136 @@ def test_sweep_marks_failing_rows():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    real_run = ew.scenario.run_scenario
+    # the batch evaluates every row's populations in one call; a TypeError
+    # there is a programming error, not a failed row
+    real_population = ew.dynamics.excited_population
 
-    def run(cfg):
-        if cfg.lambda_a == 0.2:
+    def population(r, t):
+        if np.any(np.asarray(r.z).real == -0.2):     # z = i delta - lam
             raise TypeError("injected")
-        return real_run(cfg)
+        return real_population(r, t)
 
-    monkeypatch.setattr(ew.scenario, "run_scenario", run)
+    monkeypatch.setattr(ew.dynamics, "excited_population", population)
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.1)
     assert sweep([0.1], None, base)[0].error is None
     with pytest.raises(TypeError, match="injected"):
         sweep([0.1, 0.2], None, base)
+
+
+# The benchmark's param_sweep grid: one width per band, one detuning per band.
+WIDTH_BANDS = ((2.5, 5.0), (0.8, 2.5), (0.2, 0.8), (0.05, 0.1))
+DETUNING_BANDS = ((0.0, 0.4), (0.8, 1.6), (2.0, 4.0))
+SWEEP_BASE = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=5.0, dt=0.01, sample_every=5)
+
+
+def _banded_grid(seed):
+    rng = random.Random(seed)
+    lambdas = [round(math.exp(rng.uniform(math.log(lo), math.log(hi))), 4)
+               for lo, hi in WIDTH_BANDS]
+    return lambdas, [round(rng.uniform(lo, hi), 4) for lo, hi in DETUNING_BANDS]
+
+
+def _sweep_csv_bytes(rows, path):
+    write_sweep_csv(rows, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path, seed):
+    lambdas, deltas = _banded_grid(seed)
+    got = _sweep_csv_bytes(sweep(lambdas, deltas, SWEEP_BASE), tmp_path / "batch.csv")
+    want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, SWEEP_BASE), tmp_path / "loop.csv")
+    assert got == want
+
+
+def test_mixed_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path):
+    # crossing and non-crossing rows, a negative width in the middle, and
+    # grids that keep the base's (unequal) reservoirs on one axis
+    base = ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_a=0.3, delta_b=1.0, t_max=20.0,
+                          sample_every=4)
+    grids = (([5.0, 0.1, -1.0, 0.05, 2.0], [0.0, 1.0, 2.5]),
+             (None, [0.0, 1.2, 1.6, 3.0]), ([0.1, 5.0, 0.5], None))
+    rows = sweep(*grids[0], base)
+    assert [r.error is not None for r in rows] == [False] * 6 + [True] * 3 + [False] * 6
+    assert {r.report.crossing_found for r in rows if r.report} == {True, False}
+    for lambdas, deltas in grids:
+        got = _sweep_csv_bytes(sweep(lambdas, deltas, base), tmp_path / "batch.csv")
+        want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, base), tmp_path / "loop.csv")
+        assert got == want
+
+
+def _solo(base, lam, delta):
+    cfg = dataclasses.replace(base, lambda_a=lam, lambda_b=lam, delta_a=delta, delta_b=delta)
+    try:
+        return run_scenario(cfg)[1], None
+    except ew.EntwitnessError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _assert_rows_match_solo_runs(rows, base):
+    for row in rows:
+        report, error = _solo(base, row.lam, row.delta)
+        assert (row.report, row.error) == (report, error), (row.lam, row.delta)
+
+
+def test_unphysical_population_marks_only_its_row(monkeypatch):
+    # a population above 1 from t = 1 on, in the lam = 0.5 rows only
+    real_population = ew.dynamics.excited_population
+
+    def broken(r, t):
+        lam = -np.asarray(r.z).real
+        return real_population(r, t) + np.where((lam == 0.5) & (t >= 1.0), 1.0, 0.0)
+
+    monkeypatch.setattr(ew.dynamics, "excited_population", broken)
+    rows = sweep([5.0, 0.5, 0.1], [0.0, 2.0], SWEEP_BASE)
+    bad = [r for r in rows if r.error is not None]
+    assert [r.lam for r in bad] == [0.5, 0.5]
+    assert bad[0].error.startswith("NotDensityMatrix: p_a = ")
+    assert bad[0].error.endswith("outside [0, 1] at sample 20 (t = 1)")
+    _assert_rows_match_solo_runs(rows, SWEEP_BASE)
+
+
+def test_uncertainty_violation_marks_only_its_row(monkeypatch):
+    # the joint entropy of the batch's second row off by 4 bits puts its mu
+    # outside [-1, 2]; the first and third rows stay as they are
+    real_entropy = ew.information.entropy_bits
+
+    def skewed(*probs):
+        h = real_entropy(*probs)
+        if len(probs) == 4 and np.ndim(h) == 2 and len(h) == 3:
+            h = h.copy()
+            h[1] += 4.0
+        return h
+
+    monkeypatch.setattr(ew.information, "entropy_bits", skewed)
+    rows = sweep([5.0, 0.5, 0.1], None, SWEEP_BASE)
+    assert [r.error is None for r in rows] == [True, False, True]
+    assert rows[1].error.startswith("NotDensityMatrix: mu = ")
+    assert rows[1].error.endswith("outside [-1, 2] at sample 0 (t = 0)")
+    monkeypatch.undo()
+    for row in (rows[0], rows[2]):
+        assert row.report == _solo(SWEEP_BASE, row.lam, SWEEP_BASE.delta_a)[0]
+
+
+def test_unconverged_crossing_marks_only_its_row(monkeypatch):
+    # the root-find leaves its first bracket unfinished (NaN); only that row fails
+    real_root = ew.witness.bracketed_root
+
+    def unfinished_first(*args, **kwargs):
+        roots = real_root(*args, **kwargs)
+        roots[:1] = np.nan
+        return roots
+
+    monkeypatch.setattr(ew.witness, "bracketed_root", unfinished_first)
+    rows = sweep([5.0, 2.0, 0.1], [0.0], SWEEP_BASE)
+    assert rows[0].error == (f"NoConvergence: crossing root-find not done after "
+                             f"{ew.numerics.MAX_EVALUATIONS} evaluations")
+    assert all(r.error is None and r.report.crossing_found for r in rows[1:])
+    with pytest.raises(ew.NoConvergence):
+        run_scenario(SWEEP_BASE)
+    monkeypatch.undo()
+    for row in rows[1:]:
+        assert row.report == _solo(SWEEP_BASE, row.lam, row.delta)[0]
 
 
 def test_sweep_requires_a_grid():
