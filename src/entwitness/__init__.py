@@ -6,26 +6,24 @@ equation, and derives the quantum-memory-assisted entropic uncertainty bound,
 the Wootters concurrence, and witness reports from the sampled evolution.
 """
 
-from .errors import (EmptyTrajectory, EntwitnessError, NoConvergence,
-                     NotDensityMatrix, ParseError, QuadratureUnconverged,
-                     ValidationError)
+from .errors import (EntwitnessError, NoConvergence, NotDensityMatrix, ParseError,
+                     QuadratureUnconverged, ValidationError)
 from .dynamics import (ReservoirParams, Trajectory, correlation_f,
-                       correlation_f_quadrature, excited_population, propagate)
-from .information import UncertaintyRecord, minimum_uncertainty, uncertainty_record
-from .witness import (WitnessReport, concurrence, entanglement_death_time,
-                      witness_report)
+                       correlation_f_quadrature, excited_population)
+from .information import minimum_uncertainty, uncertainty_columns
+from .witness import WitnessReport, concurrence
 from .scenario import (PRESETS, ScenarioConfig, SweepRow, emit_csv,
                        parse_config, run_scenario, sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmptyTrajectory", "EntwitnessError", "NoConvergence",
-    "NotDensityMatrix", "ParseError", "QuadratureUnconverged", "ValidationError",
+    "EntwitnessError", "NoConvergence", "NotDensityMatrix", "ParseError",
+    "QuadratureUnconverged", "ValidationError",
     "ReservoirParams", "Trajectory", "correlation_f",
-    "correlation_f_quadrature", "excited_population", "propagate",
-    "UncertaintyRecord", "minimum_uncertainty", "uncertainty_record",
-    "WitnessReport", "concurrence", "entanglement_death_time", "witness_report",
+    "correlation_f_quadrature", "excited_population",
+    "minimum_uncertainty", "uncertainty_columns",
+    "WitnessReport", "concurrence",
     "PRESETS", "ScenarioConfig", "SweepRow", "emit_csv", "parse_config",
     "run_scenario", "sweep",
     "__version__",

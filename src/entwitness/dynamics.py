@@ -32,8 +32,8 @@ The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
 holds the prefactor and exponent of ``f`` for G reservoirs as ``(G, 1)``
 columns, and :func:`populations` evaluates G reservoir pairs on one shared
 ``(N,)`` grid (:func:`sample_times`) as ``(G, N)`` arrays, with a separate
-error per row.  A sweep is one such batch; a single run (:func:`propagate`,
-:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
+error per row.  A sweep is one such batch; a single run
+(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state; all rates
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
-from .numerics import flag_rows, raise_first
+from .numerics import flag_rows
 
 GAMMA0_DEFAULT = 1.0
 POPULATION_TOL = 1e-9
@@ -119,12 +119,13 @@ class ReservoirColumns(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Sampled evolution of the Bell start: excited populations ``p_a``, ``p_b`` at ``times``.
+    """Sampled evolution of the Bell start, as built by the scenario runner.
 
-    The per-sample columns ``mu``, ``lhs``, ``concurrence``, ``f_a`` and ``f_b``
-    are filled by the scenario runner; ``propagate`` leaves them None.  The
-    generating reservoir parameters are kept so that the exact populations,
-    and so the witness crossing, can be evaluated between samples.
+    The excited populations ``p_a``, ``p_b`` and the derived columns ``mu``,
+    ``lhs``, ``concurrence``, ``f_a`` and ``f_b`` hold one entry per sample
+    time in ``times``.  The generating reservoir parameters are kept so that
+    the exact populations, and so the witness crossing, can be evaluated
+    between samples.
     """
 
     times: np.ndarray
@@ -132,11 +133,11 @@ class Trajectory:
     p_b: np.ndarray
     r_a: ReservoirParams
     r_b: ReservoirParams
-    mu: np.ndarray | None = None
-    lhs: np.ndarray | None = None
-    concurrence: np.ndarray | None = None
-    f_a: np.ndarray | None = None
-    f_b: np.ndarray | None = None
+    mu: np.ndarray
+    lhs: np.ndarray
+    concurrence: np.ndarray
+    f_a: np.ndarray
+    f_b: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -150,7 +151,7 @@ def correlation_f(r: ReservoirParams, t):
     Accepts a scalar or an array of times ``t >= 0``.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValidationError(f"t: must be >= 0, got {t.min()}")
     out = r.scale * (1.0 - np.exp(r.z * t))
     return complex(out) if out.ndim == 0 else out
@@ -172,17 +173,18 @@ def correlation_f_quadrature(r: ReservoirParams, t: float,
     Raises
     ------
     QuadratureUnconverged
-        if doubling ``n_points`` moves the result by more than 1e-5.
+        if doubling ``n_points`` moves the result by more than 1e-5, or makes
+        it NaN.
     """
-    if t < 0:
-        raise ValidationError(f"t: must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"t: must be finite and >= 0, got {t}")
     if n_points < 1000:
         raise ValidationError(f"n_points: must be >= 1000, got {n_points}")
     if omega_window is None:
         omega_window = 120.0 * r.lam + 20.0 * r.gamma0
-    if omega_window < 50.0 * r.lam:
-        raise ValidationError(
-            f"omega_window: must span at least 50 widths ({50.0 * r.lam}), got {omega_window}")
+    if not (math.isfinite(omega_window) and omega_window >= 50.0 * r.lam):
+        raise ValidationError(f"omega_window: must be finite and span at least 50 widths "
+                              f"({50.0 * r.lam}), got {omega_window}")
 
     from scipy.integrate import simpson  # only this cross-check needs scipy
 
@@ -207,7 +209,7 @@ def correlation_f_quadrature(r: ReservoirParams, t: float,
 
     coarse = integrate(2)                # the n nodes of the coarse grid
     fine = integrate(1)
-    if abs(fine - coarse) > 1e-5:
+    if not abs(fine - coarse) <= 1e-5:
         raise QuadratureUnconverged(
             f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
     return fine
@@ -236,16 +238,11 @@ def excited_population(r, t):
 def sample_times(t_max: float, dt: float = 1e-2, sample_every: int = 1) -> np.ndarray:
     """The sample grid ``k * dt * sample_every`` from 0 to ``t_max``.
 
-    The grid lands on ``t_max`` (the duration of the run), so ``t_max`` must be
-    a whole number of sample spacings ``dt * sample_every``, within 1e-9
-    relative.
+    ``t_max`` and ``dt`` are positive and ``sample_every`` >= 1, as a
+    :class:`entwitness.scenario.ScenarioConfig` holds them.  The grid lands
+    on ``t_max`` (the duration of the run), so ``t_max`` must be a whole
+    number of sample spacings ``dt * sample_every``, within 1e-9 relative.
     """
-    if dt <= 0:
-        raise ValidationError(f"dt: must be > 0, got {dt}")
-    if t_max <= 0:
-        raise ValidationError(f"t_max: must be > 0, got {t_max}")
-    if sample_every < 1:
-        raise ValidationError(f"sample_every: must be >= 1, got {sample_every}")
     spacing = dt * sample_every
     n_samples = round(t_max / spacing)
     if n_samples < 1 or abs(n_samples * spacing - t_max) > 1e-9 * t_max:
@@ -270,22 +267,3 @@ def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray)
         flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
                   lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
     return p_a, p_b, errors
-
-
-def propagate(r_a: ReservoirParams, r_b: ReservoirParams, t_max: float, dt: float = 1e-2,
-              sample_every: int = 1) -> Trajectory:
-    """Exact excited populations of one reservoir pair on :func:`sample_times`.
-
-    The one-row case of :func:`populations`.
-
-    Raises
-    ------
-    NotDensityMatrix
-        naming the first sample (and its time) whose ``p_a`` or ``p_b`` lies
-        outside [0, 1] by more than ``POPULATION_TOL``.
-    """
-    times = sample_times(t_max, dt, sample_every)
-    p_a, p_b, errors = populations(ReservoirColumns.stack([r_a]),
-                                   ReservoirColumns.stack([r_b]), times)
-    raise_first(errors)
-    return Trajectory(times=times, p_a=p_a[0], p_b=p_b[0], r_a=r_a, r_b=r_b)

@@ -17,10 +17,6 @@ class QuadratureUnconverged(EntwitnessError):
     """Numerical quadrature did not converge under node doubling."""
 
 
-class EmptyTrajectory(EntwitnessError):
-    """Operation requires a non-empty trajectory."""
-
-
 class ParseError(EntwitnessError):
     """Configuration text could not be parsed."""
 

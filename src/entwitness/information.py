@@ -23,24 +23,15 @@ block plus the two middle populations; the memory's marginal is
 2x2 blocks of weight 1/2 with the common spectrum
 ``1/2 +- sqrt((1 - p_B)^2 / 4 + p_A p_B / 4)``, so ``H(S_x|B) = H(S_y|B)``.
 Every quantity is therefore a short element-wise function of ``p_A`` and
-``p_B``, given as scalars, per-sample columns or ``(G, N)`` batches of rows.
-All functions are stateless and safe for concurrent use.
+``p_B``, given as scalars, per-sample columns or ``(G, N)`` batches of rows;
+:func:`check_uncertainty` checks a batch row by row.  All functions are
+stateless and safe for concurrent use.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotDensityMatrix
-from .numerics import entropy_bits, flag_rows, raise_first
-
-
-@dataclass(frozen=True)
-class UncertaintyRecord:
-    """The bound ``mu`` and the left-hand side ``lhs`` in bits: floats, or per-sample columns."""
-
-    mu: float | np.ndarray
-    lhs: float | np.ndarray
+from .numerics import entropy_bits, flag_rows
 
 
 def _memory_entropy(p_b):
@@ -86,24 +77,3 @@ def check_uncertainty(mu, lhs, times, errors) -> None:
     flag_rows(errors, lhs < mu - 1e-7, times,
               lambda g, k, where: NotDensityMatrix(
                   f"uncertainty inequality violated: lhs = {lhs[g, k]}, mu = {mu[g, k]}{where}"))
-
-
-def uncertainty_record(p_a, p_b, t=0.0) -> UncertaintyRecord:
-    """The bound ``mu`` and ``lhs`` of :func:`uncertainty_columns`, checked, per sample.
-
-    ``p_a``, ``p_b`` are the excited populations at the sample times ``t``
-    (scalars give floats, columns give arrays).
-
-    Raises
-    ------
-    NotDensityMatrix
-        naming the first sample (and its time) with ``mu`` outside [-1, 2]
-        or with ``lhs < mu`` beyond 1e-7: the state is not physical.
-    """
-    mu, lhs = uncertainty_columns(p_a, p_b)
-    rows_mu, rows_lhs = np.atleast_2d(mu), np.atleast_2d(lhs)
-    times = np.broadcast_to(np.asarray(t, dtype=float), rows_mu.shape[-1:])
-    errors = [None] * len(rows_mu)
-    check_uncertainty(rows_mu, rows_lhs, times, errors)
-    raise_first(errors)
-    return UncertaintyRecord(mu=mu, lhs=lhs)

@@ -24,13 +24,6 @@ def flag_rows(errors, bad, times, error) -> None:
             errors[g] = error(g, k, f" at sample {k} (t = {float(times[k]):.6g})")
 
 
-def raise_first(errors) -> None:
-    """Raise the first error of a list of per-row errors (None for a good row)."""
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def entropy_bits(*probs):
     """Shannon entropy ``-sum(p * log2(p))`` in bits over ``probs``, element by element.
 

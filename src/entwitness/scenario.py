@@ -12,18 +12,24 @@ import yaml
 
 from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
                        populations, sample_times)
-from .errors import EmptyTrajectory, EntwitnessError, ParseError, ValidationError
+from .errors import EntwitnessError, ParseError, ValidationError
 from .information import check_uncertainty, uncertainty_columns
-from .numerics import raise_first
 from .witness import WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one run; all rates/times in units of ``gamma0``."""
+    """Complete description of one run; all rates/times in units of ``gamma0``.
+
+    The only place where config values are checked: each must be a real
+    number (Python or numpy, not a bool), finite and in range, and
+    ``sample_every`` an integer >= 1.
+    """
 
     lambda_a: float
     lambda_b: float
@@ -37,7 +43,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for key in ("lambda_a", "lambda_b", "t_max", "gamma0", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            if isinstance(value, bool) or not isinstance(value, _NUMBERS) \
                     or not math.isfinite(value):
                 raise ValidationError(f"{key}: must be a finite number, got {value!r}")
             object.__setattr__(self, key, float(value))
@@ -47,9 +53,10 @@ class ScenarioConfig:
         for key in ("delta_a", "delta_b"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
-        if not (isinstance(self.sample_every, int) and not isinstance(self.sample_every, bool)
-                and self.sample_every >= 1):
-            raise ValidationError(f"sample_every: must be an integer >= 1, got {self.sample_every!r}")
+        every = self.sample_every
+        if isinstance(every, bool) or not isinstance(every, _INTEGERS) or every < 1:
+            raise ValidationError(f"sample_every: must be an integer >= 1, got {every!r}")
+        object.__setattr__(self, "sample_every", int(every))
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a, gamma0=self.gamma0),
@@ -96,13 +103,14 @@ PRESETS: dict[str, ScenarioConfig] = {
     "fig4b_l005": _cfg(0.05, 0.05, 1.0, 1.0, 50.0),
 }
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat YAML mapping into a validated config with defaults applied.
 
-    Unknown keys are rejected; error messages name the offending key.
+    Unknown and missing required keys are rejected here, and each value is
+    checked by :class:`ScenarioConfig`; error messages name the offending key.
     """
     try:
         raw = yaml.safe_load(text)
@@ -112,22 +120,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError("empty config")
     if not isinstance(raw, dict):
         raise ParseError(f"config must be a flat key-value mapping, got {type(raw).__name__}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+    for key in raw:
+        if key not in _KEYS:
             raise ValidationError(f"{key}: unknown key")
-        if key == "sample_every":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"sample_every: must be an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"{key}: must be a number, got {value!r}")
-            kwargs[key] = float(value)
     for required in ("lambda_a", "lambda_b", "t_max"):
-        if required not in kwargs:
+        if required not in raw:
             raise ValidationError(f"{required}: required key missing")
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**raw)
 
 
 def _run_batch(pairs, times: np.ndarray):
@@ -159,7 +158,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     r_a, r_b = cfg.reservoirs()
     times = sample_times(cfg.t_max, cfg.dt, cfg.sample_every)
     columns, reports, errors = _run_batch([(r_a, r_b)], times)
-    raise_first(errors)
+    if errors[0] is not None:
+        raise errors[0]
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
     traj = Trajectory(times=times, p_a=p_a, p_b=p_b, r_a=r_a, r_b=r_b, mu=mu, lhs=lhs,
                       concurrence=concs, f_a=correlation_f(r_a, times),
@@ -175,8 +175,6 @@ def _fmt(x) -> str:
 
 def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
-    if traj.mu is None or len(traj.mu) == 0:
-        raise EmptyTrajectory("trajectory has no derived samples to emit")
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
     # formatted a column at a time: one repr per float, then one join per row
@@ -211,7 +209,8 @@ class SweepRow:
 def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     """Witness reports over the Cartesian grid of widths and detunings.
 
-    Each grid value is applied to both reservoirs of ``base``; ``None`` for a
+    Each grid value is applied to both reservoirs of ``base`` and checked by
+    :class:`ScenarioConfig` as given; ``None`` or an empty sequence for a
     whole axis keeps the base values.  All valid grid points run as one batch
     on ``base``'s sample grid (see :func:`run_scenario`).  Rows are
     independent: a failing point is recorded in its row and does not disturb
@@ -219,8 +218,8 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     failed; any other exception is a programming error and propagates.  Row
     order follows the given value order (lambdas outer, deltas inner).
     """
-    lam_axis = list(lambdas) if lambdas else [None]
-    delta_axis = list(deltas) if deltas else [None]
+    lam_axis = [None] if lambdas is None else list(lambdas) or [None]
+    delta_axis = [None] if deltas is None else list(deltas) or [None]
     if lam_axis == [None] and delta_axis == [None]:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
     rows, pairs, valid = [], [], []
@@ -228,9 +227,9 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
         for delta in delta_axis:
             overrides = {}
             if lam is not None:
-                overrides["lambda_a"] = overrides["lambda_b"] = float(lam)
+                overrides["lambda_a"] = overrides["lambda_b"] = lam
             if delta is not None:
-                overrides["delta_a"] = overrides["delta_b"] = float(delta)
+                overrides["delta_a"] = overrides["delta_b"] = delta
             row = SweepRow(lam=lam, delta=delta, report=None)
             try:
                 pairs.append(dataclasses.replace(base, **overrides).reservoirs())

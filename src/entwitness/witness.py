@@ -5,8 +5,8 @@ time ``t_ew`` (so the witness works on ``[0, t_ew)``), the concurrence at the
 crossing (the witnessed-concurrence interval is ``(threshold, 1]`` for a
 maximally entangled start), and the time at which entanglement dies.
 Reports are made for a ``(G, N)`` batch of rows at once (:func:`witness_rows`),
-with one bracketed root-find for every crossing of the batch; a single
-trajectory is the batch with ``G = 1``.
+with one bracketed root-find for every crossing of the batch; a single run
+is the batch with ``G = 1``.
 """
 
 import math
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReservoirColumns, Trajectory, excited_population
-from .errors import EmptyTrajectory, NoConvergence
+from .dynamics import ReservoirColumns, excited_population
+from .errors import NoConvergence
 from .information import minimum_uncertainty
-from .numerics import MAX_EVALUATIONS, bracketed_root, raise_first
+from .numerics import MAX_EVALUATIONS, bracketed_root
 
 CONCURRENCE_ZERO_TOL = 3e-3
 CONFIRM_SAMPLES = 10
@@ -47,27 +47,19 @@ class WitnessReport:
     notes: str = ""
 
 
-def _require_samples(traj: Trajectory) -> None:
-    if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
-    if traj.mu is None or len(traj.mu) == 0:
-        raise EmptyTrajectory("trajectory has no derived samples")
-
-
-def death_times(times, concs, zero_tol: float = CONCURRENCE_ZERO_TOL,
-                confirm_samples: int = CONFIRM_SAMPLES) -> list[float | None]:
+def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> list[float | None]:
     """Each row's first sampled time at which the concurrence falls to zero and stays there.
 
     ``concs`` is a ``(G, N)`` batch of concurrence rows sampled at ``times``.
-    "Zero" means below ``zero_tol`` (the model's concurrence decays to zero
-    asymptotically without an exact root); the drop must persist for the next
-    ``confirm_samples`` samples so that a transient dip during a revival
-    oscillation is not flagged.  A row whose entanglement survives the whole
-    grid gets None.
+    "Zero" means below ``CONCURRENCE_ZERO_TOL`` (the model's concurrence
+    decays to zero asymptotically without an exact root); the drop must
+    persist for the next ``confirm_samples`` samples so that a transient dip
+    during a revival oscillation is not flagged.  A row whose entanglement
+    survives the whole grid gets None.
     """
     window = confirm_samples + 1
     below = np.zeros((len(concs), concs.shape[-1] + 1), dtype=np.intp)
-    np.cumsum(concs <= zero_tol, axis=-1, out=below[:, 1:])
+    np.cumsum(concs <= CONCURRENCE_ZERO_TOL, axis=-1, out=below[:, 1:])
     dead = below[:, window:] - below[:, :-window] == window
     if dead.shape[-1] == 0:                    # the grid is shorter than the window
         return [None] * len(concs)
@@ -141,27 +133,3 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
                                      death_time=deaths[g], mu_series_max=mu_max[g],
                                      notes="; ".join(notes)))
     return reports
-
-
-def witness_report(traj: Trajectory) -> WitnessReport:
-    """The :func:`witness_rows` report of one trajectory, whose ``mu`` column is filled.
-
-    Raises
-    ------
-    NoConvergence
-        if the crossing root-find does not converge.
-    """
-    _require_samples(traj)
-    errors = [None]
-    reports = witness_rows(traj.times, traj.mu[None], traj.concurrence[None],
-                           ReservoirColumns.stack([traj.r_a]),
-                           ReservoirColumns.stack([traj.r_b]), errors)
-    raise_first(errors)
-    return reports[0]
-
-
-def entanglement_death_time(traj: Trajectory, zero_tol: float = CONCURRENCE_ZERO_TOL,
-                            confirm_samples: int = CONFIRM_SAMPLES) -> float | None:
-    """The :func:`death_times` entry of one trajectory, or None if entanglement survives."""
-    _require_samples(traj)
-    return death_times(traj.times, traj.concurrence[None], zero_tol, confirm_samples)[0]

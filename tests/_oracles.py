@@ -335,9 +335,9 @@ def sweep_loop(lambdas, deltas, base):
         for delta in list(deltas) if deltas else [None]:
             overrides = {}
             if lam is not None:
-                overrides["lambda_a"] = overrides["lambda_b"] = float(lam)
+                overrides["lambda_a"] = overrides["lambda_b"] = lam
             if delta is not None:
-                overrides["delta_a"] = overrides["delta_b"] = float(delta)
+                overrides["delta_a"] = overrides["delta_b"] = delta
             try:
                 _, report = run_scenario(dataclasses.replace(base, **overrides))
                 rows.append(SweepRow(lam=lam, delta=delta, report=report))

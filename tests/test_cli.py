@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ from entwitness.cli import main
 from entwitness.scenario import CSV_HEADER
 
 GOOD_CONFIG = "lambda_a: 5.0\nlambda_b: 5.0\ndelta_a: 1.0\ndelta_b: 1.0\nt_max: 2\n"
+
+# A child interpreter imports the package from this checkout's src/, never
+# from an installed copy.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def test_preset_subcommand(tmp_path):
@@ -146,7 +154,8 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the quadrature cross-check and is imported inside it
     code = "import sys, entwitness.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -156,6 +165,6 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "entwitness", "preset", "fig1b_l5",
          "--out", str(out), "--tmax", "0.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -1,14 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
-                        ValidationError, correlation_f, correlation_f_quadrature,
-                        excited_population, propagate)
+                        ScenarioConfig, ValidationError, correlation_f,
+                        correlation_f_quadrature, excited_population, run_scenario)
+from entwitness.dynamics import sample_times
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, random_density,
                       rk4_states)
+
+
+def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
+    """The sample grid of a run and the exact excited populations ``p_A``, ``p_B`` on it."""
+    times = sample_times(t_max, dt, sample_every)
+    return times, excited_population(r_a, times), excited_population(r_b, times)
 
 
 def test_atom_operator_algebra():
@@ -56,6 +65,11 @@ def test_correlation_f_vectorized_and_validated():
     assert out[0] == 0j
     with pytest.raises(ValidationError):
         correlation_f(r, -1.0)
+    # a NaN time is neither accepted nor silently turned into a NaN f
+    with pytest.raises(ValidationError, match="t: must be >= 0"):
+        correlation_f(r, np.nan)
+    with pytest.raises(ValidationError, match="t: must be >= 0"):
+        correlation_f(r, np.array([0.0, np.nan]))
 
 
 def test_quadrature_zero_at_start():
@@ -88,6 +102,16 @@ def test_quadrature_validates_window_and_nodes():
         correlation_f_quadrature(r, 1.0, omega_window=10.0)
     with pytest.raises(ValidationError):
         correlation_f_quadrature(r, 1.0, n_points=10)
+    for t in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="t: "):
+            correlation_f_quadrature(r, t)
+    for window in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="omega_window"):
+            correlation_f_quadrature(r, 1.0, omega_window=window)
+    # x t overflows to inf on most nodes, so both sums are NaN: the
+    # node-doubling gate must not let a NaN through as converged
+    with np.errstate(all="ignore"), pytest.raises(QuadratureUnconverged):
+        correlation_f_quadrature(r, 1e308)
 
 
 def test_liouvillian_annihilates_ground_state():
@@ -121,7 +145,7 @@ def test_liouvillian_traceless_and_hermiticity_preserving():
 
 def test_bell_initial_state():
     # the run starts undecayed (p_A = p_B = 1), which is the pure Bell state
-    traj = propagate(ReservoirParams(0.1), ReservoirParams(5.0, 2.0), t_max=1.0)
+    traj, _ = run_scenario(ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_b=2.0, t_max=1.0))
     assert traj.times[0] == 0.0 and traj.p_a[0] == 1.0 and traj.p_b[0] == 1.0
     rho = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times[:1])[0]
     assert np.allclose(rho, bell_rho(), atol=0)
@@ -132,18 +156,18 @@ def test_bell_initial_state():
 def test_propagate_single_tiny_step_is_identity():
     # lam -> 0 limit: f(0) = 0, so one tiny step leaves the state unchanged
     r = ReservoirParams(lam=1e-6)
-    traj = propagate(r, r, t_max=1e-4, dt=1e-4)
-    assert 1.0 - traj.p_a[-1] < 1e-8 and 1.0 - traj.p_b[-1] < 1e-8
+    _, p_a, p_b = _populations(r, r, t_max=1e-4, dt=1e-4)
+    assert 1.0 - p_a[-1] < 1e-8 and 1.0 - p_b[-1] < 1e-8
 
 
 def test_propagate_markovian_limit_population_decay():
     # flat-spectrum limit: the doubly-excited population p_A p_B of an
     # initial |11> decays as exp(-2 t)
     r = ReservoirParams(lam=300.0)
-    traj = propagate(r, r, t_max=3.0, dt=1e-3)
+    _, p_a, p_b = _populations(r, r, t_max=3.0, dt=1e-3)
     for t_probe in (0.1, 1.0, 3.0):
         idx = int(round(t_probe / 1e-3))
-        pop = traj.p_a[idx] * traj.p_b[idx]
+        pop = p_a[idx] * p_b[idx]
         assert pop == pytest.approx(np.exp(-2.0 * t_probe), rel=2e-2)
 
 
@@ -152,10 +176,10 @@ def test_propagate_matches_exact_channel_solution():
     # dt = 1e-2, entry by entry of the damped Bell state
     r_a = ReservoirParams(0.1, 1.2)
     r_b = ReservoirParams(5.0, 0.5)
-    traj = propagate(r_a, r_b, t_max=8.0, dt=1e-2)
+    times, p_a, p_b = _populations(r_a, r_b, t_max=8.0, dt=1e-2)
     idx = [0, 100, 400, 800]
-    rhos = rk4_states(bell_rho(), r_a, r_b, traj.times[idx], max_step=1e-2)
-    p_a, p_b = traj.p_a[idx], traj.p_b[idx]
+    rhos = rk4_states(bell_rho(), r_a, r_b, times[idx], max_step=1e-2)
+    p_a, p_b = p_a[idx], p_b[idx]
     diagonal = np.stack([0.5 + 0.5 * (1 - p_a) * (1 - p_b), 0.5 * (1 - p_a) * p_b,
                          0.5 * p_a * (1 - p_b), 0.5 * p_a * p_b], axis=1)
     assert np.abs(rhos.diagonal(axis1=1, axis2=2).real - diagonal).max() < 1e-9
@@ -173,11 +197,11 @@ def test_propagate_matches_rk4_oracle(lam_a, lam_b, delta_a, delta_b, t_max, see
     # state, and each atom's excited population scales by the closed-form p
     r_a, r_b = ReservoirParams(lam_a, delta_a), ReservoirParams(lam_b, delta_b)
     rho0 = random_density(np.random.default_rng(seed), 4)
-    traj = propagate(r_a, r_b, t_max=t_max, dt=t_max / 20)
+    times, p_a, p_b = _populations(r_a, r_b, t_max=t_max, dt=t_max / 20)
     rate = max(abs(complex(r.lam, r.delta)) for r in (r_a, r_b))
-    rhos = rk4_states(rho0, r_a, r_b, traj.times, max_step=min(0.02, 0.2 / rate))
-    assert np.abs(channel_states(rho0, r_a, r_b, traj.times) - rhos).max() < 1e-7
-    for n, p in ((N_A, traj.p_a), (N_B, traj.p_b)):
+    rhos = rk4_states(rho0, r_a, r_b, times, max_step=min(0.02, 0.2 / rate))
+    assert np.abs(channel_states(rho0, r_a, r_b, times) - rhos).max() < 1e-7
+    for n, p in ((N_A, p_a), (N_B, p_b)):
         excited = np.trace(n @ rhos, axis1=1, axis2=2).real
         assert np.abs(excited - p * excited[0]).max() < 1e-7
 
@@ -200,25 +224,24 @@ def test_propagate_product_states_stay_product():
     r_b = ReservoirParams(5.0, 0.0)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[2, 2] = 1.0
-    traj = propagate(r_a, r_b, t_max=20.0, dt=1e-2)
+    times, p_a, _ = _populations(r_a, r_b, t_max=20.0, dt=1e-2)
     for t_probe in (1.0, 5.0, 20.0):
         idx = int(round(t_probe / 1e-2))
-        rho = channel_states(rho0, r_a, r_b, traj.times[idx])[0]
+        rho = channel_states(rho0, r_a, r_b, times[idx])[0]
         rho_a = partial_trace(rho, "A")
         rho_b = partial_trace(rho, "B")
         assert np.abs(rho - np.kron(rho_a, rho_b)).max() < 1e-6
-        assert np.abs(rho_a - np.diag([1.0 - traj.p_a[idx], traj.p_a[idx]])).max() < 1e-12
+        assert np.abs(rho_a - np.diag([1.0 - p_a[idx], p_a[idx]])).max() < 1e-12
 
 
 def test_propagate_swap_symmetry():
     # swapping the reservoirs swaps the populations, and the concurrence with them
     r_a = ReservoirParams(0.1, 0.0)
     r_b = ReservoirParams(5.0, 2.0)
-    t_fwd = propagate(r_a, r_b, t_max=2.0, dt=1e-2)
-    t_rev = propagate(r_b, r_a, t_max=2.0, dt=1e-2)
-    assert np.array_equal(t_fwd.p_a, t_rev.p_b) and np.array_equal(t_fwd.p_b, t_rev.p_a)
-    assert np.abs(ew.concurrence(t_fwd.p_a, t_fwd.p_b)
-                  - ew.concurrence(t_rev.p_a, t_rev.p_b)).max() < 1e-15
+    _, fwd_a, fwd_b = _populations(r_a, r_b, t_max=2.0, dt=1e-2)
+    _, rev_a, rev_b = _populations(r_b, r_a, t_max=2.0, dt=1e-2)
+    assert np.array_equal(fwd_a, rev_b) and np.array_equal(fwd_b, rev_a)
+    assert np.abs(ew.concurrence(fwd_a, fwd_b) - ew.concurrence(rev_a, rev_b)).max() < 1e-15
 
 
 def test_propagate_step_halving_leaves_mu_unchanged(preset_run):
@@ -226,26 +249,24 @@ def test_propagate_step_halving_leaves_mu_unchanged(preset_run):
     for preset_id in ("fig1a_d0", "fig1a_d12", "fig1a_d16"):
         traj, _ = preset_run(preset_id)
         cfg = ew.PRESETS[preset_id]
-        fine = propagate(*cfg.reservoirs(), cfg.t_max, dt=cfg.dt / 2, sample_every=2)
+        fine, _ = run_scenario(dataclasses.replace(cfg, dt=cfg.dt / 2, sample_every=2))
         assert np.allclose(fine.times, traj.times)
-        mu_fine = ew.uncertainty_record(fine.p_a, fine.p_b, fine.times).mu
-        assert np.abs(traj.mu - mu_fine).max() < 1e-5
+        assert np.abs(traj.mu - fine.mu).max() < 1e-5
 
 
 def test_propagate_sampling_stride():
-    r = ReservoirParams(0.1)
-    traj = propagate(r, r, t_max=1.0, dt=1e-2, sample_every=10)
-    assert len(traj.times) == 11
-    assert np.allclose(np.diff(traj.times), 0.1)
+    times = sample_times(1.0, dt=1e-2, sample_every=10)
+    assert len(times) == 11
+    assert np.allclose(np.diff(times), 0.1)
 
 
 def test_propagate_coarse_long_grid_stays_physical():
     # a step that made RK4 diverge: the closed form stays physical
     r = ReservoirParams(5.0, 0.0)
-    traj = propagate(r, r, t_max=2000.0, dt=10.0)
-    assert len(traj) == 201
-    assert np.all((traj.p_a >= 0.0) & (traj.p_a <= 1.0))
-    rhos = channel_states(bell_rho(), r, r, traj.times)
+    times, p_a, _ = _populations(r, r, t_max=2000.0, dt=10.0)
+    assert len(times) == 201
+    assert np.all((p_a >= 0.0) & (p_a <= 1.0))
+    rhos = channel_states(bell_rho(), r, r, times)
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-12
     assert np.linalg.eigvalsh(rhos).min() > -1e-12
 
@@ -258,9 +279,9 @@ def test_propagate_rejects_unphysical_population(monkeypatch):
         return real_population(r, t) + np.where(t >= 0.3 - 1e-12, 0.5, 0.0)
 
     monkeypatch.setattr(ew.dynamics, "excited_population", broken)
-    r = ReservoirParams(1.0)
+    cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=0.1)
     with pytest.raises(NotDensityMatrix, match=r"p_a = .* outside \[0, 1\] at sample 3 \(t = 0.3\)"):
-        propagate(r, r, t_max=1.0, dt=0.1)
+        run_scenario(cfg)
 
 
 def test_excited_population_is_a_decay_in_the_unit_interval():
@@ -273,13 +294,10 @@ def test_excited_population_is_a_decay_in_the_unit_interval():
 
 
 def test_propagate_validates_arguments():
-    r = ReservoirParams(1.0)
-    with pytest.raises(ValidationError):
-        propagate(r, r, t_max=0.0, dt=1e-2)
-    with pytest.raises(ValidationError):
-        propagate(r, r, t_max=1.0, dt=-1e-2)
-    with pytest.raises(ValidationError):
-        propagate(r, r, t_max=1.0, dt=1e-2, sample_every=0)
+    for key, grid in (("t_max", dict(t_max=0.0)), ("dt", dict(t_max=1.0, dt=-1e-2)),
+                      ("sample_every", dict(t_max=1.0, sample_every=0))):
+        with pytest.raises(ValidationError, match=key):
+            ScenarioConfig(lambda_a=1.0, lambda_b=1.0, **grid)
 
 
 @pytest.mark.parametrize("t_max,dt,sample_every", [
@@ -289,15 +307,13 @@ def test_propagate_validates_arguments():
     (0.5, 0.01, 30),   # the last sample would be 0.3
 ])
 def test_propagate_rejects_grid_missing_t_max(t_max, dt, sample_every):
-    r = ReservoirParams(1.0)
+    cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=t_max, dt=dt, sample_every=sample_every)
     with pytest.raises(ValidationError, match="t_max"):
-        propagate(r, r, t_max=t_max, dt=dt, sample_every=sample_every)
+        run_scenario(cfg)
 
 
 def test_propagate_grid_lands_on_t_max():
-    r = ReservoirParams(1.0)
-    traj = propagate(r, r, t_max=0.7, dt=0.1)
+    traj, _ = run_scenario(ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.7, dt=0.1))
     assert len(traj) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
-    traj = propagate(r, r, t_max=0.6, dt=0.01, sample_every=30)
-    assert np.allclose(traj.times, [0.0, 0.3, 0.6], atol=1e-15)
+    assert np.allclose(sample_times(0.6, dt=0.01, sample_every=30), [0.0, 0.3, 0.6], atol=1e-15)
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import (NotDensityMatrix, ValidationError, concurrence, excited_population,
-                        minimum_uncertainty, uncertainty_record)
+from entwitness import (NotDensityMatrix, ScenarioConfig, ValidationError, concurrence,
+                        excited_population, minimum_uncertainty, run_scenario,
+                        uncertainty_columns)
+from entwitness.information import check_uncertainty
 from _oracles import (SX_BASIS, SY_BASIS, bell_rho, damped_states, matrix_entropy,
                       partial_trace, post_measurement_state, random_density)
 
@@ -116,9 +118,9 @@ def test_conditional_entropy_landmarks():
 
 def test_uncertainty_record_bell():
     # no decay yet (p_A = p_B = 1) is the Bell state itself
-    rec = uncertainty_record(1.0, 1.0, t=0.0)
-    assert rec.mu == pytest.approx(0.0, abs=1e-12)
-    assert rec.lhs == pytest.approx(0.0, abs=1e-12)
+    mu, lhs = uncertainty_columns(1.0, 1.0)
+    assert mu == pytest.approx(0.0, abs=1e-12)
+    assert lhs == pytest.approx(0.0, abs=1e-12)
     ref = oracle.uncertainty_record(bell_rho())
     assert ref.mu == pytest.approx(0.0, abs=1e-10)
     assert ref.lhs == pytest.approx(0.0, abs=1e-10)
@@ -142,9 +144,9 @@ def test_uncertainty_record_ground_product():
     assert rec.h_sy_b == pytest.approx(1.0, abs=1e-12)
     assert rec.mu == pytest.approx(1.0, abs=1e-12)
     assert rec.lhs == pytest.approx(2.0, abs=1e-12)
-    closed = uncertainty_record(0.0, 0.0)
-    assert closed.mu == pytest.approx(1.0, abs=1e-15)
-    assert closed.lhs == pytest.approx(2.0, abs=1e-15)
+    mu, lhs = uncertainty_columns(0.0, 0.0)
+    assert mu == pytest.approx(1.0, abs=1e-15)
+    assert lhs == pytest.approx(2.0, abs=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,13 +168,12 @@ def test_product_states_are_never_witnessed(pair):
 
 
 def test_single_state_gives_scalars_and_stack_gives_columns():
-    rec = uncertainty_record(1.0, 1.0, t=0.5)
-    assert all(isinstance(v, float) for v in (rec.mu, rec.lhs))
+    assert all(isinstance(v, float) for v in uncertainty_columns(1.0, 1.0))
     assert isinstance(concurrence(1.0, 1.0), float)
     p_a, p_b = np.array([1.0, 0.0]), np.array([1.0, 0.0])
-    rec = uncertainty_record(p_a, p_b, t=np.array([0.0, 1.0]))
-    assert rec.mu.shape == rec.lhs.shape == (2,)
-    assert np.allclose(rec.mu, [0.0, 1.0], atol=1e-15)
+    mu, lhs = uncertainty_columns(p_a, p_b)
+    assert mu.shape == lhs.shape == (2,)
+    assert np.allclose(mu, [0.0, 1.0], atol=1e-15)
     assert np.allclose(concurrence(p_a, p_b), [1.0, 0.0], atol=1e-15)
 
 
@@ -192,11 +193,11 @@ def test_batched_observables_match_per_sample_reference(samples):
     u_a, u_b = np.sqrt(p_a) * np.exp(1j * phi_a), np.sqrt(p_b) * np.exp(1j * phi_b)
     p_a, p_b = np.abs(u_a) ** 2, np.abs(u_b) ** 2
     rhos = damped_states(bell_rho(), u_a, u_b)
-    rec = uncertainty_record(p_a, p_b)
+    mu, lhs = uncertainty_columns(p_a, p_b)
     c = concurrence(p_a, p_b)
     ref = np.array([[float(np.squeeze(v)) for v in oracle.observables(rho)] for rho in rhos])
-    assert np.abs(rec.mu - ref[:, 0]).max() < 1e-10
-    assert np.abs(rec.lhs - ref[:, 1]).max() < 1e-10
+    assert np.abs(mu - ref[:, 0]).max() < 1e-10
+    assert np.abs(lhs - ref[:, 1]).max() < 1e-10
     assert np.abs(c - oracle.concurrence_x_state(rhos)).max() < 1e-10
     # the spectral route takes square roots of the state's eigenvalues, so a
     # rounding-level eigenvalue of a (nearly) rank-deficient state moves it
@@ -216,42 +217,50 @@ def test_batched_mu_is_bit_identical_to_single_state(preset_run):
         t = traj.times[i:i + 1]
         single = minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t))
         assert single[0] == traj.mu[i]
-    rec = uncertainty_record(traj.p_a, traj.p_b, traj.times)
-    assert np.array_equal(rec.mu, traj.mu)
+    mu, lhs = uncertainty_columns(traj.p_a, traj.p_b)
+    assert np.array_equal(mu, traj.mu) and np.array_equal(lhs, traj.lhs)
 
 
 def test_checks_name_the_first_offending_sample():
-    # a non-finite population fails the mu range mask at its own sample
-    p_a = np.ones(5)
-    p_a[[2, 4]] = np.nan
-    with pytest.raises(NotDensityMatrix, match=r"mu = nan outside \[-1, 2\] at sample 2 \(t = 0.2\)"):
-        uncertainty_record(p_a, np.ones(5), 0.1 * np.arange(5))
+    # a non-finite population fails the mu range mask at its own sample,
+    # row by row: the second row is left as it is
+    p_a = np.ones((2, 5))
+    p_a[0, [2, 4]] = np.nan
+    mu, lhs = uncertainty_columns(p_a, np.ones((2, 5)))
+    errors = [None, None]
+    check_uncertainty(mu, lhs, 0.1 * np.arange(5), errors)
+    assert isinstance(errors[0], NotDensityMatrix) and errors[1] is None
+    assert str(errors[0]) == "mu = nan outside [-1, 2] at sample 2 (t = 0.2)"
 
 
 def _skew_joint_entropy(monkeypatch, bits):
-    """Add ``bits`` to every ``H(rho_AB)``, the only entropy over four eigenvalues."""
+    """Add ``bits`` to ``H(rho_AB)``, the only entropy over four eigenvalues, once it is > 0.
+
+    The run's first sample, the pure Bell state, keeps its true entropy, so a
+    check fails first at a later sample.
+    """
     real_entropy = ew.information.entropy_bits
 
     def skewed(*probs):
         h = real_entropy(*probs)
-        return h + bits if len(probs) == 4 else h
+        return np.where(h > 0.0, h + bits, h) if len(probs) == 4 else h
 
     monkeypatch.setattr(ew.information, "entropy_bits", skewed)
 
 
+SKEWED_RUN = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=0.25)
+
+
 def test_physics_invariant_violation_raises_not_density_matrix(monkeypatch):
-    # H(rho_AB) inflated by 4 bits pushes mu above 2 everywhere
+    # H(rho_AB) inflated by 4 bits pushes mu above 2 from the first mixed state on
     _skew_joint_entropy(monkeypatch, 4.0)
-    times = np.array([0.0, 0.25, 0.5])
-    with pytest.raises(NotDensityMatrix, match=r"outside \[-1, 2\] at sample 0 \(t = 0\)"):
-        uncertainty_record(np.ones(3), np.ones(3), times)
+    with pytest.raises(NotDensityMatrix, match=r"outside \[-1, 2\] at sample 1 \(t = 0.25\)"):
+        run_scenario(SKEWED_RUN)
 
 
 def test_uncertainty_inequality_violation_names_sample_and_time(monkeypatch):
     # half a bit added to H(rho_AB): mu rises by 0.5, lhs (from the measured
-    # states) does not.  Full decay keeps lhs = 2 > mu + 0.5 = 1.5; the Bell
-    # state (no decay) has lhs = 0 < mu + 0.5
+    # states) does not, and early in the decay lhs - mu is far below 0.5
     _skew_joint_entropy(monkeypatch, 0.5)
-    p = np.array([0.0, 1.0, 1.0])
     with pytest.raises(NotDensityMatrix, match=r"inequality violated.*at sample 1 \(t = 0.25\)"):
-        uncertainty_record(p, p, np.array([0.0, 0.25, 0.5]))
+        run_scenario(SKEWED_RUN)

@@ -7,8 +7,8 @@ import pytest
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import (EmptyTrajectory, ParseError, ScenarioConfig,
-                        ValidationError, parse_config, run_scenario, sweep)
+from entwitness import (ParseError, ScenarioConfig, ValidationError, parse_config,
+                        run_scenario, sweep)
 from entwitness.scenario import CSV_HEADER, PRESETS, emit_csv, write_sweep_csv
 
 
@@ -139,11 +139,15 @@ def test_emit_csv_round_trip(tmp_path, preset_run):
     assert "death_time: none" in report_text    # t_max = 3 ends before death
 
 
-def test_emit_csv_refuses_underived_trajectory(tmp_path):
+def test_emit_csv_refuses_underived_trajectory():
+    # emit_csv only ever sees a run's trajectory: one without its derived
+    # columns cannot be built, and no run has fewer than two samples
+    times = np.array([0.0, 0.1])
     r = ew.ReservoirParams(0.1)
-    traj = ew.propagate(r, r, t_max=0.1, dt=1e-2)
-    with pytest.raises(EmptyTrajectory):
-        emit_csv(traj, ew.WitnessReport(False, None, None, None, 0.0), tmp_path / "x.csv")
+    with pytest.raises(TypeError, match="mu"):
+        ew.Trajectory(times=times, p_a=times, p_b=times, r_a=r, r_b=r)
+    with pytest.raises(ValidationError, match="t_max"):
+        run_scenario(ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.004))
 
 
 def test_emit_csv_deterministic(tmp_path):
@@ -181,6 +185,34 @@ def test_sweep_marks_failing_rows():
     rows = sweep([-1.0, 0.1], None, base)
     assert rows[0].error is not None and "lambda" in rows[0].error
     assert rows[1].error is None and rows[1].report is not None
+
+
+def test_sweep_values_get_the_single_run_check():
+    # ScenarioConfig takes numpy scalars as the numbers they hold, and no bool
+    cfg = ScenarioConfig(lambda_a=np.int64(1), lambda_b=np.float32(0.5), t_max=np.float64(1.0),
+                         sample_every=np.int64(2))
+    assert cfg == ScenarioConfig(lambda_a=1.0, lambda_b=0.5, t_max=1.0, sample_every=2)
+    assert type(cfg.lambda_a) is float and type(cfg.sample_every) is int
+    for value in (True, np.bool_(True), "1.0", None):
+        with pytest.raises(ValidationError, match="lambda_a: must be a finite number"):
+            ScenarioConfig(lambda_a=value, lambda_b=1.0, t_max=1.0)
+    with pytest.raises(ValidationError, match="sample_every"):
+        ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, sample_every=np.float64(2.0))
+    # each grid value reaches ScenarioConfig as given: a bool or a string
+    # marks its row as a single run of it would fail, numpy scalars and
+    # arrays run like the floats they hold
+    base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
+    rows = sweep([True, "abc", 0.5], [0.0], base)
+    assert rows[0].error == "ValidationError: lambda_a: must be a finite number, got True"
+    assert rows[1].error == "ValidationError: lambda_a: must be a finite number, got 'abc'"
+    assert rows[2].error is None
+    want = [row.report for row in sweep([1.0, 2.0], [0.0, 1.0], base)]
+    for lambdas, deltas in ((np.array([1.0, 2.0]), np.array([0.0, 1.0])),
+                            ([np.int64(1), np.int64(2)], [np.int64(0), np.float32(1.0)])):
+        rows = sweep(lambdas, deltas, base)
+        assert [row.report for row in rows] == want
+    with pytest.raises(ValidationError, match="sweep grid"):
+        sweep(np.array([]), None, base)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

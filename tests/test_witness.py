@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import (EmptyTrajectory, ReservoirParams, concurrence,
-                        entanglement_death_time, witness_report)
-from entwitness.dynamics import Trajectory
+from entwitness import (ReservoirParams, ScenarioConfig, ValidationError, concurrence,
+                        run_scenario)
+from entwitness.dynamics import ReservoirColumns, Trajectory
+from entwitness.witness import death_times, witness_rows
 from _oracles import (bell_rho, channel_states, concurrence_x_state, death_time_loop,
                       random_density, rk4_evolve)
 
@@ -25,13 +26,20 @@ def density_matrices(draw, dim=4):
     return h / np.trace(h).real
 
 
-def _synthetic(times, mus, concs):
-    times = np.asarray(times, dtype=float)
-    zeros = np.zeros_like(times, dtype=complex)
-    return Trajectory(times=times, p_a=zeros.real, p_b=zeros.real,
-                      r_a=ReservoirParams(1.0), r_b=ReservoirParams(1.0),
-                      mu=np.asarray(mus, dtype=float), lhs=np.asarray(mus, dtype=float),
-                      concurrence=np.asarray(concs, dtype=float), f_a=zeros, f_b=zeros)
+def _synthetic_report(times, mus, concs):
+    """The :func:`witness_rows` report of one synthetic ``(1, N)`` row."""
+    r = ReservoirColumns.stack([ReservoirParams(1.0)])
+    errors = [None]
+    reports = witness_rows(np.asarray(times, dtype=float), np.asarray(mus, dtype=float)[None],
+                           np.asarray(concs, dtype=float)[None], r, r, errors)
+    assert errors == [None]
+    return reports[0]
+
+
+def _death_time(times, concs, **kwargs):
+    """The :func:`death_times` entry of one ``(1, N)`` concurrence row."""
+    return death_times(np.asarray(times, dtype=float), np.asarray(concs, dtype=float)[None],
+                       **kwargs)[0]
 
 
 def test_concurrence_bell():
@@ -101,7 +109,7 @@ def test_x_state_agrees_with_general_along_preset(preset_run):
 
 def test_witness_report_no_crossing():
     times = np.arange(0.0, 1.0, 0.01)
-    rep = witness_report(_synthetic(times, np.zeros_like(times), np.ones_like(times)))
+    rep = _synthetic_report(times, np.zeros_like(times), np.ones_like(times))
     assert not rep.crossing_found
     assert rep.t_ew is None and rep.c_ew_threshold is None
     assert rep.mu_series_max == 0.0
@@ -165,53 +173,49 @@ def test_witness_report_near_tangent_crossing_matches_rk4_bisection():
 
 def test_witness_report_starting_above_one():
     times = np.arange(0.0, 1.0, 0.01)
-    rep = witness_report(_synthetic(times, np.full_like(times, 1.5), np.ones_like(times)))
+    rep = _synthetic_report(times, np.full_like(times, 1.5), np.ones_like(times))
     assert rep.crossing_found and rep.t_ew == 0.0
     assert "starts at or above" in rep.notes
 
 
 def test_witness_report_empty_trajectory():
-    with pytest.raises(EmptyTrajectory):
-        witness_report(_synthetic(np.array([]), np.array([]), np.array([])))
-    bare = ew.propagate(ReservoirParams(1.0), ReservoirParams(1.0), t_max=0.1, dt=0.1)
-    with pytest.raises(EmptyTrajectory):
-        witness_report(bare)
+    # no run has fewer than two samples: a t_max shorter than one sample
+    # spacing is rejected, and a trajectory is never without its columns
+    with pytest.raises(ValidationError, match="t_max"):
+        run_scenario(ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.04, dt=0.1))
+    times = np.array([0.0, 0.1])
+    with pytest.raises(TypeError, match="mu"):
+        Trajectory(times=times, p_a=times, p_b=times, r_a=ReservoirParams(1.0),
+                   r_b=ReservoirParams(1.0))
 
 
 def test_death_time_none_for_constant_bell():
     times = np.arange(0.0, 1.0, 0.01)
-    traj = _synthetic(times, np.zeros_like(times), np.ones_like(times))
-    assert entanglement_death_time(traj) is None
+    assert _death_time(times, np.ones_like(times)) is None
 
 
 def test_death_time_detects_persistent_zero():
     times = np.arange(0.0, 1.0, 0.01)
     concs = np.where(times < 0.5, 1.0, 0.0)
-    traj = _synthetic(times, np.zeros_like(times), concs)
-    assert entanglement_death_time(traj) == pytest.approx(0.5, abs=1e-9)
+    assert _death_time(times, concs) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_death_time_ignores_transient_dip():
     times = np.arange(0.0, 1.0, 0.01)
     concs = np.ones_like(times)
     concs[40:45] = 0.0                     # 5-sample dip, shorter than the window
-    traj = _synthetic(times, np.zeros_like(times), concs)
-    assert entanglement_death_time(traj) is None
+    assert _death_time(times, concs) is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(pattern=st.lists(st.booleans(), max_size=30), confirm_samples=st.integers(0, 12))
 def test_death_time_matches_window_loop(pattern, confirm_samples):
     # the cumulative-sum scan against the sample-by-sample window loop, on
-    # 0/1 concurrence patterns of lengths around the confirmation window
+    # 0/1 concurrence patterns of lengths around the confirmation window,
+    # the empty row included
     concs = np.where(pattern, 0.0, 1.0)
     times = 0.1 * np.arange(len(concs))
-    traj = _synthetic(times, np.zeros_like(times), concs)
-    if len(concs) == 0:
-        with pytest.raises(EmptyTrajectory):
-            entanglement_death_time(traj, confirm_samples=confirm_samples)
-        return
-    got = entanglement_death_time(traj, confirm_samples=confirm_samples)
+    got = _death_time(times, concs, confirm_samples=confirm_samples)
     assert got == death_time_loop(times, concs, ew.witness.CONCURRENCE_ZERO_TOL, confirm_samples)
 
 
