@@ -7,18 +7,19 @@ a Lorentzian coupling spectrum
 
 where ``lam`` is the spectral width, ``delta`` the detuning of the spectrum's
 center from the atomic transition frequency ``omega0``, and ``gamma0`` the
-Markovian decay rate in the flat-spectrum limit.  The reduced state obeys the
-second-order time-convolutionless master equation
+Markovian decay rate in the flat-spectrum limit and the unit of every rate
+here (``gamma0 = 1``).  The reduced state obeys the second-order
+time-convolutionless master equation
 
     d rho / dt = L_A rho + L_B rho,
     L_j rho = f_j(t) [S_j^- rho, S_j^+] + conj(f_j(t)) [S_j^-, rho S_j^+],
 
 with the zero-temperature correlation function
 
-    f_j(t) = gamma0 * lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t)).
+    f_j(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t)).
 
 A negative real part of ``f`` signals information backflow from the reservoir
-(non-Markovian regime, ``lam < 2 gamma0``).  Both terms are local,
+(non-Markovian regime, ``lam < 2``).  Both terms are local,
 phase-covariant amplitude dampings, so the equation is solved exactly by the
 tensor product of two single-qubit amplitude-damping channels with coherence
 factors ``u_j(t) = exp(-integral_0^t f_j)`` (Breuer & Petruccione, *The
@@ -36,8 +37,7 @@ error per row.  A sweep is one such batch; a single run
 (:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
-with atom A as the left (slow) tensor factor, |1> the excited state; all rates
-and times are expressed in units of ``gamma0`` (``gamma0 = 1`` by default).
+with atom A as the left (slow) tensor factor, |1> the excited state.
 
 All functions are pure; trajectories for different parameter sets may be
 computed fully in parallel.
@@ -52,38 +52,38 @@ import numpy as np
 from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
 from .numerics import flag_rows
 
-GAMMA0_DEFAULT = 1.0
 POPULATION_TOL = 1e-9
+QUADRATURE_NODES = 100_001   # odd, as Simpson's rule needs; doubling checks it on 2n - 1
+
+
+def is_finite(x) -> bool:
+    """``math.isfinite``, but False, not OverflowError, for an integer beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
 class ReservoirParams:
-    """Lorentzian reservoir parameters, all in units of ``gamma0``.
+    """Lorentzian reservoir parameters in units of ``gamma0``, the Markovian decay rate.
 
-    ``lam`` is the spectral width (> 0), ``delta`` the detuning (>= 0),
-    ``gamma0`` the Markovian decay rate (> 0, 1 by default).
+    ``lam`` is the spectral width (> 0), ``delta`` the detuning (>= 0).
     """
 
     lam: float
     delta: float = 0.0
-    gamma0: float = GAMMA0_DEFAULT
 
     def __post_init__(self):
-        for name in ("lam", "delta", "gamma0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationError(f"{name}: must be finite, got {v}")
-        if self.lam <= 0:
-            raise ValidationError(f"lam: must be > 0, got {self.lam}")
-        if self.gamma0 <= 0:
-            raise ValidationError(f"gamma0: must be > 0, got {self.gamma0}")
-        if self.delta < 0:
-            raise ValidationError(f"delta: must be >= 0, got {self.delta}")
+        if not (is_finite(self.lam) and self.lam > 0):
+            raise ValidationError(f"lam: must be finite and > 0, got {self.lam}")
+        if not (is_finite(self.delta) and self.delta >= 0):
+            raise ValidationError(f"delta: must be finite and >= 0, got {self.delta}")
 
     @property
     def scale(self) -> complex:
-        """Prefactor ``gamma0 lam / (2 (lam - i delta))`` of ``f``."""
-        return self.gamma0 * self.lam / (2.0 * (self.lam - 1j * self.delta))
+        """Prefactor ``lam / (2 (lam - i delta))`` of ``f``."""
+        return self.lam / (2.0 * (self.lam - 1j * self.delta))
 
     @property
     def z(self) -> complex:
@@ -146,7 +146,7 @@ class Trajectory:
 def correlation_f(r: ReservoirParams, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
 
-    ``f(t) = gamma0 lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
+    ``f(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
     the thermal counterpart ``k(t)`` vanishes identically at zero temperature.
     Accepts a scalar or an array of times ``t >= 0``.
     """
@@ -157,58 +157,45 @@ def correlation_f(r: ReservoirParams, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def correlation_f_quadrature(r: ReservoirParams, t: float,
-                             omega_window: float | None = None,
-                             n_points: int = 100_001) -> complex:
+def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
     """``f(t)`` by direct numerical integration over the Lorentzian spectrum.
 
     Evaluates ``i * integral J(omega) (1 - exp(i (omega0 - omega) t)) / (omega0 - omega) domega``
-    in the detuning variable ``x = omega0 - omega``, over an interval that
-    covers both the spectral peak at ``x = delta`` (within ``omega_window``,
-    which must span at least 50 widths) and the resonance feature at ``x = 0``.
-    The lower frequency limit is extended to minus infinity, matching the
-    closed form; this routine serves as an independent cross-check of
-    :func:`correlation_f`.
+    in the detuning variable ``x = omega0 - omega``, by Simpson's rule on
+    ``QUADRATURE_NODES`` uniform nodes, over an interval that covers both the
+    spectral peak at ``x = delta`` (within ``120 lam + 20``, so more than 50
+    widths) and the resonance feature at ``x = 0``.  The lower frequency
+    limit is extended to minus infinity, matching the closed form; this
+    routine serves as an independent cross-check of :func:`correlation_f`.
 
     Raises
     ------
     QuadratureUnconverged
-        if doubling ``n_points`` moves the result by more than 1e-5, or makes
-        it NaN.
+        if doubling the node count moves the result by more than 1e-5, or
+        makes it NaN.
     """
-    if not (math.isfinite(t) and t >= 0):
+    if not (is_finite(t) and t >= 0):
         raise ValidationError(f"t: must be finite and >= 0, got {t}")
-    if n_points < 1000:
-        raise ValidationError(f"n_points: must be >= 1000, got {n_points}")
-    if omega_window is None:
-        omega_window = 120.0 * r.lam + 20.0 * r.gamma0
-    if not (math.isfinite(omega_window) and omega_window >= 50.0 * r.lam):
-        raise ValidationError(f"omega_window: must be finite and span at least 50 widths "
-                              f"({50.0 * r.lam}), got {omega_window}")
-
-    from scipy.integrate import simpson  # only this cross-check needs scipy
-
-    n = n_points | 1                     # Simpson needs an odd node count
-    lo, hi = min(0.0, r.delta) - omega_window, max(0.0, r.delta) + omega_window
-    x = np.linspace(lo, hi, 2 * n - 1)
+    window = 120.0 * r.lam + 20.0
+    n = 2 * QUADRATURE_NODES - 1         # the doubled grid; every other node is the base grid
+    lo, hi = min(0.0, r.delta) - window, max(0.0, r.delta) + window
+    x = np.linspace(lo, hi, n)
     at_zero = x == 0.0
-    # built in place: every fresh temporary of 2n - 1 nodes costs page faults
+    # built in place: every fresh temporary of n nodes costs page faults
     integrand = np.multiply(x, 1j * t)
     np.exp(integrand, out=integrand)
     np.subtract(1.0, integrand, out=integrand)
     integrand /= np.where(at_zero, 1.0, x)
     integrand[at_zero] = -1j * t
     integrand /= (x - r.delta) ** 2 + r.lam ** 2
-    integrand *= 1j * r.gamma0 * r.lam ** 2 / (2.0 * np.pi)
-    spacing = (hi - lo) / (2 * n - 2)
+    integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
+    spacing = (hi - lo) / (n - 1)
 
-    def integrate(step: int) -> complex:
-        values = integrand[::step]
-        return complex(simpson(values.real, dx=step * spacing)
-                       + 1j * simpson(values.imag, dx=step * spacing))
+    def simpson(y, dx) -> complex:       # composite Simpson's rule on an odd node count
+        return complex(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
-    coarse = integrate(2)                # the n nodes of the coarse grid
-    fine = integrate(1)
+    coarse = simpson(integrand[::2], 2 * spacing)
+    fine = simpson(integrand, spacing)
     if not abs(fine - coarse) <= 1e-5:
         raise QuadratureUnconverged(
             f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")

@@ -1,17 +1,16 @@
 """Scenario configuration, built-in presets, runs, sweeps, and CSV output.
 
-Configs are flat YAML mappings; every quantity is in units of ``gamma0``.
+Configs are flat YAML mappings in units of ``gamma0`` (the unit, so not a key).
 """
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
-                       populations, sample_times)
+                       is_finite, populations, sample_times)
 from .errors import EntwitnessError, ParseError, ValidationError
 from .information import check_uncertainty, uncertainty_columns
 from .witness import WitnessReport, concurrence, witness_rows
@@ -22,45 +21,48 @@ _INTEGERS = (int, np.integer)
 _NUMBERS = (int, float, np.integer, np.floating)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite real number (Python or numpy, not a bool)."""
+    return isinstance(value, _NUMBERS) and not isinstance(value, bool) and is_finite(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one run; all rates/times in units of ``gamma0``.
 
     The only place where config values are checked: each must be a real
     number (Python or numpy, not a bool), finite and in range, and
-    ``sample_every`` an integer >= 1.
+    ``sample_every`` a finite integer >= 1.
     """
 
     lambda_a: float
     lambda_b: float
     t_max: float
-    gamma0: float = 1.0
     delta_a: float = 0.0
     delta_b: float = 0.0
     dt: float = 1e-2
     sample_every: int = 1
 
     def __post_init__(self):
-        for key in ("lambda_a", "lambda_b", "t_max", "gamma0", "delta_a", "delta_b", "dt"):
+        for key in ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, _NUMBERS) \
-                    or not math.isfinite(value):
+            if not _is_number(value):
                 raise ValidationError(f"{key}: must be a finite number, got {value!r}")
             object.__setattr__(self, key, float(value))
-        for key in ("lambda_a", "lambda_b", "t_max", "dt", "gamma0"):
+        for key in ("lambda_a", "lambda_b", "t_max", "dt"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key}: must be > 0, got {getattr(self, key)}")
         for key in ("delta_a", "delta_b"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
         every = self.sample_every
-        if isinstance(every, bool) or not isinstance(every, _INTEGERS) or every < 1:
-            raise ValidationError(f"sample_every: must be an integer >= 1, got {every!r}")
+        if not (_is_number(every) and isinstance(every, _INTEGERS)) or every < 1:
+            raise ValidationError(f"sample_every: must be a finite integer >= 1, got {every!r}")
         object.__setattr__(self, "sample_every", int(every))
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
-        return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a, gamma0=self.gamma0),
-                ReservoirParams(lam=self.lambda_b, delta=self.delta_b, gamma0=self.gamma0))
+        return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a),
+                ReservoirParams(lam=self.lambda_b, delta=self.delta_b))
 
 
 def _cfg(la, lb, da, db, t_max):
@@ -256,8 +258,8 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
     header = "lambda,delta,crossing_found,t_ew,c_ew_threshold,death_time,mu_series_max,error"
     lines = [header]
 
-    def opt(v):
-        return "" if v is None else (_fmt(v) if isinstance(v, (int, float)) else str(v))
+    def opt(v):  # a value a config accepts as the float it holds, any other as given
+        return "" if v is None else (_fmt(v) if _is_number(v) else str(v))
 
     for row in rows:
         if row.report is None:

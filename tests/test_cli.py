@@ -41,9 +41,14 @@ def test_run_subcommand_with_overrides(tmp_path):
 
 def test_run_validation_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("lambda_a: -1\nlambda_b: 0.1\nt_max: 10\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "lambda_a" in capsys.readouterr().err
+    # a negative width; an integer t_max beyond the float range; gamma0, the unit
+    for text, message in (("lambda_a: -1\nlambda_b: 0.1\nt_max: 10\n", "lambda_a"),
+                          ("lambda_a: 1\nlambda_b: 1\nt_max: 1" + "0" * 400 + "\n",
+                           "t_max: must be a finite number"),
+                          (GOOD_CONFIG + "gamma0: 1.0\n", "gamma0: unknown key")):
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_run_parse_error_exit_code(tmp_path):
@@ -152,8 +157,11 @@ def test_unknown_preset_rejected_by_argparse(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the quadrature cross-check and is imported inside it
-    code = "import sys, entwitness.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # scipy is a test-only dependency: neither the command line nor the
+    # quadrature cross-check of f(t) loads it
+    code = ("import sys, entwitness.cli, entwitness as ew; "
+            "ew.correlation_f_quadrature(ew.ReservoirParams(1.0), 1.0); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr

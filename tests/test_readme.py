@@ -1,5 +1,8 @@
+import dataclasses
 import re
 from pathlib import Path
+
+from entwitness import ScenarioConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,3 +12,12 @@ def test_readme_python_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_config_table_matches_schema():
+    # the key column of the config-file table, with `x_a/b` standing for x_a and x_b
+    section = README.read_text(encoding="utf-8").split("### Config file")[1].split("\n#")[0]
+    documented = []
+    for key in re.findall(r"^\| `(\w+(?:/b)?)` ", section, re.M):
+        documented += [key[:-2], key[:-3] + "b"] if key.endswith("/b") else [key]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))

@@ -34,6 +34,9 @@ def test_parse_config_unknown_key_rejected():
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\noutputs: [mu]\n")
     with pytest.raises(ValidationError, match="initial_state: unknown key"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ninitial_state: bell_phi_plus\n")
+    # every rate is in units of gamma0, so gamma0 is no key either
+    with pytest.raises(ValidationError, match="gamma0: unknown key"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ngamma0: 1.0\n")
 
 
 def test_parse_config_missing_required_key():
@@ -59,7 +62,6 @@ def test_parse_config_rejects_wrong_types():
 
 def test_parse_config_full_equals_preset():
     text = """
-gamma0: 1.0
 lambda_a: 0.1
 lambda_b: 0.1
 delta_a: 1.6
@@ -95,7 +97,7 @@ def test_presets_parameter_table():
     for preset_id, (la, lb, da, db) in expect.items():
         cfg = PRESETS[preset_id]
         assert (cfg.lambda_a, cfg.lambda_b, cfg.delta_a, cfg.delta_b) == (la, lb, da, db), preset_id
-        assert cfg.gamma0 == 1.0 and cfg.dt == 1e-2
+        assert cfg.dt == 1e-2
 
 
 def test_run_scenario_reference_preset(preset_run):
@@ -110,6 +112,11 @@ def test_scenario_config_rejects_bad_values():
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=-1.0)
     with pytest.raises(ValidationError, match="sample_every"):
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, sample_every=0)
+    # an integer beyond the float range is not finite, not an OverflowError
+    with pytest.raises(ValidationError, match="t_max: must be a finite number"):
+        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=10**400)
+    with pytest.raises(ValidationError, match="sample_every: must be a finite integer"):
+        ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, sample_every=10**400)
 
 
 def test_emit_csv_round_trip(tmp_path, preset_run):
@@ -187,7 +194,7 @@ def test_sweep_marks_failing_rows():
     assert rows[1].error is None and rows[1].report is not None
 
 
-def test_sweep_values_get_the_single_run_check():
+def test_sweep_values_get_the_single_run_check(tmp_path):
     # ScenarioConfig takes numpy scalars as the numbers they hold, and no bool
     cfg = ScenarioConfig(lambda_a=np.int64(1), lambda_b=np.float32(0.5), t_max=np.float64(1.0),
                          sample_every=np.int64(2))
@@ -202,10 +209,11 @@ def test_sweep_values_get_the_single_run_check():
     # marks its row as a single run of it would fail, numpy scalars and
     # arrays run like the floats they hold
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
-    rows = sweep([True, "abc", 0.5], [0.0], base)
+    rows = sweep([True, "abc", 10**400, 0.5], [0.0], base)
     assert rows[0].error == "ValidationError: lambda_a: must be a finite number, got True"
     assert rows[1].error == "ValidationError: lambda_a: must be a finite number, got 'abc'"
-    assert rows[2].error is None
+    assert rows[2].error.startswith("ValidationError: lambda_a: must be a finite number")
+    assert rows[3].error is None
     want = [row.report for row in sweep([1.0, 2.0], [0.0, 1.0], base)]
     for lambdas, deltas in ((np.array([1.0, 2.0]), np.array([0.0, 1.0])),
                             ([np.int64(1), np.int64(2)], [np.int64(0), np.float32(1.0)])):
@@ -213,6 +221,12 @@ def test_sweep_values_get_the_single_run_check():
         assert [row.report for row in rows] == want
     with pytest.raises(ValidationError, match="sweep grid"):
         sweep(np.array([]), None, base)
+    # the CSV writes every value a config accepts as the float it holds, and
+    # a rejected value as given
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep([1, np.int64(1), np.float32(1.0), True], None, base), out)
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
+        ["1.0", "1.0", "1.0", "True"]
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
