@@ -32,9 +32,10 @@ and every observable is an element-wise function of them
 The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
 holds the prefactor and exponent of ``f`` for G reservoirs as ``(G, 1)``
 columns, and :func:`populations` evaluates G reservoir pairs on one shared
-``(N,)`` grid (:func:`sample_times`) as ``(G, N)`` arrays, with a separate
-error per row.  A sweep is one such batch; a single run
-(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
+``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`) as
+``(G, N)`` arrays, with a separate error per row.  A sweep is one such batch;
+a single run (:func:`entwitness.scenario.run_scenario`) is the batch with
+``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state.
@@ -82,8 +83,8 @@ class ReservoirParams:
 
     @property
     def scale(self) -> complex:
-        """Prefactor ``lam / (2 (lam - i delta))`` of ``f``."""
-        return self.lam / (2.0 * (self.lam - 1j * self.delta))
+        """Prefactor ``lam / (2 (lam - i delta))`` of ``f``, halved last so no ``2 lam`` overflows."""
+        return 0.5 * (self.lam / (self.lam - 1j * self.delta))
 
     @property
     def z(self) -> complex:
@@ -123,16 +124,12 @@ class Trajectory:
 
     The excited populations ``p_a``, ``p_b`` and the derived columns ``mu``,
     ``lhs``, ``concurrence``, ``f_a`` and ``f_b`` hold one entry per sample
-    time in ``times``.  The generating reservoir parameters are kept so that
-    the exact populations, and so the witness crossing, can be evaluated
-    between samples.
+    time in ``times``.
     """
 
     times: np.ndarray
     p_a: np.ndarray
     p_b: np.ndarray
-    r_a: ReservoirParams
-    r_b: ReservoirParams
     mu: np.ndarray
     lhs: np.ndarray
     concurrence: np.ndarray
@@ -220,23 +217,6 @@ def excited_population(r, t):
     :func:`correlation_integral`.
     """
     return np.exp(-2.0 * correlation_integral(r, t).real)
-
-
-def sample_times(t_max: float, dt: float = 1e-2, sample_every: int = 1) -> np.ndarray:
-    """The sample grid ``k * dt * sample_every`` from 0 to ``t_max``.
-
-    ``t_max`` and ``dt`` are positive and ``sample_every`` >= 1, as a
-    :class:`entwitness.scenario.ScenarioConfig` holds them.  The grid lands
-    on ``t_max`` (the duration of the run), so ``t_max`` must be a whole
-    number of sample spacings ``dt * sample_every``, within 1e-9 relative.
-    """
-    spacing = dt * sample_every
-    n_samples = round(t_max / spacing)
-    if n_samples < 1 or abs(n_samples * spacing - t_max) > 1e-9 * t_max:
-        raise ValidationError(
-            f"t_max: must be a whole number of sample spacings dt * sample_every = "
-            f"{spacing:.6g}, got {t_max}")
-    return np.arange(0, n_samples * sample_every + 1, sample_every) * dt
 
 
 def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray):

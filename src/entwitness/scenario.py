@@ -10,13 +10,14 @@ import numpy as np
 import yaml
 
 from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
-                       is_finite, populations, sample_times)
+                       is_finite, populations)
 from .errors import EntwitnessError, ParseError, ValidationError
 from .information import check_uncertainty, uncertainty_columns
 from .witness import WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
+SWEEP_KEYS = ("crossing_found", "t_ew", "c_ew_threshold", "death_time", "mu_series_max")
 _INTEGERS = (int, np.integer)
 _NUMBERS = (int, float, np.integer, np.floating)
 
@@ -31,8 +32,9 @@ class ScenarioConfig:
     """Complete description of one run; all rates/times in units of ``gamma0``.
 
     The only place where config values are checked: each must be a real
-    number (Python or numpy, not a bool), finite and in range, and
-    ``sample_every`` a finite integer >= 1.
+    number (Python or numpy, not a bool), finite and in range,
+    ``sample_every`` a finite integer >= 1, and ``t_max`` a whole number of
+    sample spacings ``dt * sample_every``, so that any config built can run.
     """
 
     lambda_a: float
@@ -59,6 +61,18 @@ class ScenarioConfig:
         if not (_is_number(every) and isinstance(every, _INTEGERS)) or every < 1:
             raise ValidationError(f"sample_every: must be a finite integer >= 1, got {every!r}")
         object.__setattr__(self, "sample_every", int(every))
+        spacing = self.dt * self.sample_every
+        ratio = self.t_max / spacing
+        n_samples = round(ratio) if is_finite(ratio) else 0   # inf when dt is tiny against t_max
+        if n_samples < 1 or abs(n_samples * spacing - self.t_max) > 1e-9 * self.t_max:
+            raise ValidationError(
+                f"t_max: must be a whole number of sample spacings dt * sample_every = "
+                f"{spacing:.6g}, got {self.t_max}")
+
+    def sample_times(self) -> np.ndarray:
+        """The sample grid ``k * dt * sample_every`` from 0 to ``t_max``, which it lands on."""
+        n_samples = round(self.t_max / (self.dt * self.sample_every))
+        return np.arange(0, n_samples * self.sample_every + 1, self.sample_every) * self.dt
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a),
@@ -106,6 +120,8 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 _KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+_REQUIRED = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                  if f.default is dataclasses.MISSING)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -125,7 +141,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in raw:
         if key not in _KEYS:
             raise ValidationError(f"{key}: unknown key")
-    for required in ("lambda_a", "lambda_b", "t_max"):
+    for required in _REQUIRED:
         if required not in raw:
             raise ValidationError(f"{required}: required key missing")
     return ScenarioConfig(**raw)
@@ -158,14 +174,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     over the sampled excited populations.
     """
     r_a, r_b = cfg.reservoirs()
-    times = sample_times(cfg.t_max, cfg.dt, cfg.sample_every)
+    times = cfg.sample_times()
     columns, reports, errors = _run_batch([(r_a, r_b)], times)
     if errors[0] is not None:
         raise errors[0]
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
-    traj = Trajectory(times=times, p_a=p_a, p_b=p_b, r_a=r_a, r_b=r_b, mu=mu, lhs=lhs,
-                      concurrence=concs, f_a=correlation_f(r_a, times),
-                      f_b=correlation_f(r_b, times))
+    traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
+                      f_a=correlation_f(r_a, times), f_b=correlation_f(r_b, times))
     return traj, reports[0]
 
 
@@ -173,6 +188,15 @@ def _fmt(x) -> str:
     # repr of a float is the shortest string that round-trips exactly,
     # so it always carries >= 12 significant digits of information
     return repr(float(x))
+
+
+def _cell(value, none: str) -> str:
+    """A report value as written: ``none`` for None, true/false for a bool, else the float."""
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value)
 
 
 def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
@@ -184,18 +208,8 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
-    report_lines = []
-    for key in REPORT_KEYS:
-        v = getattr(report, key)
-        if v is None:
-            rendered = "none"
-        elif isinstance(v, bool):
-            rendered = "true" if v else "false"
-        else:
-            rendered = _fmt(v)
-        report_lines.append(f"{key}: {rendered}")
     with open(path + ".report", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+        fh.write("".join(f"{key}: {_cell(getattr(report, key), 'none')}\n" for key in REPORT_KEYS))
 
 
 @dataclass
@@ -239,14 +253,8 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
             except EntwitnessError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
             rows.append(row)
-    try:
-        times = sample_times(base.t_max, base.dt, base.sample_every)
-    except EntwitnessError as exc:                # the grid every valid row shares
-        results = [(None, exc)] * len(valid)
-    else:
-        _, reports, errors = _run_batch(pairs, times)
-        results = zip(reports, errors)
-    for row, (report, error) in zip(valid, results):
+    _, reports, errors = _run_batch(pairs, base.sample_times())
+    for row, report, error in zip(valid, reports, errors):
         row.report = report
         if error is not None:
             row.error = f"{type(error).__name__}: {error}"
@@ -255,23 +263,13 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
     """Write sweep rows as CSV (one witness report per row)."""
-    header = "lambda,delta,crossing_found,t_ew,c_ew_threshold,death_time,mu_series_max,error"
-    lines = [header]
+    lines = [",".join(("lambda", "delta", *SWEEP_KEYS, "error"))]
 
     def opt(v):  # a value a config accepts as the float it holds, any other as given
         return "" if v is None else (_fmt(v) if _is_number(v) else str(v))
 
     for row in rows:
-        if row.report is None:
-            lines.append(",".join([opt(row.lam), opt(row.delta), "", "", "", "", "",
-                                   row.error or ""]))
-        else:
-            r = row.report
-            lines.append(",".join([
-                opt(row.lam), opt(row.delta),
-                "true" if r.crossing_found else "false",
-                opt(r.t_ew), opt(r.c_ew_threshold), opt(r.death_time),
-                _fmt(r.mu_series_max), "",
-            ]))
+        report = [_cell(row.report and getattr(row.report, key), "") for key in SWEEP_KEYS]
+        lines.append(",".join([opt(row.lam), opt(row.delta), *report, row.error or ""]))
     with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -178,8 +178,9 @@ def test_criterion7_property_suite(preset_run):
     # the closed-form columns against the general-state oracle: exact channel
     # states of the Bell start on every sample, observables from eigensolvers
     worst_mu = worst_x = 0.0
-    for traj, _ in runs.values():
-        rhos = oracle.channel_states(oracle.bell_rho(), traj.r_a, traj.r_b, traj.times)
+    for preset_id, (traj, _) in runs.items():
+        rhos = oracle.channel_states(oracle.bell_rho(), *ew.PRESETS[preset_id].reservoirs(),
+                                     traj.times)
         mu, lhs, conc = oracle.observables(rhos)
         worst_mu = max(worst_mu, np.abs(mu - traj.mu).max(), np.abs(lhs - traj.lhs).max())
         worst_x = max(worst_x, np.abs(conc - traj.concurrence).max())

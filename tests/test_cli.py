@@ -109,14 +109,18 @@ def test_run_unphysical_population_exits_3(tmp_path, capsys, monkeypatch):
     "lambda_a: 0.1\nlambda_b: 0.1\nt_max: 2\ndt: 3\n",
     "lambda_a: 1\nlambda_b: 1\nt_max: 1\ndt: 0.3\n",
     "lambda_a: 5\nlambda_b: 5\ndelta_a: 1\ndelta_b: 1\nt_max: 0.5\nsample_every: 30\n",
+    "lambda_a: 1\nlambda_b: 1\nt_max: 1\ndt: 1.0e-320\n",
 ])
 def test_run_rejects_t_max_off_the_sample_grid(tmp_path, capsys, text):
+    # the config is rejected as it is parsed, so a sweep on it writes no CSV either
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     out = tmp_path / "x.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "t_max" in capsys.readouterr().err
-    assert not out.exists()
+    for command in (["run"], ["sweep", "--lambda", "1"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "t_max" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -8,7 +8,6 @@ import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
-from entwitness.dynamics import sample_times
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, random_density,
                       rk4_states)
@@ -16,7 +15,8 @@ from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_
 
 def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
     """The sample grid of a run and the exact excited populations ``p_A``, ``p_B`` on it."""
-    times = sample_times(t_max, dt, sample_every)
+    times = ScenarioConfig(lambda_a=r_a.lam, lambda_b=r_b.lam, t_max=t_max, dt=dt,
+                           sample_every=sample_every).sample_times()
     return times, excited_population(r_a, times), excited_population(r_b, times)
 
 
@@ -140,9 +140,10 @@ def test_liouvillian_traceless_and_hermiticity_preserving():
 
 def test_bell_initial_state():
     # the run starts undecayed (p_A = p_B = 1), which is the pure Bell state
-    traj, _ = run_scenario(ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_b=2.0, t_max=1.0))
+    cfg = ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_b=2.0, t_max=1.0)
+    traj, _ = run_scenario(cfg)
     assert traj.times[0] == 0.0 and traj.p_a[0] == 1.0 and traj.p_b[0] == 1.0
-    rho = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times[:1])[0]
+    rho = channel_states(bell_rho(), *cfg.reservoirs(), traj.times[:1])[0]
     assert np.allclose(rho, bell_rho(), atol=0)
     assert np.trace(rho) == pytest.approx(1.0, abs=0)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-15)
@@ -157,13 +158,16 @@ def test_propagate_single_tiny_step_is_identity():
 
 def test_propagate_markovian_limit_population_decay():
     # flat-spectrum limit: the doubly-excited population p_A p_B of an
-    # initial |11> decays as exp(-2 t)
-    r = ReservoirParams(lam=300.0)
-    _, p_a, p_b = _populations(r, r, t_max=3.0, dt=1e-3)
-    for t_probe in (0.1, 1.0, 3.0):
-        idx = int(round(t_probe / 1e-3))
-        pop = p_a[idx] * p_b[idx]
-        assert pop == pytest.approx(np.exp(-2.0 * t_probe), rel=2e-2)
+    # initial |11> decays as exp(-2 t), also at the largest widths a float holds
+    for r in (ReservoirParams(lam=300.0), ReservoirParams(lam=1e308)):
+        times, p_a, p_b = _populations(r, r, t_max=3.0, dt=1e-3)
+        for t_probe in (0.1, 1.0, 3.0):
+            idx = int(round(t_probe / 1e-3))
+            pop = p_a[idx] * p_b[idx]
+            assert pop == pytest.approx(np.exp(-2.0 * t_probe), rel=2e-2)
+    # at the largest width the prefactor is 1/2 and the decay exactly Markovian
+    p = excited_population(ReservoirParams(1e308), times)
+    assert np.abs(p - np.exp(-times)).max() < 1e-15
 
 
 def test_propagate_matches_exact_channel_solution():
@@ -205,7 +209,7 @@ def test_propagate_preserves_trace_and_hermiticity(preset_run):
     # the oracle's exact states on the preset grid are unit-trace and
     # Hermitian, and their diagonals are the closed-form populations
     traj, _ = preset_run("fig1a_d0")
-    rhos = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times)
+    rhos = channel_states(bell_rho(), *ew.PRESETS["fig1a_d0"].reservoirs(), traj.times)
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-6
     assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-8
     assert np.abs(rhos[:, 3, 3].real - 0.5 * traj.p_a * traj.p_b).max() < 1e-15
@@ -250,7 +254,8 @@ def test_propagate_step_halving_leaves_mu_unchanged(preset_run):
 
 
 def test_propagate_sampling_stride():
-    times = sample_times(1.0, dt=1e-2, sample_every=10)
+    times = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=1e-2,
+                           sample_every=10).sample_times()
     assert len(times) == 11
     assert np.allclose(np.diff(times), 0.1)
 
@@ -300,15 +305,17 @@ def test_propagate_validates_arguments():
     (1.0, 3.0, 1),     # no step fits
     (1.0, 0.3, 1),     # the grid would stop at 0.9
     (0.5, 0.01, 30),   # the last sample would be 0.3
+    (1.0, 1e-320, 1),  # t_max / dt overflows: no float counts the samples
 ])
 def test_propagate_rejects_grid_missing_t_max(t_max, dt, sample_every):
-    cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=t_max, dt=dt, sample_every=sample_every)
+    # the config itself holds the grid rule, so no run is ever off its grid
     with pytest.raises(ValidationError, match="t_max"):
-        run_scenario(cfg)
+        ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=t_max, dt=dt, sample_every=sample_every)
 
 
 def test_propagate_grid_lands_on_t_max():
     traj, _ = run_scenario(ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.7, dt=0.1))
     assert len(traj) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
-    assert np.allclose(sample_times(0.6, dt=0.01, sample_every=30), [0.0, 0.3, 0.6], atol=1e-15)
+    grid = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.6, dt=0.01, sample_every=30)
+    assert np.allclose(grid.sample_times(), [0.0, 0.3, 0.6], atol=1e-15)
 

@@ -150,9 +150,8 @@ def test_emit_csv_refuses_underived_trajectory():
     # emit_csv only ever sees a run's trajectory: one without its derived
     # columns cannot be built, and no run has fewer than two samples
     times = np.array([0.0, 0.1])
-    r = ew.ReservoirParams(0.1)
     with pytest.raises(TypeError, match="mu"):
-        ew.Trajectory(times=times, p_a=times, p_b=times, r_a=r, r_b=r)
+        ew.Trajectory(times=times, p_a=times, p_b=times)
     with pytest.raises(ValidationError, match="t_max"):
         run_scenario(ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.004))
 

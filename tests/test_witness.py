@@ -102,7 +102,7 @@ def test_x_state_agrees_with_general_along_preset(preset_run):
     # the closed-form column against the oracle's exact states at every sample,
     # read through the X-state formula and through the general spectral route
     traj, _ = preset_run("fig1a_d0")
-    rhos = channel_states(bell_rho(), traj.r_a, traj.r_b, traj.times)
+    rhos = channel_states(bell_rho(), *ew.PRESETS["fig1a_d0"].reservoirs(), traj.times)
     assert np.abs(concurrence_x_state(rhos) - traj.concurrence).max() < 1e-8
     assert np.abs(oracle.concurrence(rhos) - traj.concurrence).max() < 1e-8
 
@@ -185,8 +185,7 @@ def test_witness_report_empty_trajectory():
         run_scenario(ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.04, dt=0.1))
     times = np.array([0.0, 0.1])
     with pytest.raises(TypeError, match="mu"):
-        Trajectory(times=times, p_a=times, p_b=times, r_a=ReservoirParams(1.0),
-                   r_b=ReservoirParams(1.0))
+        Trajectory(times=times, p_a=times, p_b=times)
 
 
 def test_death_time_none_for_constant_bell():
