@@ -54,7 +54,9 @@ from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
 from .numerics import flag_rows
 
 POPULATION_TOL = 1e-9
-QUADRATURE_NODES = 100_001   # odd, as Simpson's rule needs; doubling checks it on 2n - 1
+# Node counts of the quadrature's nested Simpson grids: each odd, as Simpson's
+# rule needs, and every other node of a rung is the rung below it.
+QUADRATURE_LADDER = tuple(3125 * 2**k + 1 for k in range(7))   # 3 126 ... 200 001
 
 
 def is_finite(x) -> bool:
@@ -145,12 +147,13 @@ def correlation_f(r: ReservoirParams, t):
 
     ``f(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
     the thermal counterpart ``k(t)`` vanishes identically at zero temperature.
-    Accepts a scalar or an array of times ``t >= 0``.
+    Accepts a scalar or an array of times ``t >= 0``.  Where ``z t``
+    overflows, ``exp(z t)`` is taken as 0 (see :func:`_finite_or_zero`).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValidationError(f"t: must be >= 0, got {t.min()}")
-    out = r.scale * (1.0 - np.exp(r.z * t))
+    out = r.scale * (1.0 - _finite_or_zero(r.z, t, np.exp))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -159,53 +162,81 @@ def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
 
     Evaluates ``i * integral J(omega) (1 - exp(i (omega0 - omega) t)) / (omega0 - omega) domega``
     in the detuning variable ``x = omega0 - omega``, by Simpson's rule on
-    ``QUADRATURE_NODES`` uniform nodes, over an interval that covers both the
-    spectral peak at ``x = delta`` (within ``120 lam + 20``, so more than 50
-    widths) and the resonance feature at ``x = 0``.  The lower frequency
-    limit is extended to minus infinity, matching the closed form; this
-    routine serves as an independent cross-check of :func:`correlation_f`.
+    uniform nodes over an interval that covers both the spectral peak at
+    ``x = delta`` (within ``120 lam + 20``, so more than 50 widths) and the
+    resonance feature at ``x = 0``.  The lower frequency limit is extended to
+    minus infinity, matching the closed form; this routine serves as an
+    independent cross-check of :func:`correlation_f`.
+
+    The node counts climb the nested ladder ``QUADRATURE_LADDER``
+    (``3125 * 2**k + 1`` for ``k = 0 .. 6``), starting at the coarsest rung
+    whose spacing is at most ``min(lam / 4, 1 / t)``: 8 nodes across the
+    peak's full width and 2 pi nodes per period of ``exp(i x t)``, so that no
+    rung aliases the oscillation.  On each rung the result on all nodes is
+    compared with the result on every other node; it is returned once the two
+    agree within 1e-5, else the next rung is tried.
 
     Raises
     ------
     QuadratureUnconverged
-        if doubling the node count moves the result by more than 1e-5, or
-        makes it NaN.
+        if on the top rung (200 001 nodes) the result on every other node
+        differs from it by more than 1e-5, or either is NaN.
     """
     if not (is_finite(t) and t >= 0):
         raise ValidationError(f"t: must be finite and >= 0, got {t}")
     window = 120.0 * r.lam + 20.0
-    n = 2 * QUADRATURE_NODES - 1         # the doubled grid; every other node is the base grid
     lo, hi = min(0.0, r.delta) - window, max(0.0, r.delta) + window
-    x = np.linspace(lo, hi, n)
-    at_zero = x == 0.0
-    # built in place: every fresh temporary of n nodes costs page faults
-    integrand = np.multiply(x, 1j * t)
-    np.exp(integrand, out=integrand)
-    np.subtract(1.0, integrand, out=integrand)
-    integrand /= np.where(at_zero, 1.0, x)
-    integrand[at_zero] = -1j * t
-    integrand /= (x - r.delta) ** 2 + r.lam ** 2
-    integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
-    spacing = (hi - lo) / (n - 1)
+    spacings = [(hi - lo) / (n - 1) for n in QUADRATURE_LADDER]
+    start = next((k for k, h in enumerate(spacings) if h <= r.lam / 4 and h * t <= 1),
+                 len(spacings) - 1)
+    for n in QUADRATURE_LADDER[start:]:
+        x = np.linspace(lo, hi, n)
+        at_zero = x == 0.0
+        # built in place: every fresh temporary of n nodes costs page faults
+        integrand = np.multiply(x, 1j * t)
+        np.exp(integrand, out=integrand)
+        np.subtract(1.0, integrand, out=integrand)
+        integrand /= np.where(at_zero, 1.0, x)
+        integrand[at_zero] = -1j * t
+        integrand /= (x - r.delta) ** 2 + r.lam ** 2
+        integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
+        spacing = (hi - lo) / (n - 1)
+        coarse = _simpson(integrand[::2], 2 * spacing)
+        fine = _simpson(integrand, spacing)
+        if abs(fine - coarse) <= 1e-5:
+            return fine
+    raise QuadratureUnconverged(
+        f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
 
-    def simpson(y, dx) -> complex:       # composite Simpson's rule on an odd node count
-        return complex(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
-    coarse = simpson(integrand[::2], 2 * spacing)
-    fine = simpson(integrand, spacing)
-    if not abs(fine - coarse) <= 1e-5:
-        raise QuadratureUnconverged(
-            f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
-    return fine
+def _simpson(y, dx) -> complex:
+    """Composite Simpson's rule on an odd node count."""
+    return complex(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
 
 def correlation_integral(r, t):
     """Closed form of ``integral_0^t f(s) ds``.
 
     ``r`` is a :class:`ReservoirParams` (scalar or array ``t``) or
-    :class:`ReservoirColumns` that broadcast against ``t``.
+    :class:`ReservoirColumns` that broadcast against ``t``.  Where ``z t``
+    overflows, ``expm1(z t) / z`` is taken as 0 (see :func:`_finite_or_zero`).
     """
-    return r.scale * (t - np.expm1(r.z * t) / r.z)
+    return r.scale * (t - _finite_or_zero(r.z, t, lambda zt: np.expm1(zt) / r.z))
+
+
+def _finite_or_zero(z, t, term):
+    """``term(z t)`` where ``z t`` is finite, else 0, with no overflow warning.
+
+    ``z t`` overflows only at a width or detuning near the float limit, where
+    ``|z| t > 1.7e308``.  As ``|exp(z t)| = exp(-lam t)`` and
+    ``|scale| = lam / (2 |z|)``, the dropped ``scale exp(z t)`` of ``f`` is
+    at most ``lam t exp(-lam t) / (2 |z| t) < 1e-308``, and the dropped
+    ``scale expm1(z t) / z`` of its integral at most ``1 / |z| < 1e-308 t``.
+    Finite ``z t`` gives the same bits as ``term(z * t)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        zt = z * t
+        return np.where(np.isfinite(zt), term(zt), 0.0)
 
 
 def excited_population(r, t):

@@ -1,13 +1,15 @@
 """Scenario configuration, built-in presets, runs, sweeps, and CSV output.
 
 Configs are flat YAML mappings in units of ``gamma0`` (the unit, so not a key).
+PyYAML is imported only when a config is parsed.
 """
 
 import dataclasses
+import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
                        is_finite, populations)
@@ -124,14 +126,36 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
                   if f.default is dataclasses.MISSING)
 
 
+@functools.cache
+def _config_loader():
+    """PyYAML's safe loader, plus plain scalars with an exponent (``1e-3``) read as floats.
+
+    YAML 1.1, which PyYAML follows, takes a float to need a ``.`` and a signed
+    exponent, so ``1e-3``, ``2E5`` or ``1.0e308`` would load as strings.
+    Integers and quoted strings load as before.
+    """
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."))
+    return Loader
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat YAML mapping into a validated config with defaults applied.
 
     Unknown and missing required keys are rejected here, and each value is
     checked by :class:`ScenarioConfig`; error messages name the offending key.
     """
+    import yaml
+
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
     if raw is None:

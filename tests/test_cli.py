@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entwitness.cli
-from entwitness import NotDensityMatrix
+from entwitness import NotDensityMatrix, parse_config, run_scenario
 from entwitness.cli import main
 from entwitness.scenario import CSV_HEADER
 
@@ -170,6 +171,50 @@ def test_cli_import_leaves_scipy_unloaded():
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_preset_leaves_yaml_unloaded(tmp_path):
+    # PyYAML is imported only to parse a config file
+    code = ("import sys, entwitness.cli; "
+            f"assert entwitness.cli.main(['preset', 'fig1b_l5', '--tmax', '0.5', "
+            f"'--out', {str(tmp_path / 'p.csv')!r}]) == 0; "
+            "print('yaml' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_run_accepts_exponent_floats(tmp_path):
+    # YAML 1.1 reads 1e-3 as a string; the config loader reads it as the float
+    outputs = []
+    for dt in ("1e-3", "0.001"):
+        cfg = tmp_path / f"{dt}.yaml"
+        cfg.write_text(f"lambda_a: 0.1\nlambda_b: 0.1\nt_max: 1\ndt: {dt}\n")
+        out = tmp_path / f"{dt}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{dt}.csv.report").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", [
+    "lambda_a: 1.0e+308\nlambda_b: 1.0e+308\nt_max: 3\n",
+    "lambda_a: 1.0\nlambda_b: 1.0\ndelta_a: 1.0e+308\nt_max: 3\n",
+])
+def test_run_at_rates_near_the_float_limit(tmp_path, text):
+    # z t overflows on these grids: the run neither warns nor fails
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "entwitness", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, _ = run_scenario(parse_config(text))
+    for p in (traj.p_a, traj.p_b):
+        assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_module_entry_point(tmp_path):

@@ -109,6 +109,27 @@ def test_quadrature_validates_window_and_nodes():
         correlation_f_quadrature(r, 1e308)
 
 
+@settings(max_examples=25, deadline=None)
+@given(log_lam=st.floats(np.log(0.05), np.log(5.0)), delta=st.floats(0.0, 4.0),
+       t=st.floats(0.0, 50.0))
+def test_quadrature_matches_closed_form_on_criterion7_ranges(log_lam, delta, t):
+    # widths log-uniform over the criterion's range: each point settles on
+    # some rung of the node ladder (QuadratureUnconverged would fail the test)
+    r = ReservoirParams(float(np.exp(log_lam)), delta)
+    assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+
+
+@pytest.mark.parametrize("periods", [3125, 6250])
+def test_quadrature_does_not_alias_the_oscillation(periods):
+    # lam = 1 spans x in [-140, 140], so the 3 126-node rung and its
+    # every-other subgrid sample exp(i x t) at one phase: pi for 3125, where
+    # the two sums differ, and 0 for 6250, where the integrand vanishes on
+    # every node and both sums agree on 0.  The start rung resolves 1 / t.
+    r = ReservoirParams(1.0)
+    t = 2 * np.pi * periods / 280
+    assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+
+
 def test_liouvillian_annihilates_ground_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0

@@ -60,6 +60,17 @@ def test_parse_config_rejects_wrong_types():
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\nsample_every: 1.5\n")
 
 
+def test_parse_config_reads_exponent_spellings_as_floats():
+    # sample_every still loads as an integer: a float 5.0 would be rejected
+    for text, value in (("1e-3", 1e-3), ("2E5", 2e5), ("1e+308", 1e308), ("1.0e308", 1e308)):
+        cfg = parse_config(f"lambda_a: {text}\nlambda_b: 0.1\nt_max: 10\nsample_every: 5\n")
+        assert cfg.lambda_a == value and cfg.sample_every == 5
+    # a quoted number is a string, and no config value
+    for quoted in ("'1e-3'", '"1e-3"', "'0.001'"):
+        with pytest.raises(ValidationError, match="dt: must be a finite number"):
+            parse_config(f"lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ndt: {quoted}\n")
+
+
 def test_parse_config_full_equals_preset():
     text = """
 lambda_a: 0.1
@@ -191,6 +202,14 @@ def test_sweep_marks_failing_rows():
     rows = sweep([-1.0, 0.1], None, base)
     assert rows[0].error is not None and "lambda" in rows[0].error
     assert rows[1].error is None and rows[1].report is not None
+
+
+def test_sweep_row_at_a_detuning_near_the_float_limit_is_not_flagged():
+    # z t overflows from t = 1.8 on: that detuning leaves the atoms undamped
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=3.0)
+    rows = sweep(None, [1.0, 1e308], base)
+    assert [row.error for row in rows] == [None, None]
+    assert rows[1].report.crossing_found is False
 
 
 def test_sweep_values_get_the_single_run_check(tmp_path):
