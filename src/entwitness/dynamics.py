@@ -54,9 +54,10 @@ from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
 from .numerics import flag_rows
 
 POPULATION_TOL = 1e-9
-# Node counts of the quadrature's nested Simpson grids: each odd, as Simpson's
-# rule needs, and every other node of a rung is the rung below it.
-QUADRATURE_LADDER = tuple(3125 * 2**k + 1 for k in range(7))   # 3 126 ... 200 001
+# Node counts of the quadrature's nested Simpson grids: each rung and every
+# other node of it odd, as Simpson's rule needs (3128 = 4 * 782), and every
+# other node of a rung is the rung below it.
+QUADRATURE_LADDER = tuple(3128 * 2**k + 1 for k in range(7))   # 3 129 ... 200 193
 
 
 def is_finite(x) -> bool:
@@ -169,42 +170,68 @@ def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
     independent cross-check of :func:`correlation_f`.
 
     The node counts climb the nested ladder ``QUADRATURE_LADDER``
-    (``3125 * 2**k + 1`` for ``k = 0 .. 6``), starting at the coarsest rung
-    whose spacing is at most ``min(lam / 4, 1 / t)``: 8 nodes across the
-    peak's full width and 2 pi nodes per period of ``exp(i x t)``, so that no
-    rung aliases the oscillation.  On each rung the result on all nodes is
-    compared with the result on every other node; it is returned once the two
-    agree within 1e-5, else the next rung is tried.
+    (``3128 * 2**k + 1`` for ``k = 0 .. 6``, so 3 129 to 200 193: every rung
+    and every other node of it is an odd count, as Simpson's rule needs),
+    starting at the coarsest rung whose spacing is at most
+    ``min(lam / 4, 1 / t)``: 8 nodes across the peak's full width and 2 pi
+    nodes per period of ``exp(i x t)``, so that no rung aliases the
+    oscillation.  On each rung the result on all nodes is compared with the
+    result on every other node; it is returned once the two agree within
+    1e-5, else the next rung is tried.
+
+    On a rung of ``n`` nodes ``x_k = lo + k h``, ``exp(i x t)`` is the
+    product ``exp(i x_{j b} t) exp(i m h t)`` of two tables of ``b`` exps,
+    ``k = j b + m`` with ``b = isqrt(n) + 1``.  Its phase error, about
+    ``eps |lo| t``, is harmless where ``|x| t > 1``.  On the nodes within
+    ``1 / t`` of ``x = 0``, where ``1 - exp(i x t)`` cancels before the
+    division by ``x``, ``exp(i x t)`` is evaluated directly, and at ``x = 0``
+    the limit ``-i t`` of ``(1 - exp(i x t)) / x`` is used.
 
     Raises
     ------
     QuadratureUnconverged
-        if on the top rung (200 001 nodes) the result on every other node
-        differs from it by more than 1e-5, or either is NaN.
+        if ``lam**2`` or the integrand's denominator overflows on the
+        interval, or ``x t`` does, before any grid is built; or if on the top
+        rung the result on every other node differs from it by more than
+        1e-5, or either is NaN.
     """
     if not (is_finite(t) and t >= 0):
         raise ValidationError(f"t: must be finite and >= 0, got {t}")
     window = 120.0 * r.lam + 20.0
     lo, hi = min(0.0, r.delta) - window, max(0.0, r.delta) + window
-    spacings = [(hi - lo) / (n - 1) for n in QUADRATURE_LADDER]
+    lam2, span = r.lam * r.lam, hi - lo
+    # |x - delta| and |x| are at most span on the interval, so the
+    # denominator ((x - delta)**2 + lam**2) x is at most this bound
+    if not (is_finite(span * t) and is_finite((span * span + lam2) * span)):
+        raise QuadratureUnconverged(
+            f"the integrand overflows on [{lo:g}, {hi:g}] at lam = {r.lam:g}, t = {t:g}")
+    spacings = [span / (n - 1) for n in QUADRATURE_LADDER]
     start = next((k for k, h in enumerate(spacings) if h <= r.lam / 4 and h * t <= 1),
                  len(spacings) - 1)
-    for n in QUADRATURE_LADDER[start:]:
+    reach = 1.0 / t if t > 0 else math.inf
+    for n, h in zip(QUADRATURE_LADDER[start:], spacings[start:]):
         x = np.linspace(lo, hi, n)
-        at_zero = x == 0.0
+        b = math.isqrt(n) + 1
         # built in place: every fresh temporary of n nodes costs page faults
-        integrand = np.multiply(x, 1j * t)
-        np.exp(integrand, out=integrand)
-        np.subtract(1.0, integrand, out=integrand)
-        integrand /= np.where(at_zero, 1.0, x)
-        integrand[at_zero] = -1j * t
-        integrand /= (x - r.delta) ** 2 + r.lam ** 2
-        integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
-        spacing = (hi - lo) / (n - 1)
-        coarse = _simpson(integrand[::2], 2 * spacing)
-        fine = _simpson(integrand, spacing)
+        g = np.multiply.outer(np.exp(x[::b] * (1j * t)),
+                              np.exp(np.arange(b) * (h * t) * 1j)).ravel()[:n]
+        near = slice(*np.searchsorted(x, (-reach, reach)))
+        g[near] = np.exp(x[near] * (1j * t))
+        np.subtract(1.0, g, out=g)
+        w = np.subtract(x, r.delta)
+        w *= w
+        w += lam2
+        w *= x
+        zero = near.start + np.flatnonzero(x[near] == 0.0)
+        w[zero] = np.inf
+        np.divide(lam2 / (2.0 * np.pi), w, out=w)
+        g *= w
+        q = r.delta / r.lam   # the limit in this form has no 0 / 0 where lam**2 underflows
+        g[zero] = -1j * t / (2.0 * np.pi) / (q * q + 1.0)
+        # g is the integrand over i: the gate compares |i fine - i coarse|
+        fine, coarse = _simpson(g, h), _simpson(g[::2], 2 * h)
         if abs(fine - coarse) <= 1e-5:
-            return fine
+            return 1j * fine
     raise QuadratureUnconverged(
         f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
 

@@ -13,7 +13,9 @@ Two oracles check the closed forms of the package:
   knows nothing of the X-state structure the package's formulas rest on.
 
 A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
-through ``run_scenario``, against which the batched sweep is compared.
+through ``run_scenario``, against which the batched sweep is compared, and
+:func:`quadrature_direct` evaluates the f(t) quadrature with one ``np.exp``
+per node, against which the two-table phase of the package is compared.
 
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
 checks name the first offending sample; a matrix that is not Hermitian, or
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entwitness import (EntwitnessError, NotDensityMatrix, SweepRow, ValidationError,
-                        correlation_f, run_scenario)
-from entwitness.dynamics import correlation_integral
+from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged, SweepRow,
+                        ValidationError, correlation_f, run_scenario)
+from entwitness.dynamics import QUADRATURE_LADDER, _simpson, correlation_integral
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -345,3 +347,32 @@ def sweep_loop(lambdas, deltas, base):
                 rows.append(SweepRow(lam=lam, delta=delta, report=None,
                                      error=f"{type(exc).__name__}: {exc}"))
     return rows
+
+
+def quadrature_direct(r, t: float) -> complex:
+    """``correlation_f_quadrature`` with ``exp(i x t)`` evaluated at each node.
+
+    The same interval, node ladder, start rung and 1e-5 node-doubling gate,
+    with the integrand evaluated as written: one ``np.exp`` per node, the
+    limit ``-i t`` of ``(1 - exp(i x t)) / x`` at ``x = 0``, and two complex
+    divisions.
+    """
+    window = 120.0 * r.lam + 20.0
+    lo, hi = min(0.0, r.delta) - window, max(0.0, r.delta) + window
+    spacings = [(hi - lo) / (n - 1) for n in QUADRATURE_LADDER]
+    start = next((k for k, h in enumerate(spacings) if h <= r.lam / 4 and h * t <= 1),
+                 len(spacings) - 1)
+    for n in QUADRATURE_LADDER[start:]:
+        x = np.linspace(lo, hi, n)
+        at_zero = x == 0.0
+        integrand = 1.0 - np.exp(x * (1j * t))
+        integrand /= np.where(at_zero, 1.0, x)
+        integrand[at_zero] = -1j * t
+        integrand /= (x - r.delta) ** 2 + r.lam ** 2
+        integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
+        spacing = (hi - lo) / (n - 1)
+        fine, coarse = _simpson(integrand, spacing), _simpson(integrand[::2], 2 * spacing)
+        if abs(fine - coarse) <= 1e-5:
+            return fine
+    raise QuadratureUnconverged(
+        f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")

@@ -2,15 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
+from entwitness.dynamics import QUADRATURE_LADDER, _simpson
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
-                      channel_states, liouvillian_apply, partial_trace, random_density,
-                      rk4_states)
+                      channel_states, liouvillian_apply, partial_trace, quadrature_direct,
+                      random_density, rk4_states)
 
 
 def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
@@ -103,10 +104,48 @@ def test_quadrature_validates_window_and_nodes():
     for t in (np.nan, np.inf, -1.0, 10**400):
         with pytest.raises(ValidationError, match="t: "):
             correlation_f_quadrature(r, t)
-    # x t overflows to inf on most nodes, so both sums are NaN: the
-    # node-doubling gate must not let a NaN through as converged
-    with np.errstate(all="ignore"), pytest.raises(QuadratureUnconverged):
-        correlation_f_quadrature(r, 1e308)
+    # x t, or lam**2 and the integrand's denominator, overflow on the
+    # interval: rejected before a grid is built, with no RuntimeWarning
+    for lam, t in ((1.0, 1e308), (1e300, 1.0)):
+        with pytest.raises(QuadratureUnconverged, match="overflows"):
+            correlation_f_quadrature(ReservoirParams(lam), t)
+
+
+def test_quadrature_at_a_width_whose_square_underflows():
+    # lam**2 is 0, so the x = 0 limit must not divide 0 by 0; that node
+    # alone is nonzero, and at this t the two sums agree within 1e-5
+    r = ReservoirParams(1e-170)
+    assert abs(correlation_f_quadrature(r, 0.1) - correlation_f(r, 0.1)) < 1e-4
+
+
+def test_quadrature_ladder_rungs_and_halves_are_odd_for_simpson():
+    for n in QUADRATURE_LADDER:
+        for nodes in (n, (n + 1) // 2):   # the rung and every other node of it
+            assert nodes % 2 == 1
+            # Simpson's rule is exact for a cubic on [0, 1]
+            x = np.linspace(0.0, 1.0, nodes)
+            exact = 1 / 4 - 2 / 3 + 1 / 2 + 1
+            assert abs(_simpson(x**3 - 2 * x**2 + x + 1, 1 / (nodes - 1)) - exact) < 1e-13
+    assert all(2 * a - 1 == b for a, b in zip(QUADRATURE_LADDER, QUADRATURE_LADDER[1:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_lam=st.floats(np.log(0.05), np.log(5.0)), delta=st.floats(0.0, 4.0),
+       t=st.floats(0.0, 50.0))
+@example(log_lam=np.log(0.05), delta=0.0, t=0.5)
+@example(log_lam=np.log(0.05), delta=0.0, t=5.0)
+def test_quadrature_two_table_phase_matches_direct_exp(log_lam, delta, t):
+    # the fast path against one np.exp per node: the same rung, within 1e-9.
+    # The examples put a node 3.6e-15 from x = 0, where a table phase
+    # divided by x would move the sum by 5e-6 or stop it converging.
+    r = ReservoirParams(float(np.exp(log_lam)), delta)
+    try:
+        direct = quadrature_direct(r, t)
+    except QuadratureUnconverged:
+        with pytest.raises(QuadratureUnconverged):
+            correlation_f_quadrature(r, t)
+    else:
+        assert abs(correlation_f_quadrature(r, t) - direct) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,14 +158,17 @@ def test_quadrature_matches_closed_form_on_criterion7_ranges(log_lam, delta, t):
     assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
 
 
-@pytest.mark.parametrize("periods", [3125, 6250])
-def test_quadrature_does_not_alias_the_oscillation(periods):
-    # lam = 1 spans x in [-140, 140], so the 3 126-node rung and its
-    # every-other subgrid sample exp(i x t) at one phase: pi for 3125, where
-    # the two sums differ, and 0 for 6250, where the integrand vanishes on
-    # every node and both sums agree on 0.  The start rung resolves 1 / t.
-    r = ReservoirParams(1.0)
-    t = 2 * np.pi * periods / 280
+@pytest.mark.parametrize("turns", [1, 2])
+def test_quadrature_does_not_alias_the_oscillation(turns):
+    # lam = 1 and delta = h = 280 / 3127 span x in [-140, 140 + h], so the
+    # 3 129-node rung has spacing h and no node on x = 0 (140 / h = 1563.5).
+    # At t = 2 pi turns / h, exp(i x t) is the same on every node of that
+    # rung: -1 for 1 turn, where the two sums differ, and 1 for 2 turns,
+    # where the integrand vanishes and both sums agree on 0.  The start rung
+    # resolves 1 / t.
+    h = 280 / 3127
+    r = ReservoirParams(1.0, h)
+    t = 2 * np.pi * turns / h
     assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 
 import numpy as np
@@ -175,6 +176,22 @@ def test_emit_csv_deterministic(tmp_path):
         emit_csv(traj, report, out)
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.csv.report").read_bytes() == (tmp_path / "b.csv.report").read_bytes()
+
+
+def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path):
+    traj, report = run_scenario(PRESETS["fig1b_l5"])
+    rows = sweep([0.1, 1.0], None, ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0))
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir(), stale.mkdir()
+    emit_csv(traj, report, fresh / "run.csv")
+    write_sweep_csv(rows, fresh / "sweep.csv")
+    for name in ("run.csv", "run.csv.report", "sweep.csv"):
+        (stale / name).write_bytes(b"x" * (len((fresh / name).read_bytes()) + 4096))
+    emit_csv(traj, report, stale / "run.csv")
+    write_sweep_csv(rows, stale / "sweep.csv")
+    for name in ("run.csv", "run.csv.report", "sweep.csv"):
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+    write_sweep_csv(rows, os.devnull)   # a device has no length to cut
 
 
 def test_sweep_singleton_matches_run_scenario():
