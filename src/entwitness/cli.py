@@ -53,7 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_config(text)
 
 
 def _apply_overrides(cfg, args):

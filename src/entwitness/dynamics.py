@@ -45,6 +45,7 @@ computed fully in parallel.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,6 +55,9 @@ from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
 from .numerics import flag_rows
 
 POPULATION_TOL = 1e-9
+# The smallest spectral width, the smallest normal float: numpy's complex
+# division by a subnormal z = i delta - lam overflows to NaN.
+MIN_WIDTH = sys.float_info.min
 # Node counts of the quadrature's nested Simpson grids: each rung and every
 # other node of it odd, as Simpson's rule needs (3128 = 4 * 782), and every
 # other node of a rung is the rung below it.
@@ -72,15 +76,15 @@ def is_finite(x) -> bool:
 class ReservoirParams:
     """Lorentzian reservoir parameters in units of ``gamma0``, the Markovian decay rate.
 
-    ``lam`` is the spectral width (> 0), ``delta`` the detuning (>= 0).
+    ``lam`` is the spectral width (>= ``MIN_WIDTH``), ``delta`` the detuning (>= 0).
     """
 
     lam: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (is_finite(self.lam) and self.lam > 0):
-            raise ValidationError(f"lam: must be finite and > 0, got {self.lam}")
+        if not (is_finite(self.lam) and self.lam >= MIN_WIDTH):
+            raise ValidationError(f"lam: must be finite and >= {MIN_WIDTH!r}, got {self.lam}")
         if not (is_finite(self.delta) and self.delta >= 0):
             raise ValidationError(f"delta: must be finite and >= 0, got {self.delta}")
 

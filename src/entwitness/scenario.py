@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
+from .dynamics import (MIN_WIDTH, ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
                        is_finite, populations)
 from .errors import EntwitnessError, ParseError, ValidationError
 from .information import check_uncertainty, uncertainty_columns
@@ -21,6 +21,7 @@ from .witness import WitnessReport, concurrence, witness_rows
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
 SWEEP_KEYS = ("crossing_found", "t_ew", "c_ew_threshold", "death_time", "mu_series_max")
+MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~150 MB of CSV
 _INTEGERS = (int, np.integer)
 _NUMBERS = (int, float, np.integer, np.floating)
 
@@ -35,9 +36,11 @@ class ScenarioConfig:
     """Complete description of one run; all rates/times in units of ``gamma0``.
 
     The only place where config values are checked: each must be a real
-    number (Python or numpy, not a bool), finite and in range,
-    ``sample_every`` a finite integer >= 1, and ``t_max`` a whole number of
-    sample spacings ``dt * sample_every``, so that any config built can run.
+    number (Python or numpy, not a bool), finite and in range (a width at
+    least ``MIN_WIDTH``, the smallest normal float), ``sample_every`` a finite
+    integer >= 1, and ``t_max`` a whole number of sample spacings
+    ``dt * sample_every``, at most ``MAX_SAMPLES`` of them, so that any config
+    built can run.
     """
 
     lambda_a: float
@@ -57,6 +60,11 @@ class ScenarioConfig:
         for key in ("lambda_a", "lambda_b", "t_max", "dt"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key}: must be > 0, got {getattr(self, key)}")
+        for key in ("lambda_a", "lambda_b"):
+            if getattr(self, key) < MIN_WIDTH:
+                raise ValidationError(
+                    f"{key}: must be >= {MIN_WIDTH!r}, the smallest normal float, "
+                    f"got {getattr(self, key)}")
         for key in ("delta_a", "delta_b"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
@@ -67,6 +75,10 @@ class ScenarioConfig:
         spacing = self.dt * self.sample_every
         ratio = self.t_max / spacing
         n_samples = round(ratio) if is_finite(ratio) else 0   # inf when dt is tiny against t_max
+        if n_samples > MAX_SAMPLES:
+            raise ValidationError(
+                f"t_max: must be at most {MAX_SAMPLES} sample spacings dt * sample_every = "
+                f"{spacing:.6g}, got {self.t_max}")
         if n_samples < 1 or abs(n_samples * spacing - self.t_max) > 1e-9 * self.t_max:
             raise ValidationError(
                 f"t_max: must be a whole number of sample spacings dt * sample_every = "
@@ -75,7 +87,9 @@ class ScenarioConfig:
     def sample_times(self) -> np.ndarray:
         """The sample grid ``k * dt * sample_every`` from 0 to ``t_max``, which it lands on."""
         n_samples = round(self.t_max / (self.dt * self.sample_every))
-        return np.arange(0, n_samples * self.sample_every + 1, self.sample_every) * self.dt
+        # float k * sample_every is exact below 2**53, and a sample_every past
+        # int64 needs no integer array
+        return np.arange(n_samples + 1, dtype=float) * self.sample_every * self.dt
 
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a),
@@ -228,8 +242,16 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
-    # formatted a column at a time: one repr per float, then one join per row
-    cells = [list(map(repr, c.tolist())) for c in columns]
+    # formatted a column at a time: one repr per float, then one join per row.
+    # A column with the bits of one already formatted (f_b of two equal
+    # reservoirs) reuses its cells; bits, not ==, so -0.0 and 0.0 stay apart.
+    formatted = {}
+    cells = []
+    for c in columns:
+        key = (c.dtype.str, c.tobytes())
+        if key not in formatted:
+            formatted[key] = list(map(repr, c.tolist()))
+        cells.append(formatted[key])
     path = str(path)
     _overwrite(path, CSV_HEADER + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
     _overwrite(path + ".report",
@@ -261,12 +283,29 @@ class SweepRow:
     error: str | None = None
 
 
+def _axis_checks(base: ScenarioConfig, axis, key_a: str, key_b: str):
+    """Per grid value: its overrides of both keys of ``base``, and the config they give or None.
+
+    A value's check does not depend on the other axis, so a point whose two
+    values both pass needs no check of its own.
+    """
+    checks = []
+    for value in axis:
+        overrides = {} if value is None else {key_a: value, key_b: value}
+        try:
+            checks.append((overrides, dataclasses.replace(base, **overrides)))
+        except EntwitnessError:
+            checks.append((overrides, None))
+    return checks
+
+
 def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     """Witness reports over the Cartesian grid of widths and detunings.
 
     Each grid value is applied to both reservoirs of ``base`` and checked by
-    :class:`ScenarioConfig` as given; ``None`` or an empty sequence for a
-    whole axis keeps the base values.  All valid grid points run as one batch
+    :class:`ScenarioConfig` as given, once per value (see :func:`_axis_checks`);
+    ``None`` or an empty sequence for a whole axis keeps the base values.
+    All valid grid points run as one batch
     on ``base``'s sample grid (see :func:`run_scenario`).  Rows are
     independent: a failing point is recorded in its row and does not disturb
     the others.  Only package errors (:class:`EntwitnessError`) mark a row as
@@ -277,17 +316,19 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     delta_axis = [None] if deltas is None else list(deltas) or [None]
     if lam_axis == [None] and delta_axis == [None]:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
+    lam_checks = _axis_checks(base, lam_axis, "lambda_a", "lambda_b")
+    delta_checks = _axis_checks(base, delta_axis, "delta_a", "delta_b")
     rows, pairs, valid = [], [], []
-    for lam in lam_axis:
-        for delta in delta_axis:
-            overrides = {}
-            if lam is not None:
-                overrides["lambda_a"] = overrides["lambda_b"] = lam
-            if delta is not None:
-                overrides["delta_a"] = overrides["delta_b"] = delta
+    for lam, (lam_overrides, lam_cfg) in zip(lam_axis, lam_checks):
+        for delta, (delta_overrides, delta_cfg) in zip(delta_axis, delta_checks):
             row = SweepRow(lam=lam, delta=delta, report=None)
             try:
-                pairs.append(dataclasses.replace(base, **overrides).reservoirs())
+                if lam_cfg is not None and delta_cfg is not None:
+                    pairs.append((ReservoirParams(lam_cfg.lambda_a, delta_cfg.delta_a),
+                                  ReservoirParams(lam_cfg.lambda_b, delta_cfg.delta_b)))
+                else:  # checked as a whole, so the message names the first key at fault
+                    pairs.append(dataclasses.replace(
+                        base, **lam_overrides, **delta_overrides).reservoirs())
                 valid.append(row)
             except EntwitnessError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"

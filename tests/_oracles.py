@@ -13,9 +13,11 @@ Two oracles check the closed forms of the package:
   knows nothing of the X-state structure the package's formulas rest on.
 
 A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
-through ``run_scenario``, against which the batched sweep is compared, and
+through ``run_scenario``, against which the batched sweep is compared,
 :func:`quadrature_direct` evaluates the f(t) quadrature with one ``np.exp``
-per node, against which the two-table phase of the package is compared.
+per node, against which the two-table phase of the package is compared, and
+:func:`emit_reference` formats every CSV cell on its own, against which the
+writer's reuse of equal columns is compared.
 
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
 checks name the first offending sample; a matrix that is not Hermitian, or
@@ -32,6 +34,7 @@ import numpy as np
 from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged, SweepRow,
                         ValidationError, correlation_f, run_scenario)
 from entwitness.dynamics import QUADRATURE_LADDER, _simpson, correlation_integral
+from entwitness.scenario import CSV_HEADER
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -347,6 +350,14 @@ def sweep_loop(lambdas, deltas, base):
                 rows.append(SweepRow(lam=lam, delta=delta, report=None,
                                      error=f"{type(exc).__name__}: {exc}"))
     return rows
+
+
+def emit_reference(traj) -> str:
+    """The CSV text of ``emit_csv``: one ``repr`` per float of all eight columns, one join per row."""
+    columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
+               traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
+    cells = [[repr(x) for x in column.tolist()] for column in columns]
+    return CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
 def quadrature_direct(r, t: float) -> complex:

@@ -1,14 +1,21 @@
+import contextlib
+import dataclasses
+import io
+import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import entwitness.cli
-from entwitness import NotDensityMatrix, parse_config, run_scenario
+from entwitness import EntwitnessError, NotDensityMatrix, parse_config, run_scenario
 from entwitness.cli import main
 from entwitness.scenario import CSV_HEADER
 
@@ -129,6 +136,17 @@ def test_missing_config_file_exit_code(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--lambda", "1"]])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(b"\xff\xfe" + GOOD_CONFIG.encode("utf-16-le"))
+    out = tmp_path / "x.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)
@@ -225,3 +243,92 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# Command-line fuzzing: drawn configs, overrides and grids through main().
+CONFIG_KEYS = ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt", "sample_every")
+# Values a run accepts, so that some drawn configs reach the run and the writers.
+GOOD_VALUES = {"lambda_a": ["0.1", "1", "5.0", "1e-1"], "t_max": ["1", "2.5", "1.0e0"],
+               "delta_a": ["0", "1.0", "2e0"], "dt": ["0.01", "0.05", "0.25", "5e-2"],
+               "sample_every": ["1", "2", "5"]}
+GOOD_VALUES["lambda_b"], GOOD_VALUES["delta_b"] = GOOD_VALUES["lambda_a"], GOOD_VALUES["delta_a"]
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [5e-324, 1e-310, 1e-300, 1e300, 1.7976931348623157e308, -0.0, 0.1, 1.0, 5.0]))
+
+
+def _spell(x: float, how: int) -> str:
+    """A YAML spelling of ``x``: repr (``inf``, ``nan`` load as strings), or an exponent form."""
+    if how == 0:
+        return repr(x)
+    if math.isnan(x):
+        return ".nan"
+    if math.isinf(x):
+        return ".inf" if x > 0 else "-.inf"
+    return f"{x:.6e}" if how == 1 else f"{x:.3E}"
+
+
+YAML_VALUES = st.one_of(
+    st.builds(_spell, EDGE_FLOATS, st.integers(0, 2)),
+    st.one_of(st.integers(-3, 10), st.integers(2**62, 2**65), st.just(10**400)).map(str),
+    st.sampled_from(["true", "false", "yes", "no", "~"]),
+    st.text(max_size=4).map(json.dumps))
+
+
+@st.composite
+def config_bytes(draw):
+    kind = draw(st.sampled_from(["yaml", "yaml", "yaml", "binary", "utf-16"]))
+    if kind == "binary":
+        return draw(st.binary(max_size=48))
+    # a few keys take drawn values, dropped keys among them; the rest a value a run accepts
+    wild = draw(st.sets(st.sampled_from(CONFIG_KEYS + ("gamma0",)), max_size=3))
+    lines = [f"{key}: {draw(YAML_VALUES if key in wild else st.sampled_from(GOOD_VALUES[key]))}\n"
+             for key in CONFIG_KEYS if key not in wild or draw(st.integers(0, 5))]
+    if "gamma0" in wild:
+        lines.append(f"gamma0: {draw(YAML_VALUES)}\n")
+    return "".join(lines).encode("utf-16" if kind == "utf-16" else "utf-8")
+
+
+def _sample_count(data: bytes, overrides) -> int:
+    """Samples of the run a command line asks for; 0 where its config is rejected."""
+    try:
+        cfg = dataclasses.replace(parse_config(data.decode("utf-8")), **overrides)
+    except (UnicodeDecodeError, EntwitnessError):
+        return 0
+    return round(cfg.t_max / (cfg.dt * cfg.sample_every))
+
+
+GRIDS = st.lists((st.sampled_from([0.1, 0.5, 1.0, 5.0]) | EDGE_FLOATS).map(repr), max_size=3)
+OVERRIDES = st.one_of(st.none(), st.none(), st.none(), EDGE_FLOATS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_bytes(), st.sampled_from(["run", "sweep"]), GRIDS, GRIDS, OVERRIDES, OVERRIDES)
+def test_cli_fuzz_exit_codes_stderr_and_outputs(data, command, lambdas, deltas, dt, tmax):
+    overrides = {key: value for key, value in (("dt", dt), ("t_max", tmax)) if value is not None}
+    # a valid config may ask for up to a million samples, more than a test should run
+    assume(_sample_count(data, overrides) <= 2000)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "cfg.yaml"), Path(tmp, "out.csv")
+        cfg.write_bytes(data)
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv += [arg for flag, value in (("--dt", dt), ("--tmax", tmax)) if value is not None
+                 for arg in (flag, repr(value))]
+        if command == "sweep":
+            argv += [*(["--lambda", *lambdas] if lambdas else []),
+                     *(["--delta", *deltas] if deltas else [])]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejects the command line
+                code = exc.code
+        err = stderr.getvalue()
+        # no I/O fails here, so exit 1 never occurs
+        assert code in (0, 2, 3), (argv, data, err)
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code != 0:
+            assert not Path(tmp, "out.csv.report").exists()
+            every_row_failed = command == "sweep" and "error: every sweep row failed" in err
+            assert not out.exists() or (code == 2 and every_row_failed), (argv, data, err)

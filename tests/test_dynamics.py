@@ -8,7 +8,7 @@ import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
-from entwitness.dynamics import QUADRATURE_LADDER, _simpson
+from entwitness.dynamics import MIN_WIDTH, QUADRATURE_LADDER, _simpson
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, quadrature_direct,
                       random_density, rk4_states)
@@ -41,6 +41,10 @@ def test_reservoir_params_validation():
     # an integer beyond the float range is not finite, not an OverflowError
     with pytest.raises(ValidationError, match="lam: must be finite"):
         ReservoirParams(10**400)
+    # numpy's complex division by a subnormal z = i delta - lam gives NaN
+    for lam in (5e-324, MIN_WIDTH / 2):
+        with pytest.raises(ValidationError, match="lam: must be finite and >= 2.2250738585072014e-308"):
+            ReservoirParams(lam)
 
 
 def test_correlation_f_zero_at_start():
@@ -231,6 +235,16 @@ def test_propagate_markovian_limit_population_decay():
     # at the largest width the prefactor is 1/2 and the decay exactly Markovian
     p = excited_population(ReservoirParams(1e308), times)
     assert np.abs(p - np.exp(-times)).max() < 1e-15
+
+
+def test_populations_at_the_smallest_width():
+    # MIN_WIDTH is the smallest normal float; a subnormal width is rejected
+    # (test_reservoir_params_validation), a subnormal detuning is not; where
+    # z t is subnormal too, p is within an ulp of 1
+    times = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=10.0).sample_times()
+    for delta in (0.0, 5e-324, 1.0):
+        p = excited_population(ReservoirParams(MIN_WIDTH, delta), times)
+        assert np.abs(p - 1.0).max() < 1e-15, delta
 
 
 def test_propagate_matches_exact_channel_solution():

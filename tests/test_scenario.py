@@ -10,7 +10,8 @@ import _oracles as oracle
 import entwitness as ew
 from entwitness import (ParseError, ScenarioConfig, ValidationError, parse_config,
                         run_scenario, sweep)
-from entwitness.scenario import CSV_HEADER, PRESETS, emit_csv, write_sweep_csv
+from entwitness.dynamics import MIN_WIDTH
+from entwitness.scenario import CSV_HEADER, MAX_SAMPLES, PRESETS, emit_csv, write_sweep_csv
 
 
 def test_parse_config_minimal_defaults():
@@ -129,6 +130,28 @@ def test_scenario_config_rejects_bad_values():
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=10**400)
     with pytest.raises(ValidationError, match="sample_every: must be a finite integer"):
         ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0, sample_every=10**400)
+    # a subnormal width would give NaN populations; the smallest normal one runs
+    with pytest.raises(ValidationError, match="lambda_b: must be >= 2.2250738585072014e-308"):
+        ScenarioConfig(lambda_a=0.1, lambda_b=5e-324, t_max=1.0)
+    traj, _ = run_scenario(ScenarioConfig(lambda_a=MIN_WIDTH, lambda_b=MIN_WIDTH, t_max=1.0))
+    assert np.abs(traj.p_a - 1.0).max() < 1e-15 and np.abs(traj.p_b - 1.0).max() < 1e-15
+
+
+def test_scenario_config_caps_the_sample_count():
+    # a dt that divides t_max 10**300 times would make a grid no array holds
+    cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=1e-6)
+    assert len(cfg.sample_times()) == MAX_SAMPLES + 1
+    for dt, every in ((1e-300, 1), (1e-7, 1), (1e-8, 10)):
+        with pytest.raises(ValidationError, match="t_max: must be at most 1000000 sample"):
+            ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=dt, sample_every=every)
+
+
+def test_sample_grid_takes_a_sample_every_past_int64():
+    for every in (2**62, 2**63, 2**64):
+        cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=2e-18 * every, dt=1e-18,
+                             sample_every=every)
+        assert cfg.sample_times().tolist() == [0.0, 1e-18 * every, 2e-18 * every]
+        assert run_scenario(cfg)[0].times.dtype == float
 
 
 def test_emit_csv_round_trip(tmp_path, preset_run):
@@ -176,6 +199,37 @@ def test_emit_csv_deterministic(tmp_path):
         emit_csv(traj, report, out)
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.csv.report").read_bytes() == (tmp_path / "b.csv.report").read_bytes()
+
+
+def test_emit_csv_matches_the_reference_formatter_on_every_preset(tmp_path, preset_run):
+    out = tmp_path / "run.csv"
+    for name in PRESETS:
+        traj, report = preset_run(name)
+        emit_csv(traj, report, out)
+        assert out.read_bytes() == oracle.emit_reference(traj).encode(), name
+
+
+@pytest.mark.parametrize("change", ["sign_of_zero", "one_ulp"])
+def test_emit_csv_reuses_only_bit_equal_columns(tmp_path, preset_run, change):
+    # equal reservoirs, so f_b has f_a's bits; f_b then moves by a bit of one sample
+    traj, report = preset_run("fig1b_l5")
+    assert traj.f_b.tobytes() == traj.f_a.tobytes()
+    f_a = traj.f_a.copy()
+    k = 0 if change == "sign_of_zero" else len(f_a) // 2
+    if change == "sign_of_zero":
+        f_a[k] = 0j
+        f_b = f_a.copy()
+        f_b[k] = complex(-0.0, 0.0)
+    else:
+        f_b = f_a.copy()
+        f_b[k] = complex(np.nextafter(f_a[k].real, np.inf), f_a[k].imag)
+    moved = dataclasses.replace(traj, f_a=f_a, f_b=f_b)
+    emit_csv(moved, report, tmp_path / "run.csv")
+    text = (tmp_path / "run.csv").read_text()
+    assert text == oracle.emit_reference(moved)
+    cells = text.splitlines()[1 + k].split(",")
+    assert cells[6] != cells[4] and float(cells[6]) == f_b[k].real
+    assert cells[6] == ("-0.0" if change == "sign_of_zero" else repr(float(f_b[k].real)))
 
 
 def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path):
@@ -321,6 +375,47 @@ def test_mixed_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path):
         got = _sweep_csv_bytes(sweep(lambdas, deltas, base), tmp_path / "batch.csv")
         want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, base), tmp_path / "loop.csv")
         assert got == want
+
+
+BAD_AND_GOOD_VALUES = [float("nan"), float("inf"), -1.0, -0.0, 0.0, True, "abc", np.float32(0.3),
+                       np.int64(2), np.float64(1.5), 10**400, 5e-324, 0.5]
+
+
+def test_sweep_with_bad_axis_values_matches_the_point_loop(tmp_path):
+    # every pairing of good and rejected values, both axes rejected included
+    base = ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_a=0.3, delta_b=1.0, t_max=3.0,
+                          sample_every=4)
+    for lambdas, deltas in ((BAD_AND_GOOD_VALUES, BAD_AND_GOOD_VALUES),
+                            (BAD_AND_GOOD_VALUES, None), (None, BAD_AND_GOOD_VALUES)):
+        rows = sweep(lambdas, deltas, base)
+        loop = oracle.sweep_loop(lambdas, deltas, base)
+        assert [(r.error, r.report) for r in rows] == [(r.error, r.report) for r in loop]
+        got = _sweep_csv_bytes(rows, tmp_path / "batch.csv")
+        assert got == _sweep_csv_bytes(loop, tmp_path / "loop.csv")
+    # with both values rejected, the message is that of the first check that fails:
+    # the type checks of every key come before the range checks
+    rows = sweep([float("nan"), -1.0], [-1.0, "abc"], base)
+    assert [r.error for r in rows] == [
+        "ValidationError: lambda_a: must be a finite number, got nan",
+        "ValidationError: lambda_a: must be a finite number, got nan",
+        "ValidationError: lambda_a: must be > 0, got -1.0",
+        "ValidationError: delta_a: must be a finite number, got 'abc'"]
+
+
+def test_sweep_checks_each_axis_value_once(monkeypatch):
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0)
+    checks = []
+    post_init = ScenarioConfig.__post_init__
+
+    def counted(cfg):
+        checks.append(cfg)
+        post_init(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+    rows = sweep([0.5, 1.0, 2.0, -1.0], [0.0, 1.0, 2.0], base)
+    # one check per axis value, plus one per point with a rejected value
+    assert len(checks) == 4 + 3 + 3
+    assert [r.error is None for r in rows] == [True] * 9 + [False] * 3
 
 
 def _solo(base, lam, delta):
