@@ -44,6 +44,7 @@ All functions are pure; trajectories for different parameter sets may be
 computed fully in parallel.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -62,6 +63,8 @@ MIN_WIDTH = sys.float_info.min
 # other node of it odd, as Simpson's rule needs (3128 = 4 * 782), and every
 # other node of a rung is the rung below it.
 QUADRATURE_LADDER = tuple(3128 * 2**k + 1 for k in range(7))   # 3 129 ... 200 193
+# Below this |z t|, the integral of f takes its series (see correlation_integral).
+SERIES_LIMIT = 1e-5
 
 
 def is_finite(x) -> bool:
@@ -153,12 +156,12 @@ def correlation_f(r: ReservoirParams, t):
     ``f(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
     the thermal counterpart ``k(t)`` vanishes identically at zero temperature.
     Accepts a scalar or an array of times ``t >= 0``.  Where ``z t``
-    overflows, ``exp(z t)`` is taken as 0 (see :func:`_finite_or_zero`).
+    overflows, ``exp(z t)`` is taken as 0 (see :func:`_where_finite`).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValidationError(f"t: must be >= 0, got {t.min()}")
-    out = r.scale * (1.0 - _finite_or_zero(r.z, t, np.exp))
+    out = r.scale * (1.0 - _where_finite(r.z, t, np.exp))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -183,13 +186,22 @@ def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
     result on every other node; it is returned once the two agree within
     1e-5, else the next rung is tried.
 
-    On a rung of ``n`` nodes ``x_k = lo + k h``, ``exp(i x t)`` is the
-    product ``exp(i x_{j b} t) exp(i m h t)`` of two tables of ``b`` exps,
-    ``k = j b + m`` with ``b = isqrt(n) + 1``.  Its phase error, about
-    ``eps |lo| t``, is harmless where ``|x| t > 1``.  On the nodes within
+    On a rung of ``n`` nodes ``x_k = lo + k h`` the nodes are laid out as a
+    real ``(rows, b)`` array ``x[j, m] = x_{j b + m} = x_{j b} + m h``,
+    with ``b`` a multiple of 4 (see :func:`_simpson_classes`) and the padding
+    past ``n`` given weight 0, so that a node's Simpson weights on all nodes
+    and on every other node follow from ``m`` (the two ends weigh half).  The real spectral weight
+    ``w`` is built in place on that layout, and one product ``w @ table``
+    with the ``(b, 6)`` table [fine, coarse weight] x [``cos(m h t)``,
+    ``sin(m h t)``, 1] gives per row the sums that a turn by
+    ``exp(i x_{j b} t)`` makes into both Simpson sums of
+    ``w (1 - exp(i x t))``: the same two-table factorisation of
+    ``exp(i x t)``, with no complex array of ``n`` nodes.  Its phase error,
+    about ``eps |lo| t``, is harmless where ``|x| t > 1``.  The nodes within
     ``1 / t`` of ``x = 0``, where ``1 - exp(i x t)`` cancels before the
-    division by ``x``, ``exp(i x t)`` is evaluated directly, and at ``x = 0``
-    the limit ``-i t`` of ``(1 - exp(i x t)) / x`` is used.
+    division by ``x``, get weight 0 in the layout and are summed directly
+    with ``exp(i x t)`` of their own argument, and at ``x = 0`` with the
+    limit ``-i t`` of ``(1 - exp(i x t)) / x``.
 
     Raises
     ------
@@ -213,50 +225,102 @@ def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
     start = next((k for k, h in enumerate(spacings) if h <= r.lam / 4 and h * t <= 1),
                  len(spacings) - 1)
     reach = 1.0 / t if t > 0 else math.inf
+    q = r.delta / r.lam   # the x = 0 limit in this form has no 0 / 0 where lam**2 underflows
+    limit = -1j * t / (2.0 * np.pi) / (q * q + 1.0)
     for n, h in zip(QUADRATURE_LADDER[start:], spacings[start:]):
-        x = np.linspace(lo, hi, n)
-        b = math.isqrt(n) + 1
+        m, classes = _simpson_classes(n)
+        b = len(m)
+        x = np.arange(-(-n // b) * b, dtype=float).reshape(-1, b)   # (rows, b)
+        x *= h
+        x += lo                                    # x_k = lo + k h, as np.linspace
+        nodes = x.reshape(-1)
+        # the last node is hi, as in np.linspace, and so is the padding, whose
+        # denominators then stay under the overflow bound
+        nodes[n - 1:] = hi
+        near = slice(*nodes[:n].searchsorted((-reach, reach)))
+        zero = nodes[near] == 0.0
+        # the real spectral weight lam**2 / (2 pi ((x - delta)**2 + lam**2) x),
         # built in place: every fresh temporary of n nodes costs page faults
-        g = np.multiply.outer(np.exp(x[::b] * (1j * t)),
-                              np.exp(np.arange(b) * (h * t) * 1j)).ravel()[:n]
-        near = slice(*np.searchsorted(x, (-reach, reach)))
-        g[near] = np.exp(x[near] * (1j * t))
-        np.subtract(1.0, g, out=g)
         w = np.subtract(x, r.delta)
         w *= w
         w += lam2
         w *= x
-        zero = near.start + np.flatnonzero(x[near] == 0.0)
-        w[zero] = np.inf
+        weights = w.reshape(-1)
+        weights[near][zero] = np.inf
+        weights[n:] = np.inf
         np.divide(lam2 / (2.0 * np.pi), w, out=w)
-        g *= w
-        q = r.delta / r.lam   # the limit in this form has no 0 / 0 where lam**2 underflows
-        g[zero] = -1j * t / (2.0 * np.pi) / (q * q + 1.0)
-        # g is the integrand over i: the gate compares |i fine - i coarse|
-        fine, coarse = _simpson(g, h), _simpson(g[::2], 2 * h)
+        weights[0] *= 0.5                          # an end's Simpson weight is half its class's
+        weights[n - 1] *= 0.5
+        # the nodes within 1 / t of x = 0 are summed directly, then left out of the layout
+        g = np.exp(nodes[near] * (1j * t))
+        np.subtract(1.0, g, out=g)
+        g *= weights[near]
+        g[zero] = limit
+        weights[near] = 0.0
+        near_fine, near_coarse = (classes[:, 2].take(np.arange(near.start, near.stop), axis=0,
+                                                     mode="wrap").T @ g).tolist()
+        # the rest: per row j, sums of w, and of w exp(i m h t) to turn by exp(i x_{j b} t)
+        table = classes.copy()
+        table[:, :2] *= np.exp(m * (1j * h * t)).view(float).reshape(b, 1, 2)
+        sums = (w @ table.reshape(b, 6)).view(complex)
+        turned_fine, turned_coarse = (np.exp(x[:, 0] * (1j * t)) @ sums[:, :2]).tolist()
+        plain = complex(sums[:, 2].sum())
+        # both sums are of the integrand over i: the gate compares |i fine - i coarse|
+        fine = h / 3 * (plain.real - turned_fine + near_fine)
+        coarse = h / 3 * (plain.imag - turned_coarse + near_coarse)
         if abs(fine - coarse) <= 1e-5:
             return 1j * fine
     raise QuadratureUnconverged(
         f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
 
 
-def _simpson(y, dx) -> complex:
-    """Composite Simpson's rule on an odd node count."""
-    return complex(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
+@functools.cache
+def _simpson_classes(n):
+    """Row width and class weights of the quadrature's ``(rows, b)`` node layout on ``n`` nodes.
+
+    Returns ``m = 0 .. b - 1`` as floats, for ``b`` the multiple of 4 just
+    above ``sqrt(n)``, and the ``(b, 3, 2)`` class weights in units of
+    ``h / 3``.  As ``b`` and ``n - 1`` are multiples of 4, node ``k = j b + m``
+    has ``k mod 4 = m mod 4``, and apart from the two ends, whose weight is
+    half their class's, its Simpson weight depends on ``m`` alone: ``2, 4, 2,
+    4`` on all nodes (``fine``) and ``4, 0, 8, 0`` on every other node at
+    spacing ``2 h`` (``coarse``).  Entry ``[m]`` holds ``(fine, fine)``,
+    ``(coarse, coarse)`` and ``(fine, coarse)``: the first two pairs weight
+    the real and imaginary parts of a phase, the last a plain sum.
+    """
+    b = 4 * (math.isqrt(n) // 4 + 1)
+    fine, coarse = np.resize([2.0, 4.0], b), np.resize([4.0, 0.0, 8.0, 0.0], b)
+    classes = np.stack([fine, fine, coarse, coarse, fine, coarse], axis=1).reshape(b, 3, 2)
+    m = np.arange(b, dtype=float)
+    m.flags.writeable = classes.flags.writeable = False
+    return m, classes
 
 
 def correlation_integral(r, t):
-    """Closed form of ``integral_0^t f(s) ds``.
+    """Closed form of ``integral_0^t f(s) ds = scale (t - expm1(z t) / z)``.
 
     ``r`` is a :class:`ReservoirParams` (scalar or array ``t``) or
-    :class:`ReservoirColumns` that broadcast against ``t``.  Where ``z t``
-    overflows, ``expm1(z t) / z`` is taken as 0 (see :func:`_finite_or_zero`).
+    :class:`ReservoirColumns` that broadcast against ``t``.  Where ``t > 0``
+    and ``|z t| < SERIES_LIMIT``, ``t - expm1(z t) / z`` cancels to ``-z t**2 / 2``
+    (a width of 1e-100 over t = 1e49 loses every digit), so the two-term series
+    ``-t (z t / 2 + (z t)**2 / 6)`` is used; the next term is below
+    ``SERIES_LIMIT**2 / 12 = 8e-12`` of it.  Where ``z t`` overflows,
+    ``expm1(z t) / z`` is taken as 0 (see :func:`_where_finite`).
     """
-    return r.scale * (t - _finite_or_zero(r.z, t, lambda zt: np.expm1(zt) / r.z))
+    def bracket(zt):
+        direct = t - np.expm1(zt) / r.z
+        small = np.abs(zt) < SERIES_LIMIT
+        if np.count_nonzero(small):
+            small &= t != 0   # both forms give 0 at t = 0, the first sample of every grid
+            if np.count_nonzero(small):
+                return np.where(small, -t * (zt / 2 + zt * zt / 6), direct)
+        return direct
+
+    return r.scale * _where_finite(r.z, t, bracket, t)
 
 
-def _finite_or_zero(z, t, term):
-    """``term(z t)`` where ``z t`` is finite, else 0, with no overflow warning.
+def _where_finite(z, t, term, otherwise=0.0):
+    """``term(z t)`` where ``z t`` is finite, else ``otherwise``, with no overflow warning.
 
     ``z t`` overflows only at a width or detuning near the float limit, where
     ``|z| t > 1.7e308``.  As ``|exp(z t)| = exp(-lam t)`` and
@@ -267,7 +331,10 @@ def _finite_or_zero(z, t, term):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         zt = z * t
-        return np.where(np.isfinite(zt), term(zt), 0.0)
+        value, finite = term(zt), np.isfinite(zt)
+        if np.count_nonzero(finite) == finite.size:   # the usual case: nothing to replace
+            return value
+        return np.where(finite, value, otherwise)
 
 
 def excited_population(r, t):

@@ -40,28 +40,34 @@ def _memory_entropy(p_b):
 
 
 def minimum_uncertainty(p_a, p_b):
-    """``mu = 1 + H(A|B)`` of the X state with excited populations ``p_a``, ``p_b``.
+    """``mu = 1 + H(A|B)`` of the X state with excited populations ``p_a``, ``p_b``."""
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    return _minimum_uncertainty(p_a, p_b, _memory_entropy(p_b))
+
+
+def _minimum_uncertainty(p_a, p_b, h_memory):
+    """``mu`` given the memory's entropy ``h_memory = H(rho_B)``.
 
     The ``{|00>, |11>}`` block has eigenvalues ``big`` and ``det / big``; taking
     the smaller one from the determinant keeps it accurate where it nears 0.
     """
-    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
     both_decayed = (1.0 - p_a) * (1.0 - p_b)
     excited = 0.5 * p_a * p_b                     # rho_11,11; also 2 |rho_00,11|^2
     ground = 0.5 + 0.5 * both_decayed             # rho_00,00
     big = 0.5 * (ground + excited) + np.sqrt((0.5 * (ground - excited)) ** 2 + 0.5 * excited)
     small = 0.5 * excited * both_decayed / big    # (rho_00,00 rho_11,11 - |rho_00,11|^2) / big
     h_joint = entropy_bits(big, small, 0.5 * (1.0 - p_a) * p_b, 0.5 * p_a * (1.0 - p_b))
-    return 1.0 + h_joint - _memory_entropy(p_b)
+    return 1.0 + h_joint - h_memory
 
 
 def uncertainty_columns(p_a, p_b):
     """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, element by element."""
     p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
-    mu = minimum_uncertainty(p_a, p_b)
+    h_memory = _memory_entropy(p_b)
+    mu = _minimum_uncertainty(p_a, p_b, h_memory)
     big = 0.5 + 0.5 * np.sqrt((1.0 - p_b) ** 2 + p_a * p_b)
     small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
-    lhs = 2.0 * (1.0 + entropy_bits(big, small) - _memory_entropy(p_b))
+    lhs = 2.0 * (1.0 + entropy_bits(big, small) - h_memory)
     return mu, lhs
 
 

@@ -22,6 +22,9 @@ CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
 SWEEP_KEYS = ("crossing_found", "t_ew", "c_ew_threshold", "death_time", "mu_series_max")
 MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~150 MB of CSV
+# Most row-samples a sweep evaluates at once: a complex (rows, N) temporary of
+# a block is then at most 4 MiB, whatever the grid, or one row where N > 2**18.
+BLOCK_SAMPLES = 2**18
 _INTEGERS = (int, np.integer)
 _NUMBERS = (int, float, np.integer, np.floating)
 
@@ -305,12 +308,15 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
     Each grid value is applied to both reservoirs of ``base`` and checked by
     :class:`ScenarioConfig` as given, once per value (see :func:`_axis_checks`);
     ``None`` or an empty sequence for a whole axis keeps the base values.
-    All valid grid points run as one batch
-    on ``base``'s sample grid (see :func:`run_scenario`).  Rows are
-    independent: a failing point is recorded in its row and does not disturb
-    the others.  Only package errors (:class:`EntwitnessError`) mark a row as
-    failed; any other exception is a programming error and propagates.  Row
-    order follows the given value order (lambdas outer, deltas inner).
+    The valid grid points run in batches (see :func:`run_scenario`) on
+    ``base``'s sample grid, each of as many rows as fit in ``BLOCK_SAMPLES``
+    samples, and at least one, which bounds a sweep's memory.  Rows are
+    independent, root-find included, so the blocks give the rows of one
+    batch, bit for bit: a failing point is recorded in its row and does not
+    disturb the others.  Only package errors (:class:`EntwitnessError`) mark
+    a row as failed; any other exception is a programming error and
+    propagates.  Row order follows the given value order (lambdas outer,
+    deltas inner).
     """
     lam_axis = [None] if lambdas is None else list(lambdas) or [None]
     delta_axis = [None] if deltas is None else list(deltas) or [None]
@@ -333,7 +339,13 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
             except EntwitnessError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
             rows.append(row)
-    _, reports, errors = _run_batch(pairs, base.sample_times())
+    times = base.sample_times()
+    rows_per_block = max(1, BLOCK_SAMPLES // len(times))
+    reports, errors = [], []
+    for first in range(0, len(pairs), rows_per_block):
+        _, block_reports, block_errors = _run_batch(pairs[first:first + rows_per_block], times)
+        reports += block_reports
+        errors += block_errors
     for row, report, error in zip(valid, reports, errors):
         row.report = report
         if error is not None:

@@ -15,7 +15,8 @@ Two oracles check the closed forms of the package:
 A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
 through ``run_scenario``, against which the batched sweep is compared,
 :func:`quadrature_direct` evaluates the f(t) quadrature with one ``np.exp``
-per node, against which the two-table phase of the package is compared, and
+per node and :func:`simpson` as written, against which the package's
+two-table phase and class-weight layout are compared, and
 :func:`emit_reference` formats every CSV cell on its own, against which the
 writer's reuse of equal columns is compared.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged, SweepRow,
                         ValidationError, correlation_f, run_scenario)
-from entwitness.dynamics import QUADRATURE_LADDER, _simpson, correlation_integral
+from entwitness.dynamics import QUADRATURE_LADDER, correlation_integral
 from entwitness.scenario import CSV_HEADER
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
@@ -360,6 +361,11 @@ def emit_reference(traj) -> str:
     return CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
+def simpson(y, dx) -> complex:
+    """Composite Simpson's rule on an odd node count, as written: ends, odd nodes, even nodes."""
+    return complex(dx / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
+
+
 def quadrature_direct(r, t: float) -> complex:
     """``correlation_f_quadrature`` with ``exp(i x t)`` evaluated at each node.
 
@@ -382,7 +388,7 @@ def quadrature_direct(r, t: float) -> complex:
         integrand /= (x - r.delta) ** 2 + r.lam ** 2
         integrand *= 1j * r.lam ** 2 / (2.0 * np.pi)
         spacing = (hi - lo) / (n - 1)
-        fine, coarse = _simpson(integrand, spacing), _simpson(integrand[::2], 2 * spacing)
+        fine, coarse = simpson(integrand, spacing), simpson(integrand[::2], 2 * spacing)
         if abs(fine - coarse) <= 1e-5:
             return fine
     raise QuadratureUnconverged(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import entwitness.cli
 from entwitness import EntwitnessError, NotDensityMatrix, parse_config, run_scenario
@@ -218,9 +218,11 @@ def test_run_accepts_exponent_floats(tmp_path):
 @pytest.mark.parametrize("text", [
     "lambda_a: 1.0e+308\nlambda_b: 1.0e+308\nt_max: 3\n",
     "lambda_a: 1.0\nlambda_b: 1.0\ndelta_a: 1.0e+308\nt_max: 3\n",
+    "lambda_a: 1.0e-100\nlambda_b: 1.0e-100\nt_max: 1.0e50\ndt: 1.0e45\n",
 ])
 def test_run_at_rates_near_the_float_limit(tmp_path, text):
-    # z t overflows on these grids: the run neither warns nor fails
+    # z t overflows on the first two grids, and on the third it is at most
+    # 1e-50 while lam t**2 / 2 reaches 0.5: the run neither warns nor fails
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     proc = subprocess.run(
@@ -303,6 +305,8 @@ OVERRIDES = st.one_of(st.none(), st.none(), st.none(), EDGE_FLOATS)
 
 @settings(max_examples=150, deadline=None)
 @given(config_bytes(), st.sampled_from(["run", "sweep"]), GRIDS, GRIDS, OVERRIDES, OVERRIDES)
+@example(b"lambda_a: 1.0e-100\nlambda_b: 1.0e-100\nt_max: 1.0e50\ndt: 1.0e47\n", "run", [], [],
+         None, None)
 def test_cli_fuzz_exit_codes_stderr_and_outputs(data, command, lambdas, deltas, dt, tmax):
     overrides = {key: value for key, value in (("dt", dt), ("t_max", tmax)) if value is not None}
     # a valid config may ask for up to a million samples, more than a test should run

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
-from entwitness.dynamics import MIN_WIDTH, QUADRATURE_LADDER, _simpson
+from entwitness.dynamics import (MIN_WIDTH, QUADRATURE_LADDER, SERIES_LIMIT, _simpson_classes,
+                                 correlation_integral)
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, quadrature_direct,
-                      random_density, rk4_states)
+                      random_density, rk4_states, simpson)
 
 
 def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
@@ -129,8 +131,30 @@ def test_quadrature_ladder_rungs_and_halves_are_odd_for_simpson():
             # Simpson's rule is exact for a cubic on [0, 1]
             x = np.linspace(0.0, 1.0, nodes)
             exact = 1 / 4 - 2 / 3 + 1 / 2 + 1
-            assert abs(_simpson(x**3 - 2 * x**2 + x + 1, 1 / (nodes - 1)) - exact) < 1e-13
+            assert abs(simpson(x**3 - 2 * x**2 + x + 1, 1 / (nodes - 1)) - exact) < 1e-13
     assert all(2 * a - 1 == b for a, b in zip(QUADRATURE_LADDER, QUADRATURE_LADDER[1:]))
+
+
+@pytest.mark.parametrize("n", QUADRATURE_LADDER)
+def test_quadrature_class_weights_are_simpsons_rule(n):
+    # n values laid out as the quadrature lays out its weights: (rows, b),
+    # the two ends halved and the padding past n zero.  The class weights
+    # give Simpson's rule on all nodes and on every other node.
+    m, classes = _simpson_classes(n)
+    b = len(m)
+    assert b % 4 == 0 and (n - 1) % 4 == 0 and b * b > n
+    y = np.random.default_rng(n).random(n)
+    layout = np.zeros(-(-n // b) * b)
+    layout[:n] = y
+    layout[[0, n - 1]] *= 0.5
+    h = 0.37
+    fine, coarse = (layout.reshape(-1, b) @ classes[:, 2]).sum(axis=0) * (h / 3)
+    assert fine == pytest.approx(simpson(y, h).real, rel=1e-12, abs=0)
+    assert coarse == pytest.approx(simpson(y[::2], 2 * h).real, rel=1e-12, abs=0)
+    # the weights of a phase's real and imaginary parts repeat those classes
+    assert np.array_equal(classes[:, 0], classes[:, 2][:, [0, 0]])
+    assert np.array_equal(classes[:, 1], classes[:, 2][:, [1, 1]])
+    assert np.array_equal(m, np.arange(b))
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,10 +162,16 @@ def test_quadrature_ladder_rungs_and_halves_are_odd_for_simpson():
        t=st.floats(0.0, 50.0))
 @example(log_lam=np.log(0.05), delta=0.0, t=0.5)
 @example(log_lam=np.log(0.05), delta=0.0, t=5.0)
+@example(log_lam=np.log(5.0), delta=1.6, t=50.0)
+@example(log_lam=np.log(2.0), delta=0.0, t=50.0)
+@example(log_lam=0.0, delta=0.0, t=5e-324)
 def test_quadrature_two_table_phase_matches_direct_exp(log_lam, delta, t):
     # the fast path against one np.exp per node: the same rung, within 1e-9.
-    # The examples put a node 3.6e-15 from x = 0, where a table phase
-    # divided by x would move the sum by 5e-6 or stop it converging.
+    # The first two examples put a node 3.6e-15 from x = 0, where a table
+    # phase divided by x would move the sum by 5e-6 or stop it converging.
+    # At lam 5 and 2 with t = 50 the sums run to the two largest rungs that
+    # criterion 7 reaches; at t = 5e-324, 1 / t is inf and every node is
+    # summed directly.
     r = ReservoirParams(float(np.exp(log_lam)), delta)
     try:
         direct = quadrature_direct(r, t)
@@ -235,6 +265,25 @@ def test_propagate_markovian_limit_population_decay():
     # at the largest width the prefactor is 1/2 and the decay exactly Markovian
     p = excited_population(ReservoirParams(1e308), times)
     assert np.abs(p - np.exp(-times)).max() < 1e-15
+
+
+def test_populations_of_a_tiny_width_over_a_long_horizon():
+    # |z t| is at most 1e-50 while lam t**2 / 2 reaches 0.5: t - expm1(z t) / z
+    # cancels to nothing there (p was inf), and the series keeps every digit
+    t = np.array([1e49, 2e49, 1e50])
+    p = excited_population(ReservoirParams(1e-100), t)
+    assert np.allclose(p, np.exp(-1e-100 * t**2 / 2), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 0.999, 1.001, 2.0])
+def test_correlation_integral_on_both_sides_of_the_series_limit(factor):
+    # |z| = 1e-3, so |z t| = factor * SERIES_LIMIT: the series below the
+    # limit and the closed form above it agree with five terms of the series
+    r = ReservoirParams(0.8e-3, 0.6e-3)
+    t = factor * SERIES_LIMIT / 1e-3
+    zt = r.z * t
+    want = r.scale * -t * sum(zt**k / math.factorial(k + 1) for k in range(1, 6))
+    assert abs(correlation_integral(r, t) - want) <= 1e-9 * abs(want)
 
 
 def test_populations_at_the_smallest_width():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,39 @@ def test_mixed_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path):
         got = _sweep_csv_bytes(sweep(lambdas, deltas, base), tmp_path / "batch.csv")
         want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, base), tmp_path / "loop.csv")
         assert got == want
+
+
+@pytest.mark.parametrize("block_samples", [1, 2 * 101, 5 * 101 + 50])
+def test_sweep_csv_is_byte_identical_in_row_blocks(tmp_path, monkeypatch, block_samples):
+    # blocks of 1 (the least a block holds), 2 and 5 rows of 101 samples
+    # against one batch, on seeded grids and on one with rejected widths
+    grids = [_banded_grid(seed) for seed in (1, 2, 3)]
+    grids.append(([5.0, 0.1, -1.0, 0.05, 2.0], [0.0, 1.0, 2.5]))
+    csvs = {}
+    for block in (10**9, block_samples):
+        monkeypatch.setattr(ew.scenario, "BLOCK_SAMPLES", block)
+        csvs[block] = [_sweep_csv_bytes(sweep(lambdas, deltas, SWEEP_BASE),
+                                        tmp_path / f"{block}_{k}.csv")
+                       for k, (lambdas, deltas) in enumerate(grids)]
+    assert csvs[block_samples] == csvs[10**9]
+
+
+def test_sweep_memory_is_bounded_by_row_blocks(monkeypatch):
+    # 6 rows of 100 001 samples: in blocks of BLOCK_SAMPLES row-samples the
+    # sweep peaked at 30 MB, as one batch at 63 MB
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1000.0, dt=0.01)
+    bound = 160 * ew.scenario.BLOCK_SAMPLES   # bytes, 42 MB
+    peaks = []
+    for block in (ew.scenario.BLOCK_SAMPLES, 10**9):
+        monkeypatch.setattr(ew.scenario, "BLOCK_SAMPLES", block)
+        tracemalloc.start()
+        try:
+            rows = sweep([0.1, 1.0, 5.0], [0.0, 1.0], base)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(row.error is None for row in rows)
+    assert peaks[0] < bound < peaks[1], peaks
 
 
 BAD_AND_GOOD_VALUES = [float("nan"), float("inf"), -1.0, -0.0, 0.0, True, "abc", np.float32(0.3),
