@@ -12,7 +12,7 @@ from .dynamics import (ReservoirParams, Trajectory, correlation_f,
                        correlation_f_quadrature, excited_population)
 from .information import minimum_uncertainty, uncertainty_columns
 from .witness import WitnessReport, concurrence
-from .scenario import (PRESETS, ScenarioConfig, SweepRow, emit_csv,
+from .scenario import (PRESETS, ScenarioConfig, SweepRows, emit_csv,
                        parse_config, run_scenario, sweep)
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "correlation_f_quadrature", "excited_population",
     "minimum_uncertainty", "uncertainty_columns",
     "WitnessReport", "concurrence",
-    "PRESETS", "ScenarioConfig", "SweepRow", "emit_csv", "parse_config",
+    "PRESETS", "ScenarioConfig", "SweepRows", "emit_csv", "parse_config",
     "run_scenario", "sweep",
     "__version__",
 ]

@@ -84,11 +84,11 @@ def main(argv=None) -> int:
             cfg = _apply_overrides(_load_config(args.config), args)
             rows = sweep(args.lambdas, args.deltas, cfg)
             write_sweep_csv(rows, args.out)
-            failed = [r for r in rows if r.error is not None]
-            for row in failed:
-                print(f"sweep row (lambda={row.lam}, delta={row.delta}) failed: {row.error}",
-                      file=sys.stderr)
-            if len(failed) == len(rows):
+            for (lam, delta), error in zip(rows.points, rows.errors):
+                if error is not None:
+                    print(f"sweep row (lambda={lam}, delta={delta}) failed: {error}",
+                          file=sys.stderr)
+            if None not in rows.errors:
                 print("error: every sweep row failed", file=sys.stderr)
                 return 2
     except (ParseError, ValidationError) as exc:

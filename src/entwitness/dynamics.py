@@ -67,10 +67,15 @@ QUADRATURE_LADDER = tuple(3128 * 2**k + 1 for k in range(7))   # 3 129 ... 200 1
 SERIES_LIMIT = 1e-5
 
 
-def is_finite(x) -> bool:
-    """``math.isfinite``, but False, not OverflowError, for an integer beyond the float range."""
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite real number (Python or numpy, not a bool).
+
+    An integer beyond the float range is not finite: False, not OverflowError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
     try:
-        return math.isfinite(x)
+        return math.isfinite(value)
     except OverflowError:
         return False
 
@@ -86,10 +91,10 @@ class ReservoirParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (is_finite(self.lam) and self.lam >= MIN_WIDTH):
-            raise ValidationError(f"lam: must be finite and >= {MIN_WIDTH!r}, got {self.lam}")
-        if not (is_finite(self.delta) and self.delta >= 0):
-            raise ValidationError(f"delta: must be finite and >= 0, got {self.delta}")
+        if not (is_number(self.lam) and self.lam >= MIN_WIDTH):
+            raise ValidationError(f"lam: must be finite and >= {MIN_WIDTH!r}, got {self.lam!r}")
+        if not (is_number(self.delta) and self.delta >= 0):
+            raise ValidationError(f"delta: must be finite and >= 0, got {self.delta!r}")
 
     @property
     def scale(self) -> complex:
@@ -211,14 +216,14 @@ def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:
         rung the result on every other node differs from it by more than
         1e-5, or either is NaN.
     """
-    if not (is_finite(t) and t >= 0):
-        raise ValidationError(f"t: must be finite and >= 0, got {t}")
+    if not (is_number(t) and t >= 0):
+        raise ValidationError(f"t: must be finite and >= 0, got {t!r}")
     window = 120.0 * r.lam + 20.0
     lo, hi = min(0.0, r.delta) - window, max(0.0, r.delta) + window
     lam2, span = r.lam * r.lam, hi - lo
     # |x - delta| and |x| are at most span on the interval, so the
     # denominator ((x - delta)**2 + lam**2) x is at most this bound
-    if not (is_finite(span * t) and is_finite((span * span + lam2) * span)):
+    if not (math.isfinite(span * t) and math.isfinite((span * span + lam2) * span)):
         raise QuadratureUnconverged(
             f"the integrand overflows on [{lo:g}, {hi:g}] at lam = {r.lam:g}, t = {t:g}")
     spacings = [span / (n - 1) for n in QUADRATURE_LADDER]
@@ -348,18 +353,17 @@ def excited_population(r, t):
     return np.exp(-2.0 * correlation_integral(r, t).real)
 
 
-def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray):
+def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray, errors):
     """Exact excited populations ``p_a``, ``p_b`` of G reservoir pairs at ``times``.
 
-    Returns the two ``(G, N)`` arrays and a list of G errors: None for a good
-    row, or a :class:`NotDensityMatrix` naming the row's first sample (and
-    its time) whose ``p_a`` or ``p_b`` lies outside [0, 1] by more than
-    ``POPULATION_TOL``.  Every sample is the closed form at its time; no error
-    accumulates along the grid.
+    Returns the two ``(G, N)`` arrays.  Each row of the G ``errors`` that is
+    None and whose ``p_a`` or ``p_b`` lies outside [0, 1] by more than
+    ``POPULATION_TOL`` gets a :class:`NotDensityMatrix` naming its first such
+    sample and its time; a row already flagged keeps its error.  Every sample
+    is the closed form at its time; no error accumulates along the grid.
     """
     p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
-    errors = [None] * len(p_a)
     for name, p in (("p_a", p_a), ("p_b", p_b)):
         flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
                   lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
-    return p_a, p_b, errors
+    return p_a, p_b

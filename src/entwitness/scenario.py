@@ -9,14 +9,15 @@ import functools
 import os
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (MIN_WIDTH, ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
-                       is_finite, populations)
+                       is_number, populations)
 from .errors import EntwitnessError, ParseError, ValidationError
 from .information import check_uncertainty, uncertainty_columns
-from .witness import WitnessReport, concurrence, witness_rows
+from .witness import WitnessColumns, WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
@@ -25,13 +26,6 @@ MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~1
 # Most row-samples a sweep evaluates at once: a complex (rows, N) temporary of
 # a block is then at most 4 MiB, whatever the grid, or one row where N > 2**18.
 BLOCK_SAMPLES = 2**18
-_INTEGERS = (int, np.integer)
-_NUMBERS = (int, float, np.integer, np.floating)
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a finite real number (Python or numpy, not a bool)."""
-    return isinstance(value, _NUMBERS) and not isinstance(value, bool) and is_finite(value)
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for key in ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
-            if not _is_number(value):
+            if not is_number(value):
                 raise ValidationError(f"{key}: must be a finite number, got {value!r}")
             object.__setattr__(self, key, float(value))
         for key in ("lambda_a", "lambda_b", "t_max", "dt"):
@@ -72,12 +66,12 @@ class ScenarioConfig:
             if getattr(self, key) < 0:
                 raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
         every = self.sample_every
-        if not (_is_number(every) and isinstance(every, _INTEGERS)) or every < 1:
+        if not (is_number(every) and isinstance(every, (int, np.integer))) or every < 1:
             raise ValidationError(f"sample_every: must be a finite integer >= 1, got {every!r}")
         object.__setattr__(self, "sample_every", int(every))
         spacing = self.dt * self.sample_every
         ratio = self.t_max / spacing
-        n_samples = round(ratio) if is_finite(ratio) else 0   # inf when dt is tiny against t_max
+        n_samples = round(ratio) if np.isfinite(ratio) else 0   # inf when dt is tiny against t_max
         if n_samples > MAX_SAMPLES:
             raise ValidationError(
                 f"t_max: must be at most {MAX_SAMPLES} sample spacings dt * sample_every = "
@@ -189,24 +183,22 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**raw)
 
 
-def _run_batch(pairs, times: np.ndarray):
+def _run_batch(pairs, times: np.ndarray, errors):
     """Propagate G reservoir pairs on the sample grid ``times`` and derive their columns and reports.
 
-    Returns the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)``, the G
-    reports and the G errors (None for a good row, whose report is set).
-    Each column is one element-wise pass over the populations; the checks and
-    the crossing root-find mark a failing row in its error and leave the
-    other rows as they are.
+    Returns the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)`` and
+    the :class:`WitnessColumns`.  Each column is one element-wise pass over
+    the populations; the checks and the crossing root-find set the error of a
+    failing row in the G ``errors`` (None for a good row) and leave the rest.
     """
     r_a = ReservoirColumns.stack(pair[0] for pair in pairs)
     r_b = ReservoirColumns.stack(pair[1] for pair in pairs)
-    p_a, p_b, errors = populations(r_a, r_b, times)
+    p_a, p_b = populations(r_a, r_b, times, errors)
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
         concs = concurrence(p_a, p_b)
     check_uncertainty(mu, lhs, times, errors)
-    reports = witness_rows(times, mu, concs, r_a, r_b, errors)
-    return (p_a, p_b, mu, lhs, concs), reports, errors
+    return (p_a, p_b, mu, lhs, concs), witness_rows(times, mu, concs, r_a, r_b, errors)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
@@ -217,13 +209,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     """
     r_a, r_b = cfg.reservoirs()
     times = cfg.sample_times()
-    columns, reports, errors = _run_batch([(r_a, r_b)], times)
+    errors = [None]
+    columns, witness = _run_batch([(r_a, r_b)], times, errors)
     if errors[0] is not None:
         raise errors[0]
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
     traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
                       f_a=correlation_f(r_a, times), f_b=correlation_f(r_b, times))
-    return traj, reports[0]
+    return traj, witness.report(0)
 
 
 def _fmt(x) -> str:
@@ -233,8 +226,8 @@ def _fmt(x) -> str:
 
 
 def _cell(value, none: str) -> str:
-    """A report value as written: ``none`` for None, true/false for a bool, else the float."""
-    if value is None:
+    """A report value's text: ``none`` for None or NaN, true/false for a bool, else the float."""
+    if value is None or value != value:
         return none
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -276,14 +269,12 @@ def _overwrite(path, text: str) -> None:
             fh.truncate(len(data))
 
 
-@dataclass
-class SweepRow:
-    """One grid point of a parameter sweep; ``error`` marks a failed row."""
+class SweepRows(NamedTuple):
+    """A sweep's rows in grid order: ``(lambda, delta)`` as given, report, and error or None."""
 
-    lam: float | None
-    delta: float | None
-    report: WitnessReport | None
-    error: str | None = None
+    points: list
+    witness: WitnessColumns
+    errors: list
 
 
 def _axis_checks(base: ScenarioConfig, axis, key_a: str, key_b: str):
@@ -302,21 +293,21 @@ def _axis_checks(base: ScenarioConfig, axis, key_a: str, key_b: str):
     return checks
 
 
-def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
+def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     """Witness reports over the Cartesian grid of widths and detunings.
 
     Each grid value is applied to both reservoirs of ``base`` and checked by
     :class:`ScenarioConfig` as given, once per value (see :func:`_axis_checks`);
     ``None`` or an empty sequence for a whole axis keeps the base values.
-    The valid grid points run in batches (see :func:`run_scenario`) on
-    ``base``'s sample grid, each of as many rows as fit in ``BLOCK_SAMPLES``
-    samples, and at least one, which bounds a sweep's memory.  Rows are
-    independent, root-find included, so the blocks give the rows of one
-    batch, bit for bit: a failing point is recorded in its row and does not
-    disturb the others.  Only package errors (:class:`EntwitnessError`) mark
-    a row as failed; any other exception is a programming error and
-    propagates.  Row order follows the given value order (lambdas outer,
-    deltas inner).
+    The grid points run in batches (see :func:`run_scenario`) on ``base``'s
+    sample grid, each of as many rows as fit in ``BLOCK_SAMPLES`` samples,
+    and at least one, which bounds a sweep's memory; a rejected point runs
+    as ``base`` and keeps its config error.  Rows are independent, root-find
+    included, so the blocks give the rows of one batch, bit for bit: a
+    failing point is recorded in its row and does not disturb the others.
+    Only package errors (:class:`EntwitnessError`) mark a row as failed; any
+    other exception is a programming error and propagates.  Row order
+    follows the given value order (lambdas outer, deltas inner).
     """
     lam_axis = [None] if lambdas is None else list(lambdas) or [None]
     delta_axis = [None] if deltas is None else list(deltas) or [None]
@@ -324,10 +315,10 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
     lam_checks = _axis_checks(base, lam_axis, "lambda_a", "lambda_b")
     delta_checks = _axis_checks(base, delta_axis, "delta_a", "delta_b")
-    rows, pairs, valid = [], [], []
+    points, pairs, errors = [], [], []
     for lam, (lam_overrides, lam_cfg) in zip(lam_axis, lam_checks):
         for delta, (delta_overrides, delta_cfg) in zip(delta_axis, delta_checks):
-            row = SweepRow(lam=lam, delta=delta, report=None)
+            points.append((lam, delta))
             try:
                 if lam_cfg is not None and delta_cfg is not None:
                     pairs.append((ReservoirParams(lam_cfg.lambda_a, delta_cfg.delta_a),
@@ -335,32 +326,31 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> list[SweepRow]:
                 else:  # checked as a whole, so the message names the first key at fault
                     pairs.append(dataclasses.replace(
                         base, **lam_overrides, **delta_overrides).reservoirs())
-                valid.append(row)
+                errors.append(None)
             except EntwitnessError as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+                pairs.append(base.reservoirs())
+                errors.append(exc)
     times = base.sample_times()
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
-    reports, errors = [], []
-    for first in range(0, len(pairs), rows_per_block):
-        _, block_reports, block_errors = _run_batch(pairs[first:first + rows_per_block], times)
-        reports += block_reports
-        errors += block_errors
-    for row, report, error in zip(valid, reports, errors):
-        row.report = report
-        if error is not None:
-            row.error = f"{type(error).__name__}: {error}"
-    return rows
+    errors = np.array(errors, dtype=object)   # a block's slice is a view, so its errors land here
+    blocks = [_run_batch(pairs[k:k + rows_per_block], times, errors[k:k + rows_per_block])[1]
+              for k in range(0, len(pairs), rows_per_block)]
+    return SweepRows(points, WitnessColumns(*map(np.concatenate, zip(*blocks))),
+                     [None if error is None else f"{type(error).__name__}: {error}"
+                      for error in errors])
 
 
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    """Write sweep rows as CSV (one witness report per row)."""
-    lines = [",".join(("lambda", "delta", *SWEEP_KEYS, "error"))]
+def write_sweep_csv(rows: SweepRows, path) -> None:
+    """Write sweep rows as CSV (one witness report per row), a column at a time."""
+    failed = np.array([error is not None for error in rows.errors])
 
     def opt(v):  # a value a config accepts as the float it holds, any other as given
-        return "" if v is None else (_fmt(v) if _is_number(v) else str(v))
+        return "" if v is None else (_fmt(v) if is_number(v) else str(v))
 
-    for row in rows:
-        report = [_cell(row.report and getattr(row.report, key), "") for key in SWEEP_KEYS]
-        lines.append(",".join([opt(row.lam), opt(row.delta), *report, row.error or ""]))
-    _overwrite(path, "\n".join(lines) + "\n")
+    columns = [list(map(opt, axis)) for axis in zip(*rows.points)]   # lambda, delta
+    for key in SWEEP_KEYS:
+        values = np.where(failed, None, getattr(rows.witness, key)).tolist()
+        columns.append([_cell(value, "") for value in values])
+    columns.append([error or "" for error in rows.errors])
+    header = ",".join(("lambda", "delta", *SWEEP_KEYS, "error"))
+    _overwrite(path, "\n".join((header, *map(",".join, zip(*columns)))) + "\n")

@@ -5,12 +5,13 @@ time ``t_ew`` (so the witness works on ``[0, t_ew)``), the concurrence at the
 crossing (the witnessed-concurrence interval is ``(threshold, 1]`` for a
 maximally entangled start), and the time at which entanglement dies.
 Reports are made for a ``(G, N)`` batch of rows at once (:func:`witness_rows`),
-with one bracketed root-find for every crossing of the batch; a single run
-is the batch with ``G = 1``.
+as ``(G,)`` columns with one bracketed root-find for every crossing of the
+batch; a single run is the batch with ``G = 1``.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,28 @@ class WitnessReport:
     notes: str = ""
 
 
-def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> list[float | None]:
+class WitnessColumns(NamedTuple):
+    """G rows' witness reports as ``(G,)`` columns, NaN for "none" (void in a failed row)."""
+
+    crossing_found: np.ndarray
+    t_ew: np.ndarray
+    c_ew_threshold: np.ndarray
+    death_time: np.ndarray
+    mu_series_max: np.ndarray
+    starts_above: np.ndarray
+    reenters: np.ndarray
+
+    def report(self, g: int) -> WitnessReport:
+        """The :class:`WitnessReport` of row ``g``, with None for each NaN."""
+        found, t_ew, c_ew, death, mu_max, starts_above, reenters = (c[g].item() for c in self)
+        notes = zip((starts_above, reenters),
+                    ("mu starts at or above 1", "mu re-enters below 1 after the first crossing"))
+        t_ew, c_ew, death = (None if math.isnan(x) else x for x in (t_ew, c_ew, death))
+        return WitnessReport(found, t_ew, c_ew, death, mu_max,
+                             "; ".join(text for flag, text in notes if flag))
+
+
+def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> np.ndarray:
     """Each row's first sampled time at which the concurrence falls to zero and stays there.
 
     ``concs`` is a ``(G, N)`` batch of concurrence rows sampled at ``times``.
@@ -55,21 +77,21 @@ def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> list[fl
     decays to zero asymptotically without an exact root); the drop must
     persist for the next ``confirm_samples`` samples so that a transient dip
     during a revival oscillation is not flagged.  A row whose entanglement
-    survives the whole grid gets None.
+    survives the whole grid gets NaN.
     """
     window = confirm_samples + 1
     below = np.zeros((len(concs), concs.shape[-1] + 1), dtype=np.intp)
     np.cumsum(concs <= CONCURRENCE_ZERO_TOL, axis=-1, out=below[:, 1:])
     dead = below[:, window:] - below[:, :-window] == window
-    if dead.shape[-1] == 0:                    # the grid is shorter than the window
-        return [None] * len(concs)
-    starts = np.argmax(dead, axis=-1)
-    return [float(times[k]) if found else None
-            for k, found in zip(starts.tolist(), np.any(dead, axis=-1).tolist())]
+    deaths = np.full(len(concs), np.nan)
+    if dead.shape[-1]:                         # else the grid is shorter than the window
+        found = np.any(dead, axis=-1)
+        deaths[found] = times[np.argmax(dead[found], axis=-1)]
+    return deaths
 
 
 def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
-                 errors) -> list[WitnessReport | None]:
+                 errors) -> WitnessColumns:
     """Witness reports of a ``(G, N)`` batch: first time each row's ``mu`` reaches 1.
 
     ``mu`` and ``concs`` hold each row's samples at ``times``; ``r_a``, ``r_b``
@@ -78,18 +100,19 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
     sample before it; one root-find over all these brackets places every
     ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is the exact
     concurrence at ``t_ew``.  Only the first crossing is reported; re-entry
-    below 1 afterwards (seen on the samples) is flagged in ``notes``.
+    below 1 afterwards (seen on the samples) is flagged in ``reenters``.
 
-    A row with an error in ``errors`` gets None.  So does a row whose
-    root-find does not converge, and its entry in ``errors`` becomes a
-    :class:`NoConvergence`; every other row is unaffected.
+    Rows with an error in ``errors`` get no root-find.  A row whose root-find
+    does not converge gets a :class:`NoConvergence` in ``errors``; every
+    other row is unaffected.
     """
     above = mu >= 1.0
     crossed = np.any(above, axis=-1)
     first = np.argmax(above, axis=-1)
-    reenters = np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
+    starts_above = crossed & (first == 0)
+    reenters = crossed & np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
     good = np.array([error is None for error in errors], dtype=bool)
-    rows = np.flatnonzero(good & crossed & (first > 0))
+    rows = np.flatnonzero(good & crossed & ~starts_above)
     hi = first[rows]
     cut_a, cut_b = r_a.take(rows), r_b.take(rows)
 
@@ -99,37 +122,16 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
         return minimum_uncertainty(excited_population(cut_a, t),
                                    excited_population(cut_b, t)) - 1.0
 
-    t_ew = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
-                          mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
-    c_ew = concurrence(excited_population(cut_a, t_ew), excited_population(cut_b, t_ew))
-    crossing = dict(zip(rows.tolist(), zip(t_ew.tolist(), c_ew.tolist())))
-
-    for g, (t, _) in crossing.items():
-        if math.isnan(t):
-            errors[g] = NoConvergence(f"crossing root-find not done after "
-                                      f"{MAX_EVALUATIONS} evaluations")
-
-    deaths = death_times(times, concs)
-    mu_max = np.max(mu, axis=-1).tolist()
-    reports = []
-    for g, (error, found, again) in enumerate(zip(errors, crossed.tolist(), reenters.tolist())):
-        if error is not None:
-            reports.append(None)
-            continue
-        if not found:
-            reports.append(WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
-                                         death_time=deaths[g], mu_series_max=mu_max[g]))
-            continue
-        notes = []
-        if g in crossing:
-            t, threshold = crossing[g]
-        else:
-            t, threshold = float(times[0]), float(concs[g, 0])
-            notes.append("mu starts at or above 1")
-        if again:
-            notes.append("mu re-enters below 1 after the first crossing")
-        reports.append(WitnessReport(crossing_found=True, t_ew=t,
-                                     c_ew_threshold=min(max(threshold, 0.0), 1.0),
-                                     death_time=deaths[g], mu_series_max=mu_max[g],
-                                     notes="; ".join(notes)))
-    return reports
+    t_ew = np.where(starts_above, times[0], np.nan)
+    c_ew = np.where(starts_above, concs[:, 0], np.nan)
+    t_ew[rows] = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
+                                mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
+    c_ew[rows] = concurrence(excited_population(cut_a, t_ew[rows]),
+                             excited_population(cut_b, t_ew[rows]))
+    for g in rows[np.isnan(t_ew[rows])]:
+        errors[g] = NoConvergence(f"crossing root-find not done after "
+                                  f"{MAX_EVALUATIONS} evaluations")
+    return WitnessColumns(crossing_found=crossed, t_ew=t_ew,
+                          c_ew_threshold=np.minimum(np.maximum(c_ew, 0.0), 1.0),
+                          death_time=death_times(times, concs), mu_series_max=np.max(mu, axis=-1),
+                          starts_above=starts_above, reenters=reenters)

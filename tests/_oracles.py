@@ -13,12 +13,13 @@ Two oracles check the closed forms of the package:
   knows nothing of the X-state structure the package's formulas rest on.
 
 A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
-through ``run_scenario``, against which the batched sweep is compared,
-:func:`quadrature_direct` evaluates the f(t) quadrature with one ``np.exp``
-per node and :func:`simpson` as written, against which the package's
-two-table phase and class-weight layout are compared, and
-:func:`emit_reference` formats every CSV cell on its own, against which the
-writer's reuse of equal columns is compared.
+through ``run_scenario``, against which the batched sweep is compared;
+:func:`sweep_csv_reference` writes its rows one at a time, against which the
+column-wise sweep writer is compared; :func:`quadrature_direct` evaluates the
+f(t) quadrature with one ``np.exp`` per node and :func:`simpson` as written,
+against which the package's two-table phase and class-weight layout are
+compared; and :func:`emit_reference` formats every CSV cell on its own,
+against which the writer's reuse of equal columns is compared.
 
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
 checks name the first offending sample; a matrix that is not Hermitian, or
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged, SweepRow,
+from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged,
                         ValidationError, correlation_f, run_scenario)
-from entwitness.dynamics import QUADRATURE_LADDER, correlation_integral
-from entwitness.scenario import CSV_HEADER
+from entwitness.dynamics import QUADRATURE_LADDER, correlation_integral, is_number
+from entwitness.scenario import CSV_HEADER, SWEEP_KEYS
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -118,9 +119,10 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    from scipy.linalg import expm
+    """``exp(i H)`` of a random Hermitian ``H = V diag(w) V^H``, as ``V diag(exp(i w)) V^H``."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return expm(1j * 0.5 * (a + a.conj().T))
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 # ---------------------------------------------------------------- general-state oracle
@@ -335,7 +337,11 @@ def death_time_loop(times, concs, zero_tol: float, confirm_samples: int):
 
 
 def sweep_loop(lambdas, deltas, base):
-    """``sweep`` one grid point at a time: a ``run_scenario`` per point, its error in its row."""
+    """``sweep`` one grid point at a time: a ``run_scenario`` per point.
+
+    Returns one ``((lambda, delta), report, error)`` per point: the report of
+    a good point and None, or None and a failed point's ``"Type: message"``.
+    """
     rows = []
     for lam in list(lambdas) if lambdas else [None]:
         for delta in list(deltas) if deltas else [None]:
@@ -346,11 +352,32 @@ def sweep_loop(lambdas, deltas, base):
                 overrides["delta_a"] = overrides["delta_b"] = delta
             try:
                 _, report = run_scenario(dataclasses.replace(base, **overrides))
-                rows.append(SweepRow(lam=lam, delta=delta, report=report))
+                rows.append(((lam, delta), report, None))
             except EntwitnessError as exc:
-                rows.append(SweepRow(lam=lam, delta=delta, report=None,
-                                     error=f"{type(exc).__name__}: {exc}"))
+                rows.append(((lam, delta), None, f"{type(exc).__name__}: {exc}"))
     return rows
+
+
+def sweep_csv_reference(rows) -> str:
+    """The sweep CSV text of ``(point, report, error)`` rows, one row at a time.
+
+    A grid value a config accepts is written as the float it holds, any other
+    as given; a report value as true/false, its float, or empty for None and
+    for every value of a failed row.
+    """
+    def value(v):
+        return "" if v is None else repr(float(v)) if is_number(v) else str(v)
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "" if v is None else repr(float(v))
+
+    lines = [",".join(("lambda", "delta", *SWEEP_KEYS, "error"))]
+    for (lam, delta), report, error in rows:
+        cells = [cell(None if report is None else getattr(report, key)) for key in SWEEP_KEYS]
+        lines.append(",".join([value(lam), value(delta), *cells, error or ""]))
+    return "\n".join(lines) + "\n"
 
 
 def emit_reference(traj) -> str:

@@ -255,5 +255,5 @@ def test_sweep_runtime_budget():
     rows = ew.sweep(lambdas, deltas, base)
     elapsed = time.perf_counter() - start
     print(f"[INFO] 50 x 50 sweep: {elapsed:.2f} s")
-    assert len(rows) == 2500 and all(row.error is None for row in rows)
+    assert len(rows.points) == 2500 and rows.errors == [None] * 2500
     assert elapsed < 1.5

@@ -157,13 +157,35 @@ def test_sweep_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_reports_each_failed_row_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--lambda", "-1", "5", "--delta", "0", "-3",
+                 "--out", str(out), "--tmax", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep row (lambda=-1.0, delta=0.0) failed: "
+        "ValidationError: lambda_a: must be > 0, got -1.0",
+        "sweep row (lambda=-1.0, delta=-3.0) failed: "
+        "ValidationError: lambda_a: must be > 0, got -1.0",
+        "sweep row (lambda=5.0, delta=-3.0) failed: "
+        "ValidationError: delta_a: must be >= 0, got -3.0"]
+    assert [line.endswith(",") for line in out.read_text().splitlines()[1:]] == \
+        [False, False, True, False]
+
+
 def test_sweep_with_every_row_failed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", str(cfg), "--lambda", "-1", "-2",
                  "--out", str(out)]) == 2
-    assert "every sweep row failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep row (lambda=-1.0, delta=None) failed: "
+        "ValidationError: lambda_a: must be > 0, got -1.0",
+        "sweep row (lambda=-2.0, delta=None) failed: "
+        "ValidationError: lambda_a: must be > 0, got -2.0",
+        "error: every sweep row failed"]
     assert len(out.read_text().splitlines()) == 3     # failed rows are still written
 
 

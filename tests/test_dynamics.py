@@ -47,6 +47,14 @@ def test_reservoir_params_validation():
     for lam in (5e-324, MIN_WIDTH / 2):
         with pytest.raises(ValidationError, match="lam: must be finite and >= 2.2250738585072014e-308"):
             ReservoirParams(lam)
+    # a string, None or a bool is no number: each is named, not a TypeError
+    # from the comparison or a width of 1
+    for value in ("0.1", None, True, np.True_):
+        with pytest.raises(ValidationError, match="lam: must be finite"):
+            ReservoirParams(value)
+        with pytest.raises(ValidationError, match="delta: must be finite"):
+            ReservoirParams(1.0, value)
+    assert ReservoirParams(np.float32(0.5), np.int64(1)).scale == ReservoirParams(0.5, 1.0).scale
 
 
 def test_correlation_f_zero_at_start():
@@ -107,8 +115,8 @@ def test_quadrature_unconverged_on_unresolved_oscillation():
 
 def test_quadrature_validates_window_and_nodes():
     r = ReservoirParams(1.0)
-    for t in (np.nan, np.inf, -1.0, 10**400):
-        with pytest.raises(ValidationError, match="t: "):
+    for t in (np.nan, np.inf, -1.0, 10**400, "1.0", None, True, np.True_):
+        with pytest.raises(ValidationError, match="t: must be finite"):
             correlation_f_quadrature(r, t)
     # x t, or lam**2 and the integrand's denominator, overflow on the
     # interval: rejected before a grid is built, with no RuntimeWarning

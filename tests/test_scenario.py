@@ -2,10 +2,14 @@ import dataclasses
 import math
 import os
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
@@ -249,39 +253,41 @@ def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path):
     write_sweep_csv(rows, os.devnull)   # a device has no length to cut
 
 
+def _rows(rows):
+    """``(point, report, error)`` per row of a sweep, as :func:`oracle.sweep_loop` gives them."""
+    return [(point, None if error else rows.witness.report(g), error)
+            for g, (point, error) in enumerate(zip(rows.points, rows.errors))]
+
+
 def test_sweep_singleton_matches_run_scenario():
     base = ScenarioConfig(lambda_a=5.0, lambda_b=5.0, delta_a=1.0, delta_b=1.0, t_max=3.0)
-    rows = sweep([5.0], [1.0], base)
-    assert len(rows) == 1 and rows[0].error is None
     _, direct = run_scenario(base)
-    assert rows[0].report == direct
+    assert _rows(sweep([5.0], [1.0], base)) == [((5.0, 1.0), direct, None)]
 
 
 def test_sweep_detuning_grid_reproduces_crossings():
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=70.0)
-    rows = sweep(None, [0.0, 1.2, 1.6], base)
-    assert [r.delta for r in rows] == [0.0, 1.2, 1.6]
-    t_ews = [r.report.t_ew for r in rows]
-    for got, want in zip(t_ews, (2.5, 31.2, 61.9)):
-        assert got == pytest.approx(want, abs=max(0.05 * want, 0.05))
+    rows = _rows(sweep(None, [0.0, 1.2, 1.6], base))
+    assert [point for point, _, _ in rows] == [(None, 0.0), (None, 1.2), (None, 1.6)]
+    for (_, report, _), want in zip(rows, (2.5, 31.2, 61.9)):
+        assert report.t_ew == pytest.approx(want, abs=max(0.05 * want, 0.05))
     # rows are independent of one another
-    solo = sweep(None, [1.2], base)[0]
-    assert solo.report == rows[1].report
+    assert _rows(sweep(None, [1.2], base)) == [rows[1]]
 
 
 def test_sweep_marks_failing_rows():
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
-    rows = sweep([-1.0, 0.1], None, base)
-    assert rows[0].error is not None and "lambda" in rows[0].error
-    assert rows[1].error is None and rows[1].report is not None
+    (_, bad, error), (_, good, no_error) = _rows(sweep([-1.0, 0.1], None, base))
+    assert bad is None and "lambda" in error
+    assert no_error is None and good is not None
 
 
 def test_sweep_row_at_a_detuning_near_the_float_limit_is_not_flagged():
     # z t overflows from t = 1.8 on: that detuning leaves the atoms undamped
     base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=3.0)
     rows = sweep(None, [1.0, 1e308], base)
-    assert [row.error for row in rows] == [None, None]
-    assert rows[1].report.crossing_found is False
+    assert rows.errors == [None, None]
+    assert rows.witness.report(1).crossing_found is False
 
 
 def test_sweep_values_get_the_single_run_check(tmp_path):
@@ -299,16 +305,15 @@ def test_sweep_values_get_the_single_run_check(tmp_path):
     # marks its row as a single run of it would fail, numpy scalars and
     # arrays run like the floats they hold
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
-    rows = sweep([True, "abc", 10**400, 0.5], [0.0], base)
-    assert rows[0].error == "ValidationError: lambda_a: must be a finite number, got True"
-    assert rows[1].error == "ValidationError: lambda_a: must be a finite number, got 'abc'"
-    assert rows[2].error.startswith("ValidationError: lambda_a: must be a finite number")
-    assert rows[3].error is None
-    want = [row.report for row in sweep([1.0, 2.0], [0.0, 1.0], base)]
+    errors = sweep([True, "abc", 10**400, 0.5], [0.0], base).errors
+    assert errors[0] == "ValidationError: lambda_a: must be a finite number, got True"
+    assert errors[1] == "ValidationError: lambda_a: must be a finite number, got 'abc'"
+    assert errors[2].startswith("ValidationError: lambda_a: must be a finite number")
+    assert errors[3] is None
+    want = [report for _, report, _ in _rows(sweep([1.0, 2.0], [0.0, 1.0], base))]
     for lambdas, deltas in ((np.array([1.0, 2.0]), np.array([0.0, 1.0])),
                             ([np.int64(1), np.int64(2)], [np.int64(0), np.float32(1.0)])):
-        rows = sweep(lambdas, deltas, base)
-        assert [row.report for row in rows] == want
+        assert [report for _, report, _ in _rows(sweep(lambdas, deltas, base))] == want
     with pytest.raises(ValidationError, match="sweep grid"):
         sweep(np.array([]), None, base)
     # the CSV writes every value a config accepts as the float it holds, and
@@ -331,7 +336,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(ew.dynamics, "excited_population", population)
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.1)
-    assert sweep([0.1], None, base)[0].error is None
+    assert sweep([0.1], None, base).errors == [None]
     with pytest.raises(TypeError, match="injected"):
         sweep([0.1, 0.2], None, base)
 
@@ -354,12 +359,16 @@ def _sweep_csv_bytes(rows, path):
     return path.read_bytes()
 
 
+def _loop_csv_bytes(lambdas, deltas, base):
+    """The sweep CSV of the point loop, written row by row."""
+    return oracle.sweep_csv_reference(oracle.sweep_loop(lambdas, deltas, base)).encode("utf-8")
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path, seed):
     lambdas, deltas = _banded_grid(seed)
     got = _sweep_csv_bytes(sweep(lambdas, deltas, SWEEP_BASE), tmp_path / "batch.csv")
-    want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, SWEEP_BASE), tmp_path / "loop.csv")
-    assert got == want
+    assert got == _loop_csv_bytes(lambdas, deltas, SWEEP_BASE)
 
 
 def test_mixed_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path):
@@ -369,13 +378,12 @@ def test_mixed_sweep_csv_is_byte_identical_to_the_point_loop(tmp_path):
                           sample_every=4)
     grids = (([5.0, 0.1, -1.0, 0.05, 2.0], [0.0, 1.0, 2.5]),
              (None, [0.0, 1.2, 1.6, 3.0]), ([0.1, 5.0, 0.5], None))
-    rows = sweep(*grids[0], base)
-    assert [r.error is not None for r in rows] == [False] * 6 + [True] * 3 + [False] * 6
-    assert {r.report.crossing_found for r in rows if r.report} == {True, False}
+    rows = _rows(sweep(*grids[0], base))
+    assert [error is not None for _, _, error in rows] == [False] * 6 + [True] * 3 + [False] * 6
+    assert {report.crossing_found for _, report, _ in rows if report} == {True, False}
     for lambdas, deltas in grids:
         got = _sweep_csv_bytes(sweep(lambdas, deltas, base), tmp_path / "batch.csv")
-        want = _sweep_csv_bytes(oracle.sweep_loop(lambdas, deltas, base), tmp_path / "loop.csv")
-        assert got == want
+        assert got == _loop_csv_bytes(lambdas, deltas, base)
 
 
 @pytest.mark.parametrize("block_samples", [1, 2 * 101, 5 * 101 + 50])
@@ -393,6 +401,29 @@ def test_sweep_csv_is_byte_identical_in_row_blocks(tmp_path, monkeypatch, block_
     assert csvs[block_samples] == csvs[10**9]
 
 
+# Widths and detunings across both regimes, with values a config rejects among them.
+BLOCK_WIDTHS = st.sampled_from([5.0, 2.0, 0.5, 0.1, 0.05, -1.0, float("nan"), True, "abc"])
+BLOCK_DETUNINGS = st.sampled_from([0.0, 0.3, 1.2, 3.0, -1.0, "x"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BLOCK_WIDTHS, min_size=1, max_size=5),
+       st.lists(BLOCK_DETUNINGS, min_size=1, max_size=3), st.data())
+def test_sweep_csv_is_byte_identical_in_drawn_row_blocks(lambdas, deltas, data):
+    # a block of 1 row (the least a block holds) up to more rows than the
+    # grid has, against one batch: the CSV does not depend on the block size
+    samples = len(SWEEP_BASE.sample_times())
+    block = data.draw(st.integers(1, (len(lambdas) * len(deltas) + 2) * samples - 1),
+                      label="BLOCK_SAMPLES")
+    csvs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for block_samples in (10**9, block):
+            with mock.patch.object(ew.scenario, "BLOCK_SAMPLES", block_samples):
+                csvs.append(_sweep_csv_bytes(sweep(lambdas, deltas, SWEEP_BASE),
+                                             Path(tmp, f"{block_samples}.csv")))
+    assert csvs[1] == csvs[0]
+
+
 def test_sweep_memory_is_bounded_by_row_blocks(monkeypatch):
     # 6 rows of 100 001 samples: in blocks of BLOCK_SAMPLES row-samples the
     # sweep peaked at 30 MB, as one batch at 63 MB
@@ -407,7 +438,7 @@ def test_sweep_memory_is_bounded_by_row_blocks(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert all(row.error is None for row in rows)
+        assert rows.errors == [None] * 6
     assert peaks[0] < bound < peaks[1], peaks
 
 
@@ -423,13 +454,12 @@ def test_sweep_with_bad_axis_values_matches_the_point_loop(tmp_path):
                             (BAD_AND_GOOD_VALUES, None), (None, BAD_AND_GOOD_VALUES)):
         rows = sweep(lambdas, deltas, base)
         loop = oracle.sweep_loop(lambdas, deltas, base)
-        assert [(r.error, r.report) for r in rows] == [(r.error, r.report) for r in loop]
+        assert _rows(rows) == loop
         got = _sweep_csv_bytes(rows, tmp_path / "batch.csv")
-        assert got == _sweep_csv_bytes(loop, tmp_path / "loop.csv")
+        assert got == oracle.sweep_csv_reference(loop).encode("utf-8")
     # with both values rejected, the message is that of the first check that fails:
     # the type checks of every key come before the range checks
-    rows = sweep([float("nan"), -1.0], [-1.0, "abc"], base)
-    assert [r.error for r in rows] == [
+    assert sweep([float("nan"), -1.0], [-1.0, "abc"], base).errors == [
         "ValidationError: lambda_a: must be a finite number, got nan",
         "ValidationError: lambda_a: must be a finite number, got nan",
         "ValidationError: lambda_a: must be > 0, got -1.0",
@@ -449,7 +479,7 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
     rows = sweep([0.5, 1.0, 2.0, -1.0], [0.0, 1.0, 2.0], base)
     # one check per axis value, plus one per point with a rejected value
     assert len(checks) == 4 + 3 + 3
-    assert [r.error is None for r in rows] == [True] * 9 + [False] * 3
+    assert [error is None for error in rows.errors] == [True] * 9 + [False] * 3
 
 
 def _solo(base, lam, delta):
@@ -461,9 +491,8 @@ def _solo(base, lam, delta):
 
 
 def _assert_rows_match_solo_runs(rows, base):
-    for row in rows:
-        report, error = _solo(base, row.lam, row.delta)
-        assert (row.report, row.error) == (report, error), (row.lam, row.delta)
+    for (lam, delta), report, error in _rows(rows):
+        assert (report, error) == _solo(base, lam, delta), (lam, delta)
 
 
 def test_unphysical_population_marks_only_its_row(monkeypatch):
@@ -476,10 +505,10 @@ def test_unphysical_population_marks_only_its_row(monkeypatch):
 
     monkeypatch.setattr(ew.dynamics, "excited_population", broken)
     rows = sweep([5.0, 0.5, 0.1], [0.0, 2.0], SWEEP_BASE)
-    bad = [r for r in rows if r.error is not None]
-    assert [r.lam for r in bad] == [0.5, 0.5]
-    assert bad[0].error.startswith("NotDensityMatrix: p_a = ")
-    assert bad[0].error.endswith("outside [0, 1] at sample 20 (t = 1)")
+    bad = [(lam, error) for (lam, _), error in zip(rows.points, rows.errors) if error]
+    assert [lam for lam, _ in bad] == [0.5, 0.5]
+    assert bad[0][1].startswith("NotDensityMatrix: p_a = ")
+    assert bad[0][1].endswith("outside [0, 1] at sample 20 (t = 1)")
     _assert_rows_match_solo_runs(rows, SWEEP_BASE)
 
 
@@ -496,13 +525,13 @@ def test_uncertainty_violation_marks_only_its_row(monkeypatch):
         return h
 
     monkeypatch.setattr(ew.information, "entropy_bits", skewed)
-    rows = sweep([5.0, 0.5, 0.1], None, SWEEP_BASE)
-    assert [r.error is None for r in rows] == [True, False, True]
-    assert rows[1].error.startswith("NotDensityMatrix: mu = ")
-    assert rows[1].error.endswith("outside [-1, 2] at sample 0 (t = 0)")
+    rows = _rows(sweep([5.0, 0.5, 0.1], None, SWEEP_BASE))
+    assert [error is None for _, _, error in rows] == [True, False, True]
+    assert rows[1][2].startswith("NotDensityMatrix: mu = ")
+    assert rows[1][2].endswith("outside [-1, 2] at sample 0 (t = 0)")
     monkeypatch.undo()
-    for row in (rows[0], rows[2]):
-        assert row.report == _solo(SWEEP_BASE, row.lam, SWEEP_BASE.delta_a)[0]
+    for (lam, _), report, _ in (rows[0], rows[2]):
+        assert report == _solo(SWEEP_BASE, lam, SWEEP_BASE.delta_a)[0]
 
 
 def test_unconverged_crossing_marks_only_its_row(monkeypatch):
@@ -515,15 +544,15 @@ def test_unconverged_crossing_marks_only_its_row(monkeypatch):
         return roots
 
     monkeypatch.setattr(ew.witness, "bracketed_root", unfinished_first)
-    rows = sweep([5.0, 2.0, 0.1], [0.0], SWEEP_BASE)
-    assert rows[0].error == (f"NoConvergence: crossing root-find not done after "
-                             f"{ew.numerics.MAX_EVALUATIONS} evaluations")
-    assert all(r.error is None and r.report.crossing_found for r in rows[1:])
+    rows = _rows(sweep([5.0, 2.0, 0.1], [0.0], SWEEP_BASE))
+    assert rows[0][2] == (f"NoConvergence: crossing root-find not done after "
+                          f"{ew.numerics.MAX_EVALUATIONS} evaluations")
+    assert all(error is None and report.crossing_found for _, report, error in rows[1:])
     with pytest.raises(ew.NoConvergence):
         run_scenario(SWEEP_BASE)
     monkeypatch.undo()
-    for row in rows[1:]:
-        assert row.report == _solo(SWEEP_BASE, row.lam, row.delta)[0]
+    for (lam, delta), report, _ in rows[1:]:
+        assert report == _solo(SWEEP_BASE, lam, delta)[0]
 
 
 def test_sweep_requires_a_grid():
@@ -532,6 +561,29 @@ def test_sweep_requires_a_grid():
         sweep(None, None, base)
     with pytest.raises(ValidationError):
         sweep([], [], base)
+
+
+def test_sweep_csv_writes_none_as_an_empty_cell(tmp_path):
+    # a row that dies, one that does not, one that never crosses and two
+    # rejected rows: each None of a report is an empty cell, as is every
+    # report cell of a rejected row
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=4.0, sample_every=5)
+    rows = sweep([5.0, 0.1, -1.0], [0.0, 3.0], base)
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, out)
+    # split off the error, whose text may hold commas
+    cells = [line.split(",", 7) for line in out.read_text().splitlines()[1:]]
+    assert [row[2:7].count("") for row in cells] == [0, 1, 1, 3, 5, 5]
+    for g, row in enumerate(cells):
+        if rows.errors[g] is not None:
+            assert row[2:] == ["", "", "", "", "", rows.errors[g]]
+            continue
+        report = rows.witness.report(g)
+        written = [report.crossing_found, report.t_ew, report.c_ew_threshold, report.death_time,
+                   report.mu_series_max]
+        assert [cell == "" for cell in row[3:7]] == [value is None for value in written[1:]]
+        assert row[2] == ("true" if report.crossing_found else "false") and row[7] == ""
+    assert cells[3][2:7] == ["false", "", "", "", repr(rows.witness.mu_series_max[3].item())]
 
 
 def test_write_sweep_csv(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -26,20 +27,26 @@ def density_matrices(draw, dim=4):
     return h / np.trace(h).real
 
 
+def _synthetic_reports(times, mus, concs):
+    """The :func:`witness_rows` reports of synthetic ``(G, N)`` rows."""
+    mus, concs = np.atleast_2d(mus).astype(float), np.atleast_2d(concs).astype(float)
+    r = ReservoirColumns.stack([ReservoirParams(1.0)] * len(mus))
+    errors = [None] * len(mus)
+    columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, r, errors)
+    assert errors == [None] * len(mus)
+    return [columns.report(g) for g in range(len(mus))]
+
+
 def _synthetic_report(times, mus, concs):
     """The :func:`witness_rows` report of one synthetic ``(1, N)`` row."""
-    r = ReservoirColumns.stack([ReservoirParams(1.0)])
-    errors = [None]
-    reports = witness_rows(np.asarray(times, dtype=float), np.asarray(mus, dtype=float)[None],
-                           np.asarray(concs, dtype=float)[None], r, r, errors)
-    assert errors == [None]
-    return reports[0]
+    return _synthetic_reports(times, mus, concs)[0]
 
 
 def _death_time(times, concs, **kwargs):
-    """The :func:`death_times` entry of one ``(1, N)`` concurrence row."""
-    return death_times(np.asarray(times, dtype=float), np.asarray(concs, dtype=float)[None],
-                       **kwargs)[0]
+    """The :func:`death_times` entry of one ``(1, N)`` concurrence row, None for NaN."""
+    death = death_times(np.asarray(times, dtype=float), np.asarray(concs, dtype=float)[None],
+                        **kwargs)[0]
+    return None if np.isnan(death) else float(death)
 
 
 def test_concurrence_bell():
@@ -176,6 +183,28 @@ def test_witness_report_starting_above_one():
     rep = _synthetic_report(times, np.full_like(times, 1.5), np.ones_like(times))
     assert rep.crossing_found and rep.t_ew == 0.0
     assert "starts at or above" in rep.notes
+
+
+def test_witness_columns_report_maps_nan_to_none_and_flags_to_notes():
+    # three synthetic rows in one batch: mu starting above 1 and falling back
+    # below it, with the concurrence gone by t = 0.5; mu never reaching 1; and
+    # a single crossing into a plateau
+    times = np.arange(0.0, 1.0, 0.01)
+    mus = np.stack([np.where(times < 0.3, 1.5, 0.5), np.zeros_like(times),
+                    np.minimum(2.0 * times, 1.2)])
+    concs = np.stack([np.where(times < 0.5, 0.6, 0.0), np.ones_like(times),
+                      np.ones_like(times)])
+    reports = _synthetic_reports(times, mus, concs)
+    assert reports[0] == ew.WitnessReport(
+        crossing_found=True, t_ew=0.0, c_ew_threshold=0.6, death_time=0.5, mu_series_max=1.5,
+        notes="mu starts at or above 1; mu re-enters below 1 after the first crossing")
+    assert reports[1] == ew.WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
+                                          death_time=None, mu_series_max=0.0, notes="")
+    assert reports[2].crossing_found and reports[2].notes == ""
+    assert reports[2].t_ew == pytest.approx(0.5, abs=0.01) and reports[2].death_time is None
+    # report values are Python scalars, as the single-run API always gave
+    assert all(type(value) in (bool, float, str, type(None))
+               for report in reports for value in dataclasses.astuple(report))
 
 
 def test_witness_report_empty_trajectory():
