@@ -80,6 +80,11 @@ def is_number(value) -> bool:
         return False
 
 
+def _scale(lam: float, delta: float) -> complex:
+    """Prefactor ``lam / (2 (lam - i delta))`` of ``f``, halved last so no ``2 lam`` overflows."""
+    return 0.5 * (lam / (lam - 1j * delta))
+
+
 @dataclass(frozen=True)
 class ReservoirParams:
     """Lorentzian reservoir parameters in units of ``gamma0``, the Markovian decay rate.
@@ -98,8 +103,7 @@ class ReservoirParams:
 
     @property
     def scale(self) -> complex:
-        """Prefactor ``lam / (2 (lam - i delta))`` of ``f``, halved last so no ``2 lam`` overflows."""
-        return 0.5 * (self.lam / (self.lam - 1j * self.delta))
+        return _scale(self.lam, self.delta)
 
     @property
     def z(self) -> complex:
@@ -110,24 +114,21 @@ class ReservoirParams:
 class ReservoirColumns(NamedTuple):
     """``f``'s ``scale`` and ``z`` for G reservoirs, as arrays that broadcast against times.
 
-    :meth:`stack` gives ``(G, 1)`` columns for a ``(G, N)`` batch over a
-    shared ``(N,)`` grid; :meth:`take` picks ``(K,)`` rows, one per abscissa
-    of a ``(K,)`` array of times.  :func:`correlation_integral` and
-    :func:`excited_population` take these columns wherever they take a
-    :class:`ReservoirParams`.
+    :meth:`of` gives the ``(G, 1)`` columns of G checked widths and detunings
+    for a ``(G, N)`` batch on a shared ``(N,)`` grid; :meth:`take` the ``(K,)``
+    rows for a ``(K,)`` array of times.  :func:`correlation_integral` and
+    :func:`excited_population` take them wherever they take a ``ReservoirParams``.
     """
 
     scale: np.ndarray
     z: np.ndarray
 
     @classmethod
-    def stack(cls, reservoirs) -> "ReservoirColumns":
-        # Each prefactor comes from Python complex arithmetic, one reservoir at
-        # a time: numpy's complex division of stacked columns rounds some of
-        # them differently by an ulp, which would move the written columns.
-        reservoirs = list(reservoirs)
-        return cls(np.array([r.scale for r in reservoirs], dtype=complex)[:, None],
-                   np.array([r.z for r in reservoirs], dtype=complex)[:, None])
+    def of(cls, lams: np.ndarray, deltas: np.ndarray) -> "ReservoirColumns":
+        # Prefactors in Python complex arithmetic, row by row: numpy's complex division of
+        # whole columns is off by an ulp on some rows, which would move the written values.
+        scale = list(map(_scale, lams.tolist(), deltas.tolist()))
+        return cls(np.array(scale, dtype=complex)[:, None], (1j * deltas - lams)[:, None])
 
     def take(self, rows) -> "ReservoirColumns":
         return ReservoirColumns(self.scale[rows, 0], self.z[rows, 0])

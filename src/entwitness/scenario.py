@@ -144,12 +144,20 @@ def _config_loader():
 
     YAML 1.1, which PyYAML follows, takes a float to need a ``.`` and a signed
     exponent, so ``1e-3``, ``2E5`` or ``1.0e308`` would load as strings.
-    Integers and quoted strings load as before.
+    Integers and quoted strings load as before.  A key given twice in one
+    mapping is a :class:`ValidationError`, where PyYAML would keep the last value.
     """
     import yaml
 
     class Loader(yaml.SafeLoader):
-        pass
+        def construct_mapping(self, node, deep=False):
+            names = set()
+            for key, _ in node.value:   # every config key is a str; a << merge key is not
+                if key.tag == "tag:yaml.org,2002:str":
+                    if key.value in names:
+                        raise ValidationError(f"{key.value}: duplicate key")
+                    names.add(key.value)
+            return super().construct_mapping(node, deep=deep)
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
@@ -183,16 +191,16 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**raw)
 
 
-def _run_batch(pairs, times: np.ndarray, errors):
-    """Propagate G reservoir pairs on the sample grid ``times`` and derive their columns and reports.
+def _run_batch(params: np.ndarray, times: np.ndarray, errors):
+    """Evaluate G rows of checked ``(lambda_a, lambda_b, delta_a, delta_b)`` at the sample times.
 
     Returns the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)`` and
     the :class:`WitnessColumns`.  Each column is one element-wise pass over
     the populations; the checks and the crossing root-find set the error of a
     failing row in the G ``errors`` (None for a good row) and leave the rest.
     """
-    r_a = ReservoirColumns.stack(pair[0] for pair in pairs)
-    r_b = ReservoirColumns.stack(pair[1] for pair in pairs)
+    r_a = ReservoirColumns.of(params[:, 0], params[:, 2])
+    r_b = ReservoirColumns.of(params[:, 1], params[:, 3])
     p_a, p_b = populations(r_a, r_b, times, errors)
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
@@ -202,7 +210,7 @@ def _run_batch(pairs, times: np.ndarray, errors):
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
-    """Propagate the configured scenario and derive the observable columns.
+    """Evaluate the configured scenario and derive the observable columns.
 
     The one-row batch of :func:`sweep`: every column is one element-wise pass
     over the sampled excited populations.
@@ -210,7 +218,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     r_a, r_b = cfg.reservoirs()
     times = cfg.sample_times()
     errors = [None]
-    columns, witness = _run_batch([(r_a, r_b)], times, errors)
+    params = np.array([[cfg.lambda_a, cfg.lambda_b, cfg.delta_a, cfg.delta_b]])
+    columns, witness = _run_batch(params, times, errors)
     if errors[0] is not None:
         raise errors[0]
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
@@ -315,42 +324,51 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
     lam_checks = _axis_checks(base, lam_axis, "lambda_a", "lambda_b")
     delta_checks = _axis_checks(base, delta_axis, "delta_a", "delta_b")
-    points, pairs, errors = [], [], []
+    points, params, errors = [], [], []
     for lam, (lam_overrides, lam_cfg) in zip(lam_axis, lam_checks):
         for delta, (delta_overrides, delta_cfg) in zip(delta_axis, delta_checks):
             points.append((lam, delta))
-            try:
-                if lam_cfg is not None and delta_cfg is not None:
-                    pairs.append((ReservoirParams(lam_cfg.lambda_a, delta_cfg.delta_a),
-                                  ReservoirParams(lam_cfg.lambda_b, delta_cfg.delta_b)))
-                else:  # checked as a whole, so the message names the first key at fault
-                    pairs.append(dataclasses.replace(
-                        base, **lam_overrides, **delta_overrides).reservoirs())
-                errors.append(None)
-            except EntwitnessError as exc:
-                pairs.append(base.reservoirs())
-                errors.append(exc)
+            errors.append(None)
+            if lam_cfg is None or delta_cfg is None:
+                try:  # checked as a whole, so the message names the first key at fault
+                    dataclasses.replace(base, **lam_overrides, **delta_overrides)
+                except EntwitnessError as exc:
+                    errors[-1] = exc
+            widths, detunings = (lam_cfg, delta_cfg) if errors[-1] is None else (base, base)
+            params.append((widths.lambda_a, widths.lambda_b, detunings.delta_a, detunings.delta_b))
     times = base.sample_times()
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
+    params = np.array(params, dtype=float)
     errors = np.array(errors, dtype=object)   # a block's slice is a view, so its errors land here
-    blocks = [_run_batch(pairs[k:k + rows_per_block], times, errors[k:k + rows_per_block])[1]
-              for k in range(0, len(pairs), rows_per_block)]
+    blocks = [_run_batch(params[k:k + rows_per_block], times, errors[k:k + rows_per_block])[1]
+              for k in range(0, len(params), rows_per_block)]
     return SweepRows(points, WitnessColumns(*map(np.concatenate, zip(*blocks))),
                      [None if error is None else f"{type(error).__name__}: {error}"
                       for error in errors])
 
 
+def _quote(text: str) -> str:
+    """A text cell as RFC 4180 has it: quoted only if it holds a comma, ``"`` or a line break.
+
+    Each inner double quote is doubled; any other text is written as it is.
+    """
+    return '"' + text.replace('"', '""') + '"' if re.search('[",\r\n]', text) else text
+
+
 def write_sweep_csv(rows: SweepRows, path) -> None:
-    """Write sweep rows as CSV (one witness report per row), a column at a time."""
+    """Write sweep rows as CSV (one witness report per row), a column at a time.
+
+    The text cells, an error and a grid value written as given, are quoted by :func:`_quote`.
+    """
     failed = np.array([error is not None for error in rows.errors])
 
     def opt(v):  # a value a config accepts as the float it holds, any other as given
-        return "" if v is None else (_fmt(v) if is_number(v) else str(v))
+        return "" if v is None else (_fmt(v) if is_number(v) else _quote(str(v)))
 
     columns = [list(map(opt, axis)) for axis in zip(*rows.points)]   # lambda, delta
     for key in SWEEP_KEYS:
         values = np.where(failed, None, getattr(rows.witness, key)).tolist()
         columns.append([_cell(value, "") for value in values])
-    columns.append([error or "" for error in rows.errors])
+    columns.append([_quote(error) if error else "" for error in rows.errors])
     header = ",".join(("lambda", "delta", *SWEEP_KEYS, "error"))
     _overwrite(path, "\n".join((header, *map(",".join, zip(*columns)))) + "\n")

@@ -363,10 +363,17 @@ def sweep_csv_reference(rows) -> str:
 
     A grid value a config accepts is written as the float it holds, any other
     as given; a report value as true/false, its float, or empty for None and
-    for every value of a failed row.
+    for every value of a failed row.  A text cell (an error, a value as given)
+    that holds a comma, a double quote, CR or LF is written in double quotes,
+    each inner quote doubled, as RFC 4180 has it.
     """
+    def text(s):
+        if any(c in s for c in ',"\r\n'):
+            return '"' + "".join('""' if c == '"' else c for c in s) + '"'
+        return s
+
     def value(v):
-        return "" if v is None else repr(float(v)) if is_number(v) else str(v)
+        return "" if v is None else repr(float(v)) if is_number(v) else text(str(v))
 
     def cell(v):
         if isinstance(v, bool):
@@ -376,7 +383,7 @@ def sweep_csv_reference(rows) -> str:
     lines = [",".join(("lambda", "delta", *SWEEP_KEYS, "error"))]
     for (lam, delta), report, error in rows:
         cells = [cell(None if report is None else getattr(report, key)) for key in SWEEP_KEYS]
-        lines.append(",".join([value(lam), value(delta), *cells, error or ""]))
+        lines.append(",".join([value(lam), value(delta), *cells, text(error or "")]))
     return "\n".join(lines) + "\n"
 
 

@@ -59,6 +59,18 @@ def test_run_validation_error_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\nlambda_a: 5.0\n")
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: lambda_a: duplicate key\n"
+    assert not out.exists() and not (tmp_path / "x.csv.report").exists()
+
+
 def test_run_parse_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("lambda_a: [oops\n")

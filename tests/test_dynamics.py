@@ -9,8 +9,8 @@ import entwitness as ew
 from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams,
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
-from entwitness.dynamics import (MIN_WIDTH, QUADRATURE_LADDER, SERIES_LIMIT, _simpson_classes,
-                                 correlation_integral)
+from entwitness.dynamics import (MIN_WIDTH, QUADRATURE_LADDER, SERIES_LIMIT, ReservoirColumns,
+                                 _simpson_classes, correlation_integral)
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, quadrature_direct,
                       random_density, rk4_states, simpson)
@@ -55,6 +55,20 @@ def test_reservoir_params_validation():
         with pytest.raises(ValidationError, match="delta: must be finite"):
             ReservoirParams(1.0, value)
     assert ReservoirParams(np.float32(0.5), np.int64(1)).scale == ReservoirParams(0.5, 1.0).scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(MIN_WIDTH, 1e308), st.floats(0.0, 1e308)), min_size=1,
+                max_size=8))
+@example([(MIN_WIDTH, 1e308), (1e308, 1e308), (1e308, 0.0), (1.0, -0.0), (0.1, 1.6)])
+def test_reservoir_columns_of_matches_reservoir_params_bit_for_bit(rows):
+    # the columns of a batch's (G, 2) rows, each column a strided view as in a sweep
+    params = np.array(rows)
+    columns = ReservoirColumns.of(params[:, 0], params[:, 1])
+    want = [ReservoirParams(lam, delta) for lam, delta in rows]
+    assert columns.scale.shape == columns.z.shape == (len(rows), 1)
+    assert columns.scale.tobytes() == np.array([r.scale for r in want]).tobytes()
+    assert columns.z.tobytes() == np.array([r.z for r in want]).tobytes()
 
 
 def test_correlation_f_zero_at_start():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -76,6 +77,20 @@ def test_parse_config_reads_exponent_spellings_as_floats():
     for quoted in ("'1e-3'", '"1e-3"', "'0.001'"):
         with pytest.raises(ValidationError, match="dt: must be a finite number"):
             parse_config(f"lambda_a: 0.1\nlambda_b: 0.1\nt_max: 10\ndt: {quoted}\n")
+
+
+def test_parse_config_rejects_duplicate_keys():
+    # PyYAML alone keeps the last value: lambda_a would silently be 5.0
+    with pytest.raises(ValidationError, match="^lambda_a: duplicate key$"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\nlambda_a: 5.0\n")
+    # the same value twice, and a quoted spelling of the same key
+    with pytest.raises(ValidationError, match="^t_max: duplicate key$"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\nt_max: 1.0\n")
+    with pytest.raises(ValidationError, match="^lambda_b: duplicate key$"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n'lambda_b': 0.2\n")
+    # a key that a << merge gives is overridden, not duplicated
+    cfg = parse_config("<<: {lambda_b: 0.3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
+    assert cfg == ScenarioConfig(lambda_a=0.1, lambda_b=0.2, t_max=1.0)
 
 
 def test_parse_config_full_equals_preset():
@@ -466,6 +481,25 @@ def test_sweep_with_bad_axis_values_matches_the_point_loop(tmp_path):
         "ValidationError: delta_a: must be a finite number, got 'abc'"]
 
 
+def test_sweep_builds_no_reservoir_params(monkeypatch):
+    # each row runs from the floats its axis checks accepted (a rejected
+    # point from the base's); no per-point ReservoirParams is built
+    built = []
+    post_init = ew.ReservoirParams.__post_init__
+
+    def counted(params):
+        built.append(params)
+        post_init(params)
+
+    monkeypatch.setattr(ew.ReservoirParams, "__post_init__", counted)
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, sample_every=5)
+    rows = sweep([0.5, -1.0, 2.0], [0.0, 0.5, 1.0, 2.0], base)
+    assert [error is None for error in rows.errors] == [True] * 4 + [False] * 4 + [True] * 4
+    assert built == []
+    monkeypatch.undo()
+    assert _rows(rows) == oracle.sweep_loop([0.5, -1.0, 2.0], [0.0, 0.5, 1.0, 2.0], base)
+
+
 def test_sweep_checks_each_axis_value_once(monkeypatch):
     base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0)
     checks = []
@@ -571,8 +605,7 @@ def test_sweep_csv_writes_none_as_an_empty_cell(tmp_path):
     rows = sweep([5.0, 0.1, -1.0], [0.0, 3.0], base)
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, out)
-    # split off the error, whose text may hold commas
-    cells = [line.split(",", 7) for line in out.read_text().splitlines()[1:]]
+    cells = list(csv.reader(out.open(newline="", encoding="utf-8")))[1:]
     assert [row[2:7].count("") for row in cells] == [0, 1, 1, 3, 5, 5]
     for g, row in enumerate(cells):
         if rows.errors[g] is not None:
@@ -584,6 +617,32 @@ def test_sweep_csv_writes_none_as_an_empty_cell(tmp_path):
         assert [cell == "" for cell in row[3:7]] == [value is None for value in written[1:]]
         assert row[2] == ("true" if report.crossing_found else "false") and row[7] == ""
     assert cells[3][2:7] == ["false", "", "", "", repr(rows.witness.mu_series_max[3].item())]
+
+
+def test_sweep_csv_reads_as_eight_fields_per_row_with_failed_rows(tmp_path):
+    # error texts hold commas and quotes, and a value written as given may
+    # hold a comma, a double quote or a line break: each is one quoted cell
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=2.0, sample_every=5)
+    lambdas = [-1.0, 'x"y', "a,b", "l\nm", 0.5, float("nan")]
+    rows = sweep(lambdas, [0.0, "abc"], base)
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, out)
+    with out.open(newline="", encoding="utf-8") as fh:
+        header, *cells = csv.reader(fh)
+    assert header == ["lambda", "delta", "crossing_found", "t_ew", "c_ew_threshold",
+                      "death_time", "mu_series_max", "error"]
+    assert [len(row) for row in cells] == [8] * 12
+    assert [row[0] for row in cells[::2]] == ["-1.0", 'x"y', "a,b", "l\nm", "0.5", "nan"]
+    assert [row[1] for row in cells[:2]] == ["0.0", "abc"]
+    assert [row[7] for row in cells] == [error or "" for error in rows.errors]
+    assert rows.errors[0] == "ValidationError: lambda_a: must be > 0, got -1.0"
+    # only the text cells are quoted: the header and a good row keep their bytes
+    text = out.read_text(encoding="utf-8")
+    assert '"ValidationError: lambda_a: must be > 0, got -1.0"\n' in text
+    assert '\n"x""y",0.0,' in text and '\n"a,b",0.0,' in text and '\n"l\nm",0.0,' in text
+    good = _sweep_csv_bytes(sweep([0.5], [0.0], base), tmp_path / "good.csv").decode()
+    assert '"' not in good and text.startswith(good.splitlines()[0] + "\n")
+    assert "\n" + good.splitlines()[1] + "\n" in text and rows.errors[8] is None
 
 
 def test_write_sweep_csv(tmp_path):

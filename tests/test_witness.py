@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import (ReservoirParams, ScenarioConfig, ValidationError, concurrence,
-                        run_scenario)
+from entwitness import ScenarioConfig, ValidationError, concurrence, run_scenario
 from entwitness.dynamics import ReservoirColumns, Trajectory
 from entwitness.witness import death_times, witness_rows
 from _oracles import (bell_rho, channel_states, concurrence_x_state, death_time_loop,
@@ -30,7 +29,7 @@ def density_matrices(draw, dim=4):
 def _synthetic_reports(times, mus, concs):
     """The :func:`witness_rows` reports of synthetic ``(G, N)`` rows."""
     mus, concs = np.atleast_2d(mus).astype(float), np.atleast_2d(concs).astype(float)
-    r = ReservoirColumns.stack([ReservoirParams(1.0)] * len(mus))
+    r = ReservoirColumns.of(np.ones(len(mus)), np.zeros(len(mus)))
     errors = [None] * len(mus)
     columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, r, errors)
     assert errors == [None] * len(mus)
