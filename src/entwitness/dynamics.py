@@ -31,11 +31,10 @@ and every observable is an element-wise function of them
 
 The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
 holds the prefactor and exponent of ``f`` for G reservoirs as ``(G, 1)``
-columns, and :func:`populations` evaluates G reservoir pairs on one shared
-``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`) as
-``(G, N)`` arrays, with a separate error per row.  A sweep is one such batch;
-a single run (:func:`entwitness.scenario.run_scenario`) is the batch with
-``G = 1``.
+columns, and :func:`excited_population` evaluates them on one shared ``(N,)``
+grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`) as a ``(G, N)``
+array.  A sweep is one such batch; a single run
+(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state.
@@ -52,10 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotDensityMatrix, QuadratureUnconverged, ValidationError
-from .numerics import flag_rows
+from .errors import QuadratureUnconverged, ValidationError
 
-POPULATION_TOL = 1e-9
 # The smallest spectral width, the smallest normal float: numpy's complex
 # division by a subnormal z = i delta - lam overflows to NaN.
 MIN_WIDTH = sys.float_info.min
@@ -156,13 +153,13 @@ class Trajectory:
         return len(self.times)
 
 
-def correlation_f(r: ReservoirParams, t):
+def correlation_f(r, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
 
     ``f(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
     the thermal counterpart ``k(t)`` vanishes identically at zero temperature.
-    Accepts a scalar or an array of times ``t >= 0``.  Where ``z t``
-    overflows, ``exp(z t)`` is taken as 0 (see :func:`_where_finite`).
+    ``r`` and the times ``t >= 0`` as in :func:`correlation_integral`.  Where
+    ``z t`` overflows, ``exp(z t)`` is taken as 0 (see :func:`_where_finite`).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
@@ -352,19 +349,3 @@ def excited_population(r, t):
     :func:`correlation_integral`.
     """
     return np.exp(-2.0 * correlation_integral(r, t).real)
-
-
-def populations(r_a: ReservoirColumns, r_b: ReservoirColumns, times: np.ndarray, errors):
-    """Exact excited populations ``p_a``, ``p_b`` of G reservoir pairs at ``times``.
-
-    Returns the two ``(G, N)`` arrays.  Each row of the G ``errors`` that is
-    None and whose ``p_a`` or ``p_b`` lies outside [0, 1] by more than
-    ``POPULATION_TOL`` gets a :class:`NotDensityMatrix` naming its first such
-    sample and its time; a row already flagged keeps its error.  Every sample
-    is the closed form at its time; no error accumulates along the grid.
-    """
-    p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
-                  lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
-    return p_a, p_b

@@ -23,15 +23,13 @@ block plus the two middle populations; the memory's marginal is
 2x2 blocks of weight 1/2 with the common spectrum
 ``1/2 +- sqrt((1 - p_B)^2 / 4 + p_A p_B / 4)``, so ``H(S_x|B) = H(S_y|B)``.
 Every quantity is therefore a short element-wise function of ``p_A`` and
-``p_B``, given as scalars, per-sample columns or ``(G, N)`` batches of rows;
-:func:`check_uncertainty` checks a batch row by row.  All functions are
-stateless and safe for concurrent use.
+``p_B``, given as scalars, per-sample columns or ``(G, N)`` batches of rows.
+All functions are stateless and safe for concurrent use.
 """
 
 import numpy as np
 
-from .errors import NotDensityMatrix
-from .numerics import entropy_bits, flag_rows
+from .numerics import entropy_bits
 
 
 def _memory_entropy(p_b):
@@ -69,17 +67,3 @@ def uncertainty_columns(p_a, p_b):
     small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
     lhs = 2.0 * (1.0 + entropy_bits(big, small) - h_memory)
     return mu, lhs
-
-
-def check_uncertainty(mu, lhs, times, errors) -> None:
-    """Flag in ``errors`` each row of the ``(G, N)`` columns that is not physical.
-
-    A row's first sample with ``mu`` outside [-1, 2], or else with
-    ``lhs < mu`` beyond 1e-7, gives it a :class:`NotDensityMatrix` naming the
-    sample and its time; a row already flagged keeps its error.
-    """
-    flag_rows(errors, ~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)), times,
-              lambda g, k, where: NotDensityMatrix(f"mu = {mu[g, k]} outside [-1, 2]{where}"))
-    flag_rows(errors, lhs < mu - 1e-7, times,
-              lambda g, k, where: NotDensityMatrix(
-                  f"uncertainty inequality violated: lhs = {lhs[g, k]}, mu = {mu[g, k]}{where}"))

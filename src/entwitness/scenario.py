@@ -13,10 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (MIN_WIDTH, ReservoirColumns, ReservoirParams, Trajectory, correlation_f,
-                       is_number, populations)
-from .errors import EntwitnessError, ParseError, ValidationError
-from .information import check_uncertainty, uncertainty_columns
+from .dynamics import (MIN_WIDTH, ReservoirColumns, Trajectory, correlation_f,
+                       excited_population, is_number)
+from .errors import (EntwitnessError, NoConvergence, NotDensityMatrix, ParseError,
+                     ValidationError)
+from .information import uncertainty_columns
+from .numerics import MAX_EVALUATIONS, flag_rows
 from .witness import WitnessColumns, WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
@@ -26,6 +28,7 @@ MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~1
 # Most row-samples a sweep evaluates at once: a complex (rows, N) temporary of
 # a block is then at most 4 MiB, whatever the grid, or one row where N > 2**18.
 BLOCK_SAMPLES = 2**18
+POPULATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,6 @@ class ScenarioConfig:
         # int64 needs no integer array
         return np.arange(n_samples + 1, dtype=float) * self.sample_every * self.dt
 
-    def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
-        return (ReservoirParams(lam=self.lambda_a, delta=self.delta_a),
-                ReservoirParams(lam=self.lambda_b, delta=self.delta_b))
-
 
 def _cfg(la, lb, da, db, t_max):
     return ScenarioConfig(lambda_a=la, lambda_b=lb, delta_a=da, delta_b=db, t_max=t_max)
@@ -145,19 +144,21 @@ def _config_loader():
     YAML 1.1, which PyYAML follows, takes a float to need a ``.`` and a signed
     exponent, so ``1e-3``, ``2E5`` or ``1.0e308`` would load as strings.
     Integers and quoted strings load as before.  A key given twice in one
-    mapping is a :class:`ValidationError`, where PyYAML would keep the last value.
+    mapping as written, a ``<<`` merge's included, is a :class:`ValidationError`,
+    where PyYAML would keep the last value; a merged key set again is overridden.
     """
     import yaml
 
     class Loader(yaml.SafeLoader):
-        def construct_mapping(self, node, deep=False):
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
             names = set()
             for key, _ in node.value:   # every config key is a str; a << merge key is not
                 if key.tag == "tag:yaml.org,2002:str":
                     if key.value in names:
                         raise ValidationError(f"{key.value}: duplicate key")
                     names.add(key.value)
-            return super().construct_mapping(node, deep=deep)
+            return node
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
@@ -194,19 +195,32 @@ def parse_config(text: str) -> ScenarioConfig:
 def _run_batch(params: np.ndarray, times: np.ndarray, errors):
     """Evaluate G rows of checked ``(lambda_a, lambda_b, delta_a, delta_b)`` at the sample times.
 
-    Returns the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)`` and
-    the :class:`WitnessColumns`.  Each column is one element-wise pass over
-    the populations; the checks and the crossing root-find set the error of a
-    failing row in the G ``errors`` (None for a good row) and leave the rest.
+    Returns both reservoirs' :class:`ReservoirColumns`, the ``(G, N)`` columns
+    ``(p_a, p_b, mu, lhs, concurrence)`` and the :class:`WitnessColumns`.  Every
+    row check is made here, in this order: ``p_a``, ``p_b`` in [0, 1], ``mu``
+    in [-1, 2], ``lhs >= mu``, then the crossing's root-find.  A row's first
+    offence sets its entry of the G ``errors`` (None for a good row).
     """
     r_a = ReservoirColumns.of(params[:, 0], params[:, 2])
     r_b = ReservoirColumns.of(params[:, 1], params[:, 3])
-    p_a, p_b = populations(r_a, r_b, times, errors)
+    p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
+                  lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
         concs = concurrence(p_a, p_b)
-    check_uncertainty(mu, lhs, times, errors)
-    return (p_a, p_b, mu, lhs, concs), witness_rows(times, mu, concs, r_a, r_b, errors)
+    flag_rows(errors, ~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)), times,
+              lambda g, k, where: NotDensityMatrix(f"mu = {mu[g, k]} outside [-1, 2]{where}"))
+    flag_rows(errors, lhs < mu - 1e-7, times,
+              lambda g, k, where: NotDensityMatrix(
+                  f"uncertainty inequality violated: lhs = {lhs[g, k]}, mu = {mu[g, k]}{where}"))
+    good = np.array([error is None for error in errors], dtype=bool)
+    witness = witness_rows(times, mu, concs, r_a, r_b, good)
+    for g in np.flatnonzero(good & witness.crossing_found & np.isnan(witness.t_ew)):
+        errors[g] = NoConvergence(f"crossing root-find not done after "
+                                  f"{MAX_EVALUATIONS} evaluations")
+    return (r_a, r_b), (p_a, p_b, mu, lhs, concs), witness
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
@@ -215,16 +229,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     The one-row batch of :func:`sweep`: every column is one element-wise pass
     over the sampled excited populations.
     """
-    r_a, r_b = cfg.reservoirs()
     times = cfg.sample_times()
     errors = [None]
     params = np.array([[cfg.lambda_a, cfg.lambda_b, cfg.delta_a, cfg.delta_b]])
-    columns, witness = _run_batch(params, times, errors)
+    (r_a, r_b), columns, witness = _run_batch(params, times, errors)
     if errors[0] is not None:
         raise errors[0]
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
     traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
-                      f_a=correlation_f(r_a, times), f_b=correlation_f(r_b, times))
+                      f_a=correlation_f(r_a, times)[0], f_b=correlation_f(r_b, times)[0])
     return traj, witness.report(0)
 
 
@@ -340,7 +353,7 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
     params = np.array(params, dtype=float)
     errors = np.array(errors, dtype=object)   # a block's slice is a view, so its errors land here
-    blocks = [_run_batch(params[k:k + rows_per_block], times, errors[k:k + rows_per_block])[1]
+    blocks = [_run_batch(params[k:k + rows_per_block], times, errors[k:k + rows_per_block])[-1]
               for k in range(0, len(params), rows_per_block)]
     return SweepRows(points, WitnessColumns(*map(np.concatenate, zip(*blocks))),
                      [None if error is None else f"{type(error).__name__}: {error}"

@@ -16,9 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import ReservoirColumns, excited_population
-from .errors import NoConvergence
 from .information import minimum_uncertainty
-from .numerics import MAX_EVALUATIONS, bracketed_root
+from .numerics import bracketed_root
 
 CONCURRENCE_ZERO_TOL = 3e-3
 CONFIRM_SAMPLES = 10
@@ -91,7 +90,7 @@ def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> np.ndar
 
 
 def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
-                 errors) -> WitnessColumns:
+                 good) -> WitnessColumns:
     """Witness reports of a ``(G, N)`` batch: first time each row's ``mu`` reaches 1.
 
     ``mu`` and ``concs`` hold each row's samples at ``times``; ``r_a``, ``r_b``
@@ -102,16 +101,15 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
     concurrence at ``t_ew``.  Only the first crossing is reported; re-entry
     below 1 afterwards (seen on the samples) is flagged in ``reenters``.
 
-    Rows with an error in ``errors`` get no root-find.  A row whose root-find
-    does not converge gets a :class:`NoConvergence` in ``errors``; every
-    other row is unaffected.
+    Only the rows set in the ``(G,)`` mask ``good`` get a root-find.  A row
+    whose root-find does not finish keeps a NaN ``t_ew`` and threshold,
+    though it crossed; every other row is unaffected.
     """
     above = mu >= 1.0
     crossed = np.any(above, axis=-1)
     first = np.argmax(above, axis=-1)
     starts_above = crossed & (first == 0)
     reenters = crossed & np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
-    good = np.array([error is None for error in errors], dtype=bool)
     rows = np.flatnonzero(good & crossed & ~starts_above)
     hi = first[rows]
     cut_a, cut_b = r_a.take(rows), r_b.take(rows)
@@ -128,9 +126,6 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
                                 mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
     c_ew[rows] = concurrence(excited_population(cut_a, t_ew[rows]),
                              excited_population(cut_b, t_ew[rows]))
-    for g in rows[np.isnan(t_ew[rows])]:
-        errors[g] = NoConvergence(f"crossing root-find not done after "
-                                  f"{MAX_EVALUATIONS} evaluations")
     return WitnessColumns(crossing_found=crossed, t_ew=t_ew,
                           c_ew_threshold=np.minimum(np.maximum(c_ew, 0.0), 1.0),
                           death_time=death_times(times, concs), mu_series_max=np.max(mu, axis=-1),

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged,
-                        ValidationError, correlation_f, run_scenario)
+                        ReservoirParams, ValidationError, correlation_f, run_scenario)
 from entwitness.dynamics import QUADRATURE_LADDER, correlation_integral, is_number
 from entwitness.scenario import CSV_HEADER, SWEEP_KEYS
 
@@ -308,6 +308,12 @@ def damped_states(rho0, u_a, u_b) -> np.ndarray:
     out = np.einsum("niac,njbd,cdef,nige,njhf->nabgh", k_a, k_b, r0, k_a.conj(), k_b.conj(),
                     optimize=True)
     return out.reshape(-1, 4, 4)
+
+
+def reservoirs(cfg):
+    """The :class:`ReservoirParams` of a config's atoms A and B."""
+    return (ReservoirParams(lam=cfg.lambda_a, delta=cfg.delta_a),
+            ReservoirParams(lam=cfg.lambda_b, delta=cfg.delta_b))
 
 
 def channel_states(rho0, r_a, r_b, times) -> np.ndarray:

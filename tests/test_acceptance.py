@@ -179,7 +179,7 @@ def test_criterion7_property_suite(preset_run):
     # states of the Bell start on every sample, observables from eigensolvers
     worst_mu = worst_x = 0.0
     for preset_id, (traj, _) in runs.items():
-        rhos = oracle.channel_states(oracle.bell_rho(), *ew.PRESETS[preset_id].reservoirs(),
+        rhos = oracle.channel_states(oracle.bell_rho(), *oracle.reservoirs(ew.PRESETS[preset_id]),
                                      traj.times)
         mu, lhs, conc = oracle.observables(rhos)
         worst_mu = max(worst_mu, np.abs(mu - traj.mu).max(), np.abs(lhs - traj.lhs).max())

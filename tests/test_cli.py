@@ -71,6 +71,17 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
     assert not out.exists() and not (tmp_path / "x.csv.report").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_duplicate_key_in_a_merged_mapping_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("<<: {lambda_b: 0.3, lambda_b: 3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    assert capsys.readouterr().err == "error: lambda_b: duplicate key\n"
+    assert not out.exists()
+
+
 def test_run_parse_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("lambda_a: [oops\n")
@@ -110,12 +121,12 @@ def test_run_physics_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_run_unphysical_population_exits_3(tmp_path, capsys, monkeypatch):
     # a decay population above 1 is named with its sample and time
-    real_population = entwitness.dynamics.excited_population
+    real_population = entwitness.scenario.excited_population
 
     def broken(r, t):
         return real_population(r, t) + np.where(t >= 1.0, 1.0, 0.0)
 
-    monkeypatch.setattr(entwitness.dynamics, "excited_population", broken)
+    monkeypatch.setattr(entwitness.scenario, "excited_population", broken)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)
     out = tmp_path / "x.csv"

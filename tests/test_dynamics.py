@@ -13,7 +13,7 @@ from entwitness.dynamics import (MIN_WIDTH, QUADRATURE_LADDER, SERIES_LIMIT, Res
                                  _simpson_classes, correlation_integral)
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
                       channel_states, liouvillian_apply, partial_trace, quadrature_direct,
-                      random_density, rk4_states, simpson)
+                      random_density, reservoirs, rk4_states, simpson)
 
 
 def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
@@ -262,7 +262,7 @@ def test_bell_initial_state():
     cfg = ScenarioConfig(lambda_a=0.1, lambda_b=5.0, delta_b=2.0, t_max=1.0)
     traj, _ = run_scenario(cfg)
     assert traj.times[0] == 0.0 and traj.p_a[0] == 1.0 and traj.p_b[0] == 1.0
-    rho = channel_states(bell_rho(), *cfg.reservoirs(), traj.times[:1])[0]
+    rho = channel_states(bell_rho(), *reservoirs(cfg), traj.times[:1])[0]
     assert np.allclose(rho, bell_rho(), atol=0)
     assert np.trace(rho) == pytest.approx(1.0, abs=0)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-15)
@@ -357,7 +357,7 @@ def test_propagate_preserves_trace_and_hermiticity(preset_run):
     # the oracle's exact states on the preset grid are unit-trace and
     # Hermitian, and their diagonals are the closed-form populations
     traj, _ = preset_run("fig1a_d0")
-    rhos = channel_states(bell_rho(), *ew.PRESETS["fig1a_d0"].reservoirs(), traj.times)
+    rhos = channel_states(bell_rho(), *reservoirs(ew.PRESETS["fig1a_d0"]), traj.times)
     assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-6
     assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-8
     assert np.abs(rhos[:, 3, 3].real - 0.5 * traj.p_a * traj.p_b).max() < 1e-15
@@ -421,12 +421,12 @@ def test_propagate_coarse_long_grid_stays_physical():
 
 def test_propagate_rejects_unphysical_population(monkeypatch):
     # a population pushed past 1 from t = 0.3 on is named at its first sample
-    real_population = ew.dynamics.excited_population
+    real_population = ew.scenario.excited_population
 
     def broken(r, t):
         return real_population(r, t) + np.where(t >= 0.3 - 1e-12, 0.5, 0.0)
 
-    monkeypatch.setattr(ew.dynamics, "excited_population", broken)
+    monkeypatch.setattr(ew.scenario, "excited_population", broken)
     cfg = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=0.1)
     with pytest.raises(NotDensityMatrix, match=r"p_a = .* outside \[0, 1\] at sample 3 \(t = 0.3\)"):
         run_scenario(cfg)

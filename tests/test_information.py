@@ -7,7 +7,6 @@ import entwitness as ew
 from entwitness import (NotDensityMatrix, ScenarioConfig, ValidationError, concurrence,
                         excited_population, minimum_uncertainty, run_scenario,
                         uncertainty_columns)
-from entwitness.information import check_uncertainty
 from _oracles import (SX_BASIS, SY_BASIS, bell_rho, damped_states, matrix_entropy,
                       partial_trace, post_measurement_state, random_density)
 
@@ -212,7 +211,7 @@ def test_batched_mu_is_bit_identical_to_single_state(preset_run):
     # arrays, through the same element-wise code and must see the same sign
     # of mu - 1 at a sample as the sampled column does
     traj, _ = preset_run("fig1b_l5")
-    r_a, r_b = ew.PRESETS["fig1b_l5"].reservoirs()
+    r_a, r_b = oracle.reservoirs(ew.PRESETS["fig1b_l5"])
     for i in range(len(traj)):
         t = traj.times[i:i + 1]
         single = minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t))
@@ -221,14 +220,16 @@ def test_batched_mu_is_bit_identical_to_single_state(preset_run):
     assert np.array_equal(mu, traj.mu) and np.array_equal(lhs, traj.lhs)
 
 
-def test_checks_name_the_first_offending_sample():
+def test_checks_name_the_first_offending_sample(monkeypatch):
     # a non-finite population fails the mu range mask at its own sample,
-    # row by row: the second row is left as it is
+    # row by row: the second row is left as it is.  The batch runner checks
+    # the hand-made columns in place of its own.
     p_a = np.ones((2, 5))
     p_a[0, [2, 4]] = np.nan
     mu, lhs = uncertainty_columns(p_a, np.ones((2, 5)))
+    monkeypatch.setattr(ew.scenario, "uncertainty_columns", lambda p_a, p_b: (mu, lhs))
     errors = [None, None]
-    check_uncertainty(mu, lhs, 0.1 * np.arange(5), errors)
+    ew.scenario._run_batch(np.ones((2, 4)), 0.1 * np.arange(5), errors)
     assert isinstance(errors[0], NotDensityMatrix) and errors[1] is None
     assert str(errors[0]) == "mu = nan outside [-1, 2] at sample 2 (t = 0.2)"
 

@@ -93,6 +93,17 @@ def test_parse_config_rejects_duplicate_keys():
     assert cfg == ScenarioConfig(lambda_a=0.1, lambda_b=0.2, t_max=1.0)
 
 
+def test_parse_config_rejects_duplicate_keys_in_a_merged_mapping():
+    # PyYAML merges a << mapping's pairs without the loader's mapping check
+    with pytest.raises(ValidationError, match="^lambda_b: duplicate key$"):
+        parse_config("<<: {lambda_b: 0.3, lambda_b: 3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
+    with pytest.raises(ValidationError, match="^t_max: duplicate key$"):
+        parse_config("<<: [{lambda_b: 0.3}, {t_max: 1.0, t_max: 2.0}]\nlambda_a: 0.1\n")
+    # a key given once in each of two merged mappings is no duplicate: the first wins
+    cfg = parse_config("<<: [{t_max: 1.0}, {t_max: 2.0}]\nlambda_a: 0.1\nlambda_b: 0.2\n")
+    assert cfg == ScenarioConfig(lambda_a=0.1, lambda_b=0.2, t_max=1.0)
+
+
 def test_parse_config_full_equals_preset():
     text = """
 lambda_a: 0.1
@@ -342,14 +353,14 @@ def test_sweep_values_get_the_single_run_check(tmp_path):
 def test_sweep_propagates_programming_errors(monkeypatch):
     # the batch evaluates every row's populations in one call; a TypeError
     # there is a programming error, not a failed row
-    real_population = ew.dynamics.excited_population
+    real_population = ew.scenario.excited_population
 
     def population(r, t):
         if np.any(np.asarray(r.z).real == -0.2):     # z = i delta - lam
             raise TypeError("injected")
         return real_population(r, t)
 
-    monkeypatch.setattr(ew.dynamics, "excited_population", population)
+    monkeypatch.setattr(ew.scenario, "excited_population", population)
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=0.1)
     assert sweep([0.1], None, base).errors == [None]
     with pytest.raises(TypeError, match="injected"):
@@ -531,13 +542,13 @@ def _assert_rows_match_solo_runs(rows, base):
 
 def test_unphysical_population_marks_only_its_row(monkeypatch):
     # a population above 1 from t = 1 on, in the lam = 0.5 rows only
-    real_population = ew.dynamics.excited_population
+    real_population = ew.scenario.excited_population
 
     def broken(r, t):
         lam = -np.asarray(r.z).real
         return real_population(r, t) + np.where((lam == 0.5) & (t >= 1.0), 1.0, 0.0)
 
-    monkeypatch.setattr(ew.dynamics, "excited_population", broken)
+    monkeypatch.setattr(ew.scenario, "excited_population", broken)
     rows = sweep([5.0, 0.5, 0.1], [0.0, 2.0], SWEEP_BASE)
     bad = [(lam, error) for (lam, _), error in zip(rows.points, rows.errors) if error]
     assert [lam for lam, _ in bad] == [0.5, 0.5]
@@ -587,6 +598,60 @@ def test_unconverged_crossing_marks_only_its_row(monkeypatch):
     monkeypatch.undo()
     for (lam, delta), report, _ in rows[1:]:
         assert report == _solo(SWEEP_BASE, lam, delta)[0]
+
+
+def test_one_batch_gives_each_row_its_first_offence(monkeypatch, tmp_path):
+    # one sweep, one good row (width 5) and one row failing each check in
+    # turn; a row with more than one fault keeps the one checked first.
+    # Atom B is told from atom A by its detuning.
+    base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, delta_b=0.5, t_max=4.0, sample_every=10)
+    lambdas = [5.0, 4.0, 3.0, 2.5, 2.0, 1.5]
+    real_population = ew.scenario.excited_population
+    real_columns = ew.scenario.uncertainty_columns
+    real_root = ew.witness.bracketed_root
+    brackets = []
+
+    def population(r, t):
+        lam, delta, k = -r.z.real, r.z.imag, np.arange(len(t))
+        fault = (((lam == 4.0) & (delta == 0.0) & (k >= 3))      # p_a of width 4
+                 | ((lam == 4.0) & (delta == 0.5) & (k >= 1))    # its p_b, earlier
+                 | ((lam == 3.0) & (delta == 0.5) & (k >= 6)))   # p_b of width 3
+        return np.where(fault, 2.0, real_population(r, t))
+
+    def columns(p_a, p_b):
+        mu, lhs = real_columns(p_a, p_b)
+        mu[2, 2] = 5.0                        # width 3: before its p_b fault
+        mu[3, 7] = 5.0                        # width 2.5
+        mu[3:5, 2], lhs[3:5, 2] = 0.5, 0.25   # widths 2.5 (before its mu fault) and 2
+        return mu, lhs
+
+    def unfinished_last(f, lo, *args):
+        brackets.append(len(lo))
+        roots = real_root(f, lo, *args)
+        roots[-1] = np.nan                    # width 1.5, the last row root-found
+        return roots
+
+    monkeypatch.setattr(ew.scenario, "excited_population", population)
+    monkeypatch.setattr(ew.scenario, "uncertainty_columns", columns)
+    monkeypatch.setattr(ew.witness, "bracketed_root", unfinished_last)
+    rows = sweep(lambdas, None, base)
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    assert rows.errors == [
+        None,
+        "NotDensityMatrix: p_a = 2.0 outside [0, 1] at sample 3 (t = 0.3)",
+        "NotDensityMatrix: p_b = 2.0 outside [0, 1] at sample 6 (t = 0.6)",
+        "NotDensityMatrix: mu = 5.0 outside [-1, 2] at sample 7 (t = 0.7)",
+        "NotDensityMatrix: uncertainty inequality violated: lhs = 0.25, mu = 0.5 "
+        "at sample 2 (t = 0.2)",
+        f"NoConvergence: crossing root-find not done after "
+        f"{ew.numerics.MAX_EVALUATIONS} evaluations"]
+    # only the rows that passed every physical check get a root-find; the
+    # others crossed, got no t_ew, and keep their physical error
+    assert brackets == [2]
+    assert rows.witness.crossing_found[2:5].all() and np.isnan(rows.witness.t_ew[2:5]).all()
+    monkeypatch.undo()
+    lone = oracle.sweep_csv_reference(oracle.sweep_loop([5.0], None, base))
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == lone.splitlines()[1]
 
 
 def test_sweep_requires_a_grid():

@@ -30,9 +30,9 @@ def _synthetic_reports(times, mus, concs):
     """The :func:`witness_rows` reports of synthetic ``(G, N)`` rows."""
     mus, concs = np.atleast_2d(mus).astype(float), np.atleast_2d(concs).astype(float)
     r = ReservoirColumns.of(np.ones(len(mus)), np.zeros(len(mus)))
-    errors = [None] * len(mus)
-    columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, r, errors)
-    assert errors == [None] * len(mus)
+    good = np.ones(len(mus), dtype=bool)
+    columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, r, good)
+    assert not np.any(columns.crossing_found & np.isnan(columns.t_ew))   # every root-find done
     return [columns.report(g) for g in range(len(mus))]
 
 
@@ -108,7 +108,7 @@ def test_x_state_agrees_with_general_along_preset(preset_run):
     # the closed-form column against the oracle's exact states at every sample,
     # read through the X-state formula and through the general spectral route
     traj, _ = preset_run("fig1a_d0")
-    rhos = channel_states(bell_rho(), *ew.PRESETS["fig1a_d0"].reservoirs(), traj.times)
+    rhos = channel_states(bell_rho(), *oracle.reservoirs(ew.PRESETS["fig1a_d0"]), traj.times)
     assert np.abs(concurrence_x_state(rhos) - traj.concurrence).max() < 1e-8
     assert np.abs(oracle.concurrence(rhos) - traj.concurrence).max() < 1e-8
 
@@ -123,7 +123,7 @@ def test_witness_report_no_crossing():
 
 def _rk4_crossing(cfg, lo, hi, tol=1e-7):
     """Bisection on mu of RK4-oracle states for a crossing bracketed by [lo, hi]."""
-    r_a, r_b = cfg.reservoirs()
+    r_a, r_b = oracle.reservoirs(cfg)
     anchor_t = lo
     anchor = rk4_evolve(bell_rho(), r_a, r_b, 0.0, anchor_t, 1e-3)
 
@@ -142,7 +142,7 @@ def test_witness_report_linear_crossing(preset_run):
     # oracle's mu reaches 1, and the threshold is the oracle state's concurrence
     traj, rep = preset_run("fig1b_l5")
     assert rep.crossing_found and rep.notes == ""
-    r_a, r_b = ew.PRESETS["fig1b_l5"].reservoirs()
+    r_a, r_b = oracle.reservoirs(ew.PRESETS["fig1b_l5"])
     rho = rk4_evolve(bell_rho(), r_a, r_b, 0.0, rep.t_ew, 1e-3)
     assert oracle.uncertainty_record(rho).mu == pytest.approx(1.0, abs=1e-9)
     assert rep.c_ew_threshold == pytest.approx(concurrence_x_state(rho), abs=1e-9)
