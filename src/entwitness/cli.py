@@ -72,16 +72,11 @@ def _apply_overrides(cfg, args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _apply_overrides(_load_config(args.config), args)
-            traj, report = run_scenario(cfg)
-            emit_csv(traj, report, args.out)
-        elif args.command == "preset":
-            cfg = _apply_overrides(PRESETS[args.preset_id], args)
-            traj, report = run_scenario(cfg)
-            emit_csv(traj, report, args.out)
-        elif args.command == "sweep":
-            cfg = _apply_overrides(_load_config(args.config), args)
+        cfg = PRESETS[args.preset_id] if args.command == "preset" else _load_config(args.config)
+        cfg = _apply_overrides(cfg, args)
+        if args.command != "sweep":
+            emit_csv(*run_scenario(cfg), args.out)
+        else:
             rows = sweep(args.lambdas, args.deltas, cfg)
             write_sweep_csv(rows, args.out)
             for (lam, delta), error in zip(rows.points, rows.errors):

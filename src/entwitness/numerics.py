@@ -1,27 +1,11 @@
 """Element-wise numerics over per-sample columns.
 
-Shannon entropies of probability columns, the per-row first-offender errors
-of the physical checks, and a bracketed root-finder that works on an array of
-brackets at once.  Everything here works only on its arguments (``flag_rows``
-fills the error list it is given) and is safe to call concurrently on
-distinct arguments.
+Shannon entropies of probability columns and a bracketed root-finder that
+works on an array of brackets at once.  Everything here works only on its
+arguments and is safe to call concurrently on distinct arguments.
 """
 
 import numpy as np
-
-
-def flag_rows(errors, bad, times, error) -> None:
-    """Give each row of the ``(G, N)`` mask ``bad`` its first offending sample's error.
-
-    A row with a set entry and no error in ``errors`` yet gets
-    ``error(g, k, where)``, where ``k`` is its first set sample and ``where``
-    reads ``" at sample k (t = ...)"``.  Rows are independent, so one row's
-    offence leaves every other row as it was.
-    """
-    for g in np.flatnonzero(np.any(bad, axis=-1)):
-        if errors[g] is None:
-            k = int(np.argmax(bad[g]))
-            errors[g] = error(g, k, f" at sample {k} (t = {float(times[k]):.6g})")
 
 
 def entropy_bits(*probs):

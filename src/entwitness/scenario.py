@@ -6,6 +6,7 @@ PyYAML is imported only when a config is parsed.
 
 import dataclasses
 import functools
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .dynamics import (MIN_WIDTH, ReservoirColumns, Trajectory, correlation_f,
 from .errors import (EntwitnessError, NoConvergence, NotDensityMatrix, ParseError,
                      ValidationError)
 from .information import uncertainty_columns
-from .numerics import MAX_EVALUATIONS, flag_rows
+from .numerics import MAX_EVALUATIONS
 from .witness import WitnessColumns, WitnessReport, concurrence, witness_rows
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
@@ -192,35 +193,40 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**raw)
 
 
-def _run_batch(params: np.ndarray, times: np.ndarray, errors):
+def _run_batch(params: np.ndarray, times: np.ndarray, good):
     """Evaluate G rows of checked ``(lambda_a, lambda_b, delta_a, delta_b)`` at the sample times.
 
     Returns both reservoirs' :class:`ReservoirColumns`, the ``(G, N)`` columns
-    ``(p_a, p_b, mu, lhs, concurrence)`` and the :class:`WitnessColumns`.  Every
-    row check is made here, in this order: ``p_a``, ``p_b`` in [0, 1], ``mu``
-    in [-1, 2], ``lhs >= mu``, then the crossing's root-find.  A row's first
-    offence sets its entry of the G ``errors`` (None for a good row).
+    ``(p_a, p_b, mu, lhs, concurrence)``, the :class:`WitnessColumns` and the
+    G rows' errors (None for a good row).  Only the rows set in the ``(G,)``
+    mask ``good`` are checked, in this order: ``p_a``, ``p_b`` in [0, 1],
+    ``mu`` in [-1, 2], ``lhs >= mu``, then the crossing's root-find.  A row's
+    first offence, at its first offending sample, is its error, and the row
+    gets no later check.
     """
     r_a = ReservoirColumns.of(params[:, 0], params[:, 2])
     r_b = ReservoirColumns.of(params[:, 1], params[:, 3])
     p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        flag_rows(errors, ~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)), times,
-                  lambda g, k, where: NotDensityMatrix(f"{name} = {p[g, k]} outside [0, 1]{where}"))
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
         concs = concurrence(p_a, p_b)
-    flag_rows(errors, ~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)), times,
-              lambda g, k, where: NotDensityMatrix(f"mu = {mu[g, k]} outside [-1, 2]{where}"))
-    flag_rows(errors, lhs < mu - 1e-7, times,
-              lambda g, k, where: NotDensityMatrix(
-                  f"uncertainty inequality violated: lhs = {lhs[g, k]}, mu = {mu[g, k]}{where}"))
-    good = np.array([error is None for error in errors], dtype=bool)
+    checks = [(~((p >= -POPULATION_TOL) & (p <= 1.0 + POPULATION_TOL)),
+               name + " = {} outside [0, 1]", p) for name, p in (("p_a", p_a), ("p_b", p_b))]
+    checks += [(~((mu >= -1.0 - 1e-7) & (mu <= 2.0 + 1e-7)), "mu = {} outside [-1, 2]", mu),
+               (lhs < mu - 1e-7, "uncertainty inequality violated: lhs = {}, mu = {}", lhs, mu)]
+    errors = [None] * len(params)
+    good = np.array(good, dtype=bool)
+    for bad, message, *columns in checks:
+        for g in np.flatnonzero(good & np.any(bad, axis=-1)):
+            k = int(np.argmax(bad[g]))
+            errors[g] = NotDensityMatrix(message.format(*(c[g, k] for c in columns))
+                                         + f" at sample {k} (t = {float(times[k]):.6g})")
+            good[g] = False
     witness = witness_rows(times, mu, concs, r_a, r_b, good)
     for g in np.flatnonzero(good & witness.crossing_found & np.isnan(witness.t_ew)):
         errors[g] = NoConvergence(f"crossing root-find not done after "
                                   f"{MAX_EVALUATIONS} evaluations")
-    return (r_a, r_b), (p_a, p_b, mu, lhs, concs), witness
+    return (r_a, r_b), (p_a, p_b, mu, lhs, concs), witness, errors
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
@@ -230,11 +236,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     over the sampled excited populations.
     """
     times = cfg.sample_times()
-    errors = [None]
     params = np.array([[cfg.lambda_a, cfg.lambda_b, cfg.delta_a, cfg.delta_b]])
-    (r_a, r_b), columns, witness = _run_batch(params, times, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    (r_a, r_b), columns, witness, (error,) = _run_batch(params, times, [True])
+    if error is not None:
+        raise error
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
     traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
                       f_a=correlation_f(r_a, times)[0], f_b=correlation_f(r_b, times)[0])
@@ -324,9 +329,10 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     The grid points run in batches (see :func:`run_scenario`) on ``base``'s
     sample grid, each of as many rows as fit in ``BLOCK_SAMPLES`` samples,
     and at least one, which bounds a sweep's memory; a rejected point runs
-    as ``base`` and keeps its config error.  Rows are independent, root-find
-    included, so the blocks give the rows of one batch, bit for bit: a
-    failing point is recorded in its row and does not disturb the others.
+    as ``base``, unchecked, and keeps its config error.  Rows are
+    independent, root-find included, so the blocks give the rows of one
+    batch, bit for bit: a failing point is recorded in its row and does not
+    disturb the others.
     Only package errors (:class:`EntwitnessError`) mark a row as failed; any
     other exception is a programming error and propagates.  Row order
     follows the given value order (lambdas outer, deltas inner).
@@ -352,10 +358,13 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     times = base.sample_times()
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
     params = np.array(params, dtype=float)
-    errors = np.array(errors, dtype=object)   # a block's slice is a view, so its errors land here
-    blocks = [_run_batch(params[k:k + rows_per_block], times, errors[k:k + rows_per_block])[-1]
-              for k in range(0, len(params), rows_per_block)]
-    return SweepRows(points, WitnessColumns(*map(np.concatenate, zip(*blocks))),
+    good = np.array([error is None for error in errors])
+    witnesses, checked = zip(*(_run_batch(params[k:k + rows_per_block], times,
+                                          good[k:k + rows_per_block])[2:]
+                               for k in range(0, len(params), rows_per_block)))
+    # a batch does not check a config-rejected row, so no row has two errors
+    errors = [config or batch for config, batch in zip(errors, itertools.chain(*checked))]
+    return SweepRows(points, WitnessColumns(*map(np.concatenate, zip(*witnesses))),
                      [None if error is None else f"{type(error).__name__}: {error}"
                       for error in errors])
 

@@ -159,6 +159,36 @@ def test_missing_config_file_exit_code(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def _command(tmp_path, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    return {"run": ["run", "--config", str(cfg)], "preset": ["preset", "fig1b_l5"],
+            "sweep": ["sweep", "--config", str(cfg), "--lambda", "5", "0.1"]}[name]
+
+
+def _assert_one_io_error(err):
+    assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["run", "preset", "sweep"])
+def test_output_in_a_missing_directory_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "absent" / "x.csv"
+    assert main([*_command(tmp_path, name), "--out", str(out)]) == 1
+    _assert_one_io_error(capsys.readouterr().err)
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("name", ["run", "preset"])
+def test_report_path_that_is_a_directory_exits_1(tmp_path, capsys, name):
+    # the CSV is written before its report, so it is left without one
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.report").mkdir()
+    assert main([*_command(tmp_path, name), "--out", str(out)]) == 1
+    _assert_one_io_error(capsys.readouterr().err)
+    assert out.read_text().startswith(CSV_HEADER + "\n")
+    assert not any((tmp_path / "x.csv.report").iterdir())
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--lambda", "1"]])
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     cfg = tmp_path / "bad.yaml"

@@ -228,8 +228,7 @@ def test_checks_name_the_first_offending_sample(monkeypatch):
     p_a[0, [2, 4]] = np.nan
     mu, lhs = uncertainty_columns(p_a, np.ones((2, 5)))
     monkeypatch.setattr(ew.scenario, "uncertainty_columns", lambda p_a, p_b: (mu, lhs))
-    errors = [None, None]
-    ew.scenario._run_batch(np.ones((2, 4)), 0.1 * np.arange(5), errors)
+    errors = ew.scenario._run_batch(np.ones((2, 4)), 0.1 * np.arange(5), [True, True])[-1]
     assert isinstance(errors[0], NotDensityMatrix) and errors[1] is None
     assert str(errors[0]) == "mu = nan outside [-1, 2] at sample 2 (t = 0.2)"
 

@@ -654,6 +654,31 @@ def test_one_batch_gives_each_row_its_first_offence(monkeypatch, tmp_path):
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == lone.splitlines()[1]
 
 
+def test_config_rejected_row_is_neither_checked_nor_root_found(monkeypatch):
+    # the rejected width -1 runs as the base, width 1, which crosses mu = 1
+    # near t = 0.85 and is given an unphysical population from t = 2 on.  The
+    # sweep keeps a config error whatever the batch finds, so the physical
+    # errors the batch makes are recorded where they are made.
+    real_population = ew.scenario.excited_population
+    real_root = ew.witness.bracketed_root
+    brackets, made = [], []
+
+    def population(r, t):
+        return np.where((-r.z.real == 1.0) & (t >= 2.0), 2.0, real_population(r, t))
+
+    def counting(f, lo, *args):
+        brackets.append(len(lo))
+        return real_root(f, lo, *args)
+
+    monkeypatch.setattr(ew.scenario, "excited_population", population)
+    monkeypatch.setattr(ew.witness, "bracketed_root", counting)
+    monkeypatch.setattr(ew.scenario, "NotDensityMatrix",
+                        lambda message: made.append(message) or ew.NotDensityMatrix(message))
+    rows = sweep([5.0, -1.0], None, SWEEP_BASE)
+    assert rows.errors == [None, "ValidationError: lambda_a: must be > 0, got -1.0"]
+    assert made == [] and brackets == [1] and rows.witness.crossing_found.all()
+
+
 def test_sweep_requires_a_grid():
     base = ScenarioConfig(lambda_a=0.1, lambda_b=0.1, t_max=1.0)
     with pytest.raises(ValidationError):
