@@ -44,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="sweep widths/detunings over a base config")
     p_sweep.add_argument("--config", required=True, metavar="FILE",
                          help="base YAML config for the sweep")
-    p_sweep.add_argument("--lambda", dest="lambdas", type=float, nargs="+", default=None,
-                         metavar="L", help="spectral widths applied to both reservoirs")
-    p_sweep.add_argument("--delta", dest="deltas", type=float, nargs="+", default=None,
-                         metavar="D", help="detunings applied to both reservoirs")
+    p_sweep.add_argument("--lambda", dest="lambdas", type=float, nargs="+", action="extend",
+                         metavar="L", help="spectral widths applied to both reservoirs; repeatable")
+    p_sweep.add_argument("--delta", dest="deltas", type=float, nargs="+", action="extend",
+                         metavar="D", help="detunings applied to both reservoirs; repeatable")
     return parser
 
 

@@ -30,10 +30,10 @@ and every observable is an element-wise function of them
 (:mod:`entwitness.information`, :mod:`entwitness.witness`).
 
 The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
-holds the prefactor and exponent of ``f`` for G reservoirs as ``(G, 1)``
-columns, and :func:`excited_population` evaluates them on one shared ``(N,)``
-grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`) as a ``(G, N)``
-array.  A sweep is one such batch; a single run
+holds the prefactor and exponent of ``f`` for both atoms of G rows as
+``(2, G, 1)`` arrays, atom A first, and :func:`excited_population` evaluates
+them on one shared ``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`)
+as a ``(2, G, N)`` array.  A sweep is one such batch; a single run
 (:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
@@ -111,9 +111,9 @@ class ReservoirParams:
 class ReservoirColumns(NamedTuple):
     """``f``'s ``scale`` and ``z`` for G reservoirs, as arrays that broadcast against times.
 
-    :meth:`of` gives the ``(G, 1)`` columns of G checked widths and detunings
-    for a ``(G, N)`` batch on a shared ``(N,)`` grid; :meth:`take` the ``(K,)``
-    rows for a ``(K,)`` array of times.  :func:`correlation_integral` and
+    :meth:`of` gives the ``(2, G, 1)`` columns, atom A first, of ``(2, G)`` checked widths
+    and detunings (``(G, 1)`` of ``(G,)``) for a batch on a shared ``(N,)`` grid; :meth:`take`
+    the ``(2, K)`` rows for a ``(K,)`` array of times.  :func:`correlation_integral` and
     :func:`excited_population` take them wherever they take a ``ReservoirParams``.
     """
 
@@ -124,11 +124,12 @@ class ReservoirColumns(NamedTuple):
     def of(cls, lams: np.ndarray, deltas: np.ndarray) -> "ReservoirColumns":
         # Prefactors in Python complex arithmetic, row by row: numpy's complex division of
         # whole columns is off by an ulp on some rows, which would move the written values.
-        scale = list(map(_scale, lams.tolist(), deltas.tolist()))
-        return cls(np.array(scale, dtype=complex)[:, None], (1j * deltas - lams)[:, None])
+        scale = list(map(_scale, lams.ravel().tolist(), deltas.ravel().tolist()))
+        return cls(np.array(scale, dtype=complex).reshape(lams.shape)[..., None],
+                   (1j * deltas - lams)[..., None])
 
     def take(self, rows) -> "ReservoirColumns":
-        return ReservoirColumns(self.scale[rows, 0], self.z[rows, 0])
+        return ReservoirColumns(self.scale[..., rows, 0], self.z[..., rows, 0])
 
 
 @dataclass

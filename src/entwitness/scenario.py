@@ -26,8 +26,8 @@ CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")
 SWEEP_KEYS = ("crossing_found", "t_ew", "c_ew_threshold", "death_time", "mu_series_max")
 MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~150 MB of CSV
-# Most row-samples a sweep evaluates at once: a complex (rows, N) temporary of
-# a block is then at most 4 MiB, whatever the grid, or one row where N > 2**18.
+# Most row-samples a sweep evaluates at once: a complex (2, rows, N) temporary of
+# a block, both atoms, is then at most 8 MiB whatever the grid, or one row where N > 2**18.
 BLOCK_SAMPLES = 2**18
 POPULATION_TOL = 1e-9
 
@@ -196,7 +196,7 @@ def parse_config(text: str) -> ScenarioConfig:
 def _run_batch(params: np.ndarray, times: np.ndarray, good):
     """Evaluate G rows of checked ``(lambda_a, lambda_b, delta_a, delta_b)`` at the sample times.
 
-    Returns both reservoirs' :class:`ReservoirColumns`, the ``(G, N)`` columns
+    Returns the rows' :class:`ReservoirColumns` (atom A, then B), the ``(G, N)`` columns
     ``(p_a, p_b, mu, lhs, concurrence)``, the :class:`WitnessColumns` and the
     G rows' errors (None for a good row).  Only the rows set in the ``(G,)``
     mask ``good`` are checked, in this order: ``p_a``, ``p_b`` in [0, 1],
@@ -204,9 +204,8 @@ def _run_batch(params: np.ndarray, times: np.ndarray, good):
     first offence, at its first offending sample, is its error, and the row
     gets no later check.
     """
-    r_a = ReservoirColumns.of(params[:, 0], params[:, 2])
-    r_b = ReservoirColumns.of(params[:, 1], params[:, 3])
-    p_a, p_b = excited_population(r_a, times), excited_population(r_b, times)
+    reservoirs = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
+    p_a, p_b = excited_population(reservoirs, times)
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
         concs = concurrence(p_a, p_b)
@@ -222,11 +221,11 @@ def _run_batch(params: np.ndarray, times: np.ndarray, good):
             errors[g] = NotDensityMatrix(message.format(*(c[g, k] for c in columns))
                                          + f" at sample {k} (t = {float(times[k]):.6g})")
             good[g] = False
-    witness = witness_rows(times, mu, concs, r_a, r_b, good)
+    witness = witness_rows(times, mu, concs, reservoirs, good)
     for g in np.flatnonzero(good & witness.crossing_found & np.isnan(witness.t_ew)):
         errors[g] = NoConvergence(f"crossing root-find not done after "
                                   f"{MAX_EVALUATIONS} evaluations")
-    return (r_a, r_b), (p_a, p_b, mu, lhs, concs), witness, errors
+    return reservoirs, (p_a, p_b, mu, lhs, concs), witness, errors
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
@@ -237,12 +236,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     """
     times = cfg.sample_times()
     params = np.array([[cfg.lambda_a, cfg.lambda_b, cfg.delta_a, cfg.delta_b]])
-    (r_a, r_b), columns, witness, (error,) = _run_batch(params, times, [True])
+    reservoirs, columns, witness, (error,) = _run_batch(params, times, [True])
     if error is not None:
         raise error
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
+    f_a, f_b = correlation_f(reservoirs, times)[:, 0]
     traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
-                      f_a=correlation_f(r_a, times)[0], f_b=correlation_f(r_b, times)[0])
+                      f_a=f_a, f_b=f_b)
     return traj, witness.report(0)
 
 

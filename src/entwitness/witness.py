@@ -89,12 +89,11 @@ def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> np.ndar
     return deaths
 
 
-def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
-                 good) -> WitnessColumns:
+def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> WitnessColumns:
     """Witness reports of a ``(G, N)`` batch: first time each row's ``mu`` reaches 1.
 
-    ``mu`` and ``concs`` hold each row's samples at ``times``; ``r_a``, ``r_b``
-    are the rows' reservoirs, for the exact ``mu(t)`` between samples.  A row's
+    ``mu`` and ``concs`` hold each row's samples at ``times``; ``reservoirs`` are the
+    rows' ``(2, G, 1)`` reservoir columns, for the exact ``mu(t)`` between samples.  A row's
     first sample with ``mu >= 1`` brackets its crossing together with the
     sample before it; one root-find over all these brackets places every
     ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is the exact
@@ -112,20 +111,18 @@ def witness_rows(times, mu, concs, r_a: ReservoirColumns, r_b: ReservoirColumns,
     reenters = crossed & np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
     rows = np.flatnonzero(good & crossed & ~starts_above)
     hi = first[rows]
-    cut_a, cut_b = r_a.take(rows), r_b.take(rows)
+    cut = reservoirs.take(rows)
 
     def excess(t):
         # the same element-wise code as the sampled mu, so the root-find sees
         # the sign change that the samples show
-        return minimum_uncertainty(excited_population(cut_a, t),
-                                   excited_population(cut_b, t)) - 1.0
+        return minimum_uncertainty(*excited_population(cut, t)) - 1.0
 
     t_ew = np.where(starts_above, times[0], np.nan)
     c_ew = np.where(starts_above, concs[:, 0], np.nan)
     t_ew[rows] = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
                                 mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
-    c_ew[rows] = concurrence(excited_population(cut_a, t_ew[rows]),
-                             excited_population(cut_b, t_ew[rows]))
+    c_ew[rows] = concurrence(*excited_population(cut, t_ew[rows]))
     return WitnessColumns(crossing_found=crossed, t_ew=t_ew,
                           c_ew_threshold=np.minimum(np.maximum(c_ew, 0.0), 1.0),
                           death_time=death_times(times, concs), mu_series_max=np.max(mu, axis=-1),

@@ -210,6 +210,21 @@ def test_sweep_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_flags_may_be_repeated(tmp_path):
+    # each repeat of --lambda or --delta adds its values, in the order given
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--lambda", "0.5", "0.7", "--lambda", "2.0",
+                 "--out", str(out), "--tmax", "1"]) == 0
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+        ["0.5", ""], ["0.7", ""], ["2.0", ""]]
+    assert main(["sweep", "--config", str(cfg), "--delta", "1", "--lambda", "5",
+                 "--delta", "0", "2", "--out", str(out), "--tmax", "1"]) == 0
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+        ["5.0", "1.0"], ["5.0", "0.0"], ["5.0", "2.0"]]
+
+
 def test_sweep_reports_each_failed_row_on_stderr(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)

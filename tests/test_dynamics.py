@@ -57,18 +57,33 @@ def test_reservoir_params_validation():
     assert ReservoirParams(np.float32(0.5), np.int64(1)).scale == ReservoirParams(0.5, 1.0).scale
 
 
+RESERVOIR = st.tuples(st.floats(MIN_WIDTH, 1e308), st.floats(0.0, 1e308))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(MIN_WIDTH, 1e308), st.floats(0.0, 1e308)), min_size=1,
-                max_size=8))
-@example([(MIN_WIDTH, 1e308), (1e308, 1e308), (1e308, 0.0), (1.0, -0.0), (0.1, 1.6)])
+@given(st.lists(st.tuples(RESERVOIR, RESERVOIR), min_size=1, max_size=8))
+@example([((MIN_WIDTH, 1e308), (1e308, 1e308)), ((1e308, 0.0), (1.0, -0.0)),
+          ((0.1, 1.6), (5.0, 0.0))])
 def test_reservoir_columns_of_matches_reservoir_params_bit_for_bit(rows):
-    # the columns of a batch's (G, 2) rows, each column a strided view as in a sweep
-    params = np.array(rows)
-    columns = ReservoirColumns.of(params[:, 0], params[:, 1])
-    want = [ReservoirParams(lam, delta) for lam, delta in rows]
-    assert columns.scale.shape == columns.z.shape == (len(rows), 1)
-    assert columns.scale.tobytes() == np.array([r.scale for r in want]).tobytes()
-    assert columns.z.tobytes() == np.array([r.z for r in want]).tobytes()
+    # a batch's (G, 4) rows (lambda_a, lambda_b, delta_a, delta_b), read as
+    # (2, G) transposed views, atom A first, as in a sweep
+    params = np.array([(a[0], b[0], a[1], b[1]) for a, b in rows])
+    columns = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
+    want = [[ReservoirParams(*a) for a, _ in rows], [ReservoirParams(*b) for _, b in rows]]
+    assert columns.scale.shape == columns.z.shape == (2, len(rows), 1)
+    assert columns.scale.tobytes() == np.array([[r.scale for r in atom] for atom in want]).tobytes()
+    assert columns.z.tobytes() == np.array([[r.z for r in atom] for atom in want]).tobytes()
+    # one atom's (G,) arrays give its (G, 1) columns, the same bits
+    single = ReservoirColumns.of(params[:, 1], params[:, 3])
+    assert single.scale.shape == single.z.shape == (len(rows), 1)
+    assert single.scale.tobytes() == columns.scale[1].tobytes()
+    assert single.z.tobytes() == columns.z[1].tobytes()
+    # take keeps the atom axis, rows reordered and repeated
+    picked = [len(rows) - 1, 0, 0]
+    cut = columns.take(np.array(picked))
+    assert cut.scale.shape == cut.z.shape == (2, len(picked))
+    assert cut.scale.tobytes() == columns.scale[:, picked, 0].tobytes()
+    assert cut.z.tobytes() == columns.z[:, picked, 0].tobytes()
 
 
 def test_correlation_f_zero_at_start():

@@ -511,6 +511,33 @@ def test_sweep_builds_no_reservoir_params(monkeypatch):
     assert _rows(rows) == oracle.sweep_loop([0.5, -1.0, 2.0], [0.0, 0.5, 1.0, 2.0], base)
 
 
+def test_run_evaluates_both_atoms_in_one_call_per_decision(monkeypatch):
+    # atom A or B is one axis of the batch: the sample grid, each root-find
+    # evaluation, the threshold and f(t) each evaluate both atoms in one call
+    calls = {"scenario": 0, "witness": 0, "correlation_f": 0, "root_find": 0}
+
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
+        return wrapper
+
+    bracketed_root = ew.witness.bracketed_root
+    monkeypatch.setattr(ew.scenario, "excited_population",
+                        counted("scenario", ew.scenario.excited_population))
+    monkeypatch.setattr(ew.witness, "excited_population",
+                        counted("witness", ew.witness.excited_population))
+    monkeypatch.setattr(ew.scenario, "correlation_f",
+                        counted("correlation_f", ew.scenario.correlation_f))
+    monkeypatch.setattr(ew.witness, "bracketed_root",
+                        lambda f, *args: bracketed_root(counted("root_find", f), *args))
+    _, report = run_scenario(PRESETS["fig3a_d1"])
+    assert report.crossing_found and report.t_ew is not None
+    assert calls["root_find"] > 0
+    assert calls == {"scenario": 1, "witness": calls["root_find"] + 1, "correlation_f": 1,
+                     "root_find": calls["root_find"]}
+
+
 def test_sweep_checks_each_axis_value_once(monkeypatch):
     base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0)
     checks = []

@@ -29,9 +29,9 @@ def density_matrices(draw, dim=4):
 def _synthetic_reports(times, mus, concs):
     """The :func:`witness_rows` reports of synthetic ``(G, N)`` rows."""
     mus, concs = np.atleast_2d(mus).astype(float), np.atleast_2d(concs).astype(float)
-    r = ReservoirColumns.of(np.ones(len(mus)), np.zeros(len(mus)))
+    r = ReservoirColumns.of(np.ones((2, len(mus))), np.zeros((2, len(mus))))
     good = np.ones(len(mus), dtype=bool)
-    columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, r, good)
+    columns = witness_rows(np.asarray(times, dtype=float), mus, concs, r, good)
     assert not np.any(columns.crossing_found & np.isnan(columns.t_ew))   # every root-find done
     return [columns.report(g) for g in range(len(mus))]
 
