@@ -150,9 +150,6 @@ class Trajectory:
     f_a: np.ndarray
     f_b: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def correlation_f(r, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
@@ -165,8 +162,7 @@ def correlation_f(r, t):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValidationError(f"t: must be >= 0, got {t.min()}")
-    out = r.scale * (1.0 - _where_finite(r.z, t, np.exp))
-    return complex(out) if out.ndim == 0 else out
+    return r.scale * (1.0 - _where_finite(r.z, t, np.exp))
 
 
 def correlation_f_quadrature(r: ReservoirParams, t: float) -> complex:

@@ -56,7 +56,7 @@ class ScenarioConfig:
         for key in ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
             if not is_number(value):
-                raise ValidationError(f"{key}: must be a finite number, got {value!r}")
+                raise ValidationError(f"{key}: must be a finite number, got {_shown(value)}")
             object.__setattr__(self, key, float(value))
         for key in ("lambda_a", "lambda_b", "t_max", "dt"):
             if getattr(self, key) <= 0:
@@ -71,7 +71,8 @@ class ScenarioConfig:
                 raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
         every = self.sample_every
         if not (is_number(every) and isinstance(every, (int, np.integer))) or every < 1:
-            raise ValidationError(f"sample_every: must be a finite integer >= 1, got {every!r}")
+            raise ValidationError(
+                f"sample_every: must be a finite integer >= 1, got {_shown(every)}")
         object.__setattr__(self, "sample_every", int(every))
         spacing = self.dt * self.sample_every
         ratio = self.t_max / spacing
@@ -91,6 +92,11 @@ class ScenarioConfig:
         # float k * sample_every is exact below 2**53, and a sample_every past
         # int64 needs no integer array
         return np.arange(n_samples + 1, dtype=float) * self.sample_every * self.dt
+
+
+def _shown(value) -> str:
+    """A rejected value's repr, or the type of a list or mapping, which YAML aliases can nest."""
+    return f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
 
 
 def _cfg(la, lb, da, db, t_max):
@@ -180,6 +186,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:   # PyYAML composes nested values recursively
+        raise ParseError("invalid YAML: values nested too deeply") from exc
     if raw is None:
         raise ParseError("empty config")
     if not isinstance(raw, dict):

@@ -55,30 +55,27 @@ class WitnessColumns(NamedTuple):
     c_ew_threshold: np.ndarray
     death_time: np.ndarray
     mu_series_max: np.ndarray
-    starts_above: np.ndarray
     reenters: np.ndarray
 
     def report(self, g: int) -> WitnessReport:
-        """The :class:`WitnessReport` of row ``g``, with None for each NaN."""
-        found, t_ew, c_ew, death, mu_max, starts_above, reenters = (c[g].item() for c in self)
-        notes = zip((starts_above, reenters),
-                    ("mu starts at or above 1", "mu re-enters below 1 after the first crossing"))
+        """Row ``g``'s :class:`WitnessReport`: None for each NaN, the note if ``reenters``."""
+        found, t_ew, c_ew, death, mu_max, reenters = (c[g].item() for c in self)
         t_ew, c_ew, death = (None if math.isnan(x) else x for x in (t_ew, c_ew, death))
         return WitnessReport(found, t_ew, c_ew, death, mu_max,
-                             "; ".join(text for flag, text in notes if flag))
+                             "mu re-enters below 1 after the first crossing" if reenters else "")
 
 
-def death_times(times, concs, confirm_samples: int = CONFIRM_SAMPLES) -> np.ndarray:
+def death_times(times, concs) -> np.ndarray:
     """Each row's first sampled time at which the concurrence falls to zero and stays there.
 
     ``concs`` is a ``(G, N)`` batch of concurrence rows sampled at ``times``.
     "Zero" means below ``CONCURRENCE_ZERO_TOL`` (the model's concurrence
     decays to zero asymptotically without an exact root); the drop must
-    persist for the next ``confirm_samples`` samples so that a transient dip
+    persist for the next ``CONFIRM_SAMPLES`` samples so that a transient dip
     during a revival oscillation is not flagged.  A row whose entanglement
     survives the whole grid gets NaN.
     """
-    window = confirm_samples + 1
+    window = CONFIRM_SAMPLES + 1
     below = np.zeros((len(concs), concs.shape[-1] + 1), dtype=np.intp)
     np.cumsum(concs <= CONCURRENCE_ZERO_TOL, axis=-1, out=below[:, 1:])
     dead = below[:, window:] - below[:, :-window] == window
@@ -99,6 +96,8 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is the exact
     concurrence at ``t_ew``.  Only the first crossing is reported; re-entry
     below 1 afterwards (seen on the samples) is flagged in ``reenters``.
+    Every row must start below 1, as every run does (at ``t = 0`` the decay integral
+    is exactly 0, so ``p = 1`` and ``mu = 0``): each crossing has a sample before it.
 
     Only the rows set in the ``(G,)`` mask ``good`` get a root-find.  A row
     whose root-find does not finish keeps a NaN ``t_ew`` and threshold,
@@ -107,9 +106,8 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     above = mu >= 1.0
     crossed = np.any(above, axis=-1)
     first = np.argmax(above, axis=-1)
-    starts_above = crossed & (first == 0)
     reenters = crossed & np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
-    rows = np.flatnonzero(good & crossed & ~starts_above)
+    rows = np.flatnonzero(good & crossed)
     hi = first[rows]
     cut = reservoirs.take(rows)
 
@@ -118,12 +116,9 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
         # the sign change that the samples show
         return minimum_uncertainty(*excited_population(cut, t)) - 1.0
 
-    t_ew = np.where(starts_above, times[0], np.nan)
-    c_ew = np.where(starts_above, concs[:, 0], np.nan)
+    t_ew, c_ew = np.full(len(mu), np.nan), np.full(len(mu), np.nan)
     t_ew[rows] = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
                                 mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
     c_ew[rows] = concurrence(*excited_population(cut, t_ew[rows]))
-    return WitnessColumns(crossing_found=crossed, t_ew=t_ew,
-                          c_ew_threshold=np.minimum(np.maximum(c_ew, 0.0), 1.0),
-                          death_time=death_times(times, concs), mu_series_max=np.max(mu, axis=-1),
-                          starts_above=starts_above, reenters=reenters)
+    return WitnessColumns(crossed, t_ew, np.minimum(np.maximum(c_ew, 0.0), 1.0),
+                          death_times(times, concs), np.max(mu, axis=-1), reenters)

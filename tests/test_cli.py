@@ -82,6 +82,47 @@ def test_duplicate_key_in_a_merged_mapping_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_deeply_nested_config_value_exits_2(tmp_path, capsys, command):
+    # PyYAML composes a nested value recursively, and 500 levels exhaust the stack
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("lambda_a: " + "[" * 500 + "]" * 500 + "\nlambda_b: 1.0\nt_max: 1.0\n")
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    assert capsys.readouterr().err == "error: invalid YAML: values nested too deeply\n"
+    assert not out.exists()
+
+
+def _aliased(depth):
+    """A YAML list of ten copies of a list of ten copies ... of ten 1s, ``depth`` levels deep."""
+    levels = ["&l0 [" + ", ".join(["1"] * 10) + "]"]
+    levels += [f"&l{k} [" + ", ".join([f"*l{k - 1}"] * 10) + "]" for k in range(1, depth)]
+    return "[" + ", ".join(levels) + "]"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text, message", [
+    ("lambda_b: 1.0\nt_max: 1.0\nlambda_a: " + _aliased(5) + "\n",
+     "error: lambda_a: must be a finite number, got a list\n"),
+    ("lambda_a: 1.0\nlambda_b: 1.0\nt_max: 1.0\nsample_every: [&a [1, 1], [*a, *a]]\n",
+     "error: sample_every: must be a finite integer >= 1, got a list\n"),
+    ("lambda_a: {x: &a [1, 1], y: *a}\nlambda_b: 1.0\nt_max: 1.0\n",
+     "error: lambda_a: must be a finite number, got a dict\n"),
+], ids=["list", "sample_every", "mapping"])
+def test_aliased_config_value_is_named_by_its_type(tmp_path, capsys, command, text, message):
+    # each level of ten aliases would multiply the value's repr by ten: five
+    # levels in about 250 bytes of config made a 358 kB message
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1024 and err == message
+    assert not out.exists()
+
+
 def test_run_parse_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("lambda_a: [oops\n")

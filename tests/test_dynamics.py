@@ -478,7 +478,7 @@ def test_propagate_rejects_grid_missing_t_max(t_max, dt, sample_every):
 
 def test_propagate_grid_lands_on_t_max():
     traj, _ = run_scenario(ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.7, dt=0.1))
-    assert len(traj) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
+    assert len(traj.times) == 8 and traj.times[-1] == pytest.approx(0.7, abs=1e-15)
     grid = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=0.6, dt=0.01, sample_every=30)
     assert np.allclose(grid.sample_times(), [0.0, 0.3, 0.6], atol=1e-15)
 

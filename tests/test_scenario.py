@@ -191,7 +191,7 @@ def test_emit_csv_round_trip(tmp_path, preset_run):
     emit_csv(traj, report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(traj)
+    assert len(lines) == 1 + len(traj.times)
     # t = 0 identities: mu = lhs = 0, concurrence = 1, f = 0
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0

@@ -1,15 +1,17 @@
 import dataclasses
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
-from entwitness import ScenarioConfig, ValidationError, concurrence, run_scenario
-from entwitness.dynamics import ReservoirColumns, Trajectory
+from entwitness import (ScenarioConfig, ValidationError, concurrence, excited_population,
+                        run_scenario, uncertainty_columns)
+from entwitness.dynamics import MIN_WIDTH, ReservoirColumns, Trajectory
 from entwitness.witness import death_times, witness_rows
 from _oracles import (bell_rho, channel_states, concurrence_x_state, death_time_loop,
                       random_density, rk4_evolve)
@@ -41,10 +43,9 @@ def _synthetic_report(times, mus, concs):
     return _synthetic_reports(times, mus, concs)[0]
 
 
-def _death_time(times, concs, **kwargs):
+def _death_time(times, concs):
     """The :func:`death_times` entry of one ``(1, N)`` concurrence row, None for NaN."""
-    death = death_times(np.asarray(times, dtype=float), np.asarray(concs, dtype=float)[None],
-                        **kwargs)[0]
+    death = death_times(np.asarray(times, dtype=float), np.asarray(concs, dtype=float)[None])[0]
     return None if np.isnan(death) else float(death)
 
 
@@ -177,26 +178,19 @@ def test_witness_report_near_tangent_crossing_matches_rk4_bisection():
     assert "re-enters" in rep.notes
 
 
-def test_witness_report_starting_above_one():
-    times = np.arange(0.0, 1.0, 0.01)
-    rep = _synthetic_report(times, np.full_like(times, 1.5), np.ones_like(times))
-    assert rep.crossing_found and rep.t_ew == 0.0
-    assert "starts at or above" in rep.notes
-
-
 def test_witness_columns_report_maps_nan_to_none_and_flags_to_notes():
-    # three synthetic rows in one batch: mu starting above 1 and falling back
-    # below it, with the concurrence gone by t = 0.5; mu never reaching 1; and
-    # a single crossing into a plateau
+    # three synthetic rows in one batch: mu rising above 1 at t = 0.1 and
+    # falling back below it at t = 0.3, with the concurrence gone by t = 0.5;
+    # mu never reaching 1; and a single crossing into a plateau
     times = np.arange(0.0, 1.0, 0.01)
-    mus = np.stack([np.where(times < 0.3, 1.5, 0.5), np.zeros_like(times),
+    mus = np.stack([np.where((times >= 0.1) & (times < 0.3), 1.5, 0.5), np.zeros_like(times),
                     np.minimum(2.0 * times, 1.2)])
     concs = np.stack([np.where(times < 0.5, 0.6, 0.0), np.ones_like(times),
                       np.ones_like(times)])
     reports = _synthetic_reports(times, mus, concs)
-    assert reports[0] == ew.WitnessReport(
-        crossing_found=True, t_ew=0.0, c_ew_threshold=0.6, death_time=0.5, mu_series_max=1.5,
-        notes="mu starts at or above 1; mu re-enters below 1 after the first crossing")
+    assert reports[0].crossing_found and reports[0].mu_series_max == 1.5
+    assert reports[0].t_ew == pytest.approx(0.1, abs=0.01) and reports[0].death_time == 0.5
+    assert reports[0].notes == "mu re-enters below 1 after the first crossing"
     assert reports[1] == ew.WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
                                           death_time=None, mu_series_max=0.0, notes="")
     assert reports[2].crossing_found and reports[2].notes == ""
@@ -204,6 +198,26 @@ def test_witness_columns_report_maps_nan_to_none_and_flags_to_notes():
     # report values are Python scalars, as the single-run API always gave
     assert all(type(value) in (bool, float, str, type(None))
                for report in reports for value in dataclasses.astuple(report))
+
+
+_WIDTH = st.floats(MIN_WIDTH, 1.7e308)
+_DETUNING = st.floats(0.0, 1.7e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_WIDTH, _WIDTH, _DETUNING, _DETUNING), min_size=1, max_size=8))
+@example([(MIN_WIDTH, 1.7e308, 0.0, 1.7e308), (1.7e308, MIN_WIDTH, 1.7e308, 0.0),
+          (MIN_WIDTH, MIN_WIDTH, 0.0, 0.0), (1.7e308, 1.7e308, 1.7e308, 1.7e308)])
+def test_every_row_starts_below_the_witness_boundary(rows):
+    # witness_rows brackets each crossing with the sample before it, so no row
+    # may start at mu >= 1: at t = 0 both atoms are still excited, exactly,
+    # and mu is exactly 0, whatever the widths and detunings
+    params = np.array(rows)
+    reservoirs = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
+    p_a, p_b = excited_population(reservoirs, np.zeros(1))
+    mu, _ = uncertainty_columns(p_a, p_b)
+    assert np.all(p_a == 1.0) and np.all(p_b == 1.0)
+    assert np.all(mu == 0.0)
 
 
 def test_witness_report_empty_trajectory():
@@ -242,7 +256,8 @@ def test_death_time_matches_window_loop(pattern, confirm_samples):
     # the empty row included
     concs = np.where(pattern, 0.0, 1.0)
     times = 0.1 * np.arange(len(concs))
-    got = _death_time(times, concs, confirm_samples=confirm_samples)
+    with mock.patch.object(ew.witness, "CONFIRM_SAMPLES", confirm_samples):
+        got = _death_time(times, concs)
     assert got == death_time_loop(times, concs, ew.witness.CONCURRENCE_ZERO_TOL, confirm_samples)
 
 
