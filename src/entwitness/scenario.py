@@ -56,7 +56,7 @@ class ScenarioConfig:
         for key in ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt"):
             value = getattr(self, key)
             if not is_number(value):
-                raise ValidationError(f"{key}: must be a finite number, got {_shown(value)}")
+                raise ValidationError(f"{key}: must be a finite number, got {value!r}")
             object.__setattr__(self, key, float(value))
         for key in ("lambda_a", "lambda_b", "t_max", "dt"):
             if getattr(self, key) <= 0:
@@ -72,7 +72,7 @@ class ScenarioConfig:
         every = self.sample_every
         if not (is_number(every) and isinstance(every, (int, np.integer))) or every < 1:
             raise ValidationError(
-                f"sample_every: must be a finite integer >= 1, got {_shown(every)}")
+                f"sample_every: must be a finite integer >= 1, got {every!r}")
         object.__setattr__(self, "sample_every", int(every))
         spacing = self.dt * self.sample_every
         ratio = self.t_max / spacing
@@ -92,11 +92,6 @@ class ScenarioConfig:
         # float k * sample_every is exact below 2**53, and a sample_every past
         # int64 needs no integer array
         return np.arange(n_samples + 1, dtype=float) * self.sample_every * self.dt
-
-
-def _shown(value) -> str:
-    """A rejected value's repr, or the type of a list or mapping, which YAML aliases can nest."""
-    return f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
 
 
 def _cfg(la, lb, da, db, t_max):
@@ -146,25 +141,34 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
 
 @functools.cache
 def _config_loader():
-    """PyYAML's safe loader, plus plain scalars with an exponent (``1e-3``) read as floats.
+    """PyYAML's safe loader for a flat mapping of scalars, exponent spellings read as floats.
 
-    YAML 1.1, which PyYAML follows, takes a float to need a ``.`` and a signed
-    exponent, so ``1e-3``, ``2E5`` or ``1.0e308`` would load as strings.
-    Integers and quoted strings load as before.  A key given twice in one
-    mapping as written, a ``<<`` merge's included, is a :class:`ValidationError`,
-    where PyYAML would keep the last value; a merged key set again is overridden.
+    Below the top-level node, an alias, a sequence or a mapping (a ``<<``
+    merge's too) is a :class:`ParseError` naming its key, raised before it is
+    composed; a key that is no config key (``<<`` too) or is given twice is a
+    :class:`ValidationError` as soon as it is composed, where PyYAML would keep
+    the last value.  So the first fault in document order is reported.  YAML
+    1.1 takes a float to need a ``.`` and a signed exponent; here ``1e-3``,
+    ``2E5`` or ``1.0e308`` load as floats, not strings.
     """
     import yaml
 
     class Loader(yaml.SafeLoader):
-        def compose_mapping_node(self, anchor):
-            node = super().compose_mapping_node(anchor)
-            names = set()
-            for key, _ in node.value:   # every config key is a str; a << merge key is not
-                if key.tag == "tag:yaml.org,2002:str":
-                    if key.value in names:
-                        raise ValidationError(f"{key.value}: duplicate key")
-                    names.add(key.value)
+        def compose_node(self, parent, index):
+            event = self.peek_event()
+            if parent is not None and not isinstance(event, yaml.ScalarEvent):
+                kind = {yaml.AliasEvent: "alias", yaml.SequenceStartEvent: "sequence"}.get(
+                    type(event), "mapping")
+                where = (f"{index.value}: must be a plain value"
+                         if isinstance(index, yaml.Node)   # a value: index is its key
+                         else "config must be a flat mapping of plain values")
+                raise ParseError(f"{where}, got a YAML {kind}")
+            node = super().compose_node(parent, index)
+            if parent is not None and index is None:   # a key of the top-level mapping
+                if node.tag != "tag:yaml.org,2002:str" or node.value not in _KEYS:
+                    raise ValidationError(f"{node.value}: unknown key")
+                if any(key.value == node.value for key, _ in parent.value):   # <= 7 pairs
+                    raise ValidationError(f"{node.value}: duplicate key")
             return node
 
     Loader.add_implicit_resolver(
@@ -177,8 +181,8 @@ def _config_loader():
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat YAML mapping into a validated config with defaults applied.
 
-    Unknown and missing required keys are rejected here, and each value is
-    checked by :class:`ScenarioConfig`; error messages name the offending key.
+    Keys are checked as the loader reads them, required keys here, and values by
+    :class:`ScenarioConfig`; error messages name the offending key.
     """
     import yaml
 
@@ -186,15 +190,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = yaml.load(text, Loader=_config_loader())
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
-    except RecursionError as exc:   # PyYAML composes nested values recursively
-        raise ParseError("invalid YAML: values nested too deeply") from exc
     if raw is None:
         raise ParseError("empty config")
     if not isinstance(raw, dict):
         raise ParseError(f"config must be a flat key-value mapping, got {type(raw).__name__}")
-    for key in raw:
-        if key not in _KEYS:
-            raise ValidationError(f"{key}: unknown key")
     for required in _REQUIRED:
         if required not in raw:
             raise ValidationError(f"{required}: required key missing")

@@ -20,6 +20,8 @@ f(t) quadrature with one ``np.exp`` per node and :func:`simpson` as written,
 against which the package's two-table phase and class-weight layout are
 compared; and :func:`emit_reference` formats every CSV cell on its own,
 against which the writer's reuse of equal columns is compared.
+:func:`load_yaml` loads a config with PyYAML's safe loader and no checks,
+against which ``parse_config`` is compared on flat configs of known keys.
 
 Matrices are ``(..., d, d)`` stacks; a single matrix gives scalars.  Input
 checks name the first offending sample; a matrix that is not Hermitian, or
@@ -29,9 +31,11 @@ checks raise the package's error types.
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
 from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged,
                         ReservoirParams, ValidationError, correlation_f, run_scenario)
@@ -433,3 +437,18 @@ def quadrature_direct(r, t: float) -> complex:
             return fine
     raise QuadratureUnconverged(
         f"node doubling moved the result by {abs(fine - coarse):.3e} > 1e-5")
+
+
+class _ExponentLoader(yaml.SafeLoader):
+    pass
+
+
+_ExponentLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+def load_yaml(text: str):
+    """``text`` as PyYAML's safe loader reads it, exponent spellings (``1e-3``) as floats."""
+    return yaml.load(text, Loader=_ExponentLoader)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import _oracles as oracle
 import entwitness.cli
-from entwitness import EntwitnessError, NotDensityMatrix, parse_config, run_scenario
+from entwitness import (EntwitnessError, NotDensityMatrix, ScenarioConfig, parse_config,
+                        run_scenario)
 from entwitness.cli import main
 from entwitness.scenario import CSV_HEADER
 
@@ -73,24 +76,25 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_duplicate_key_in_a_merged_mapping_exits_2(tmp_path, capsys, command):
+    # the merge key is no config key, so its mapping is never composed
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("<<: {lambda_b: 0.3, lambda_b: 3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
     out = tmp_path / "x.csv"
     grid = ["--lambda", "0.5"] if command == "sweep" else []
     assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
-    assert capsys.readouterr().err == "error: lambda_b: duplicate key\n"
+    assert capsys.readouterr().err == "error: <<: unknown key\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_deeply_nested_config_value_exits_2(tmp_path, capsys, command):
-    # PyYAML composes a nested value recursively, and 500 levels exhaust the stack
+    # rejected at its first "[", so PyYAML never composes the 500 levels
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("lambda_a: " + "[" * 500 + "]" * 500 + "\nlambda_b: 1.0\nt_max: 1.0\n")
     out = tmp_path / "x.csv"
     grid = ["--lambda", "0.5"] if command == "sweep" else []
     assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
-    assert capsys.readouterr().err == "error: invalid YAML: values nested too deeply\n"
+    assert capsys.readouterr().err == "error: lambda_a: must be a plain value, got a YAML sequence\n"
     assert not out.exists()
 
 
@@ -104,15 +108,17 @@ def _aliased(depth):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("text, message", [
     ("lambda_b: 1.0\nt_max: 1.0\nlambda_a: " + _aliased(5) + "\n",
-     "error: lambda_a: must be a finite number, got a list\n"),
+     "error: lambda_a: must be a plain value, got a YAML sequence\n"),
     ("lambda_a: 1.0\nlambda_b: 1.0\nt_max: 1.0\nsample_every: [&a [1, 1], [*a, *a]]\n",
-     "error: sample_every: must be a finite integer >= 1, got a list\n"),
+     "error: sample_every: must be a plain value, got a YAML sequence\n"),
     ("lambda_a: {x: &a [1, 1], y: *a}\nlambda_b: 1.0\nt_max: 1.0\n",
-     "error: lambda_a: must be a finite number, got a dict\n"),
-], ids=["list", "sample_every", "mapping"])
+     "error: lambda_a: must be a plain value, got a YAML mapping\n"),
+    ("lambda_a: &a 1.0\nlambda_b: *a\nt_max: 1.0\n",
+     "error: lambda_b: must be a plain value, got a YAML alias\n"),
+], ids=["list", "sample_every", "mapping", "alias"])
 def test_aliased_config_value_is_named_by_its_type(tmp_path, capsys, command, text, message):
-    # each level of ten aliases would multiply the value's repr by ten: five
-    # levels in about 250 bytes of config made a 358 kB message
+    # rejected before it is composed: expanded, each level of ten aliases
+    # multiplied the value's repr by ten, to 358 kB from 250 bytes of config
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     out = tmp_path / "x.csv"
@@ -120,6 +126,35 @@ def test_aliased_config_value_is_named_by_its_type(tmp_path, capsys, command, te
     assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
     err = capsys.readouterr().err
     assert len(err) < 1024 and err == message
+    assert not out.exists()
+
+
+def _merge_chain(depth):
+    """A YAML mapping of ``depth`` levels of anchored ``<<`` merges, each of ten copies of the last."""
+    levels = ["m0: &m0 {t_max: 1}"]
+    levels += [f"m{k}: &m{k} {{<<: [" + ", ".join([f"*m{k - 1}"] * 10) + "]}"
+               for k in range(1, depth + 1)]
+    return "{" + ", ".join(levels) + "}"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text, message", [
+    ("lambda_b: 1.0\nt_max: 1.0\nlambda_a: " + _merge_chain(7) + "\n",
+     "error: lambda_a: must be a plain value, got a YAML mapping\n"),
+    ("lambda_a: 1.0\nlambda_b: 1.0\nt_max: 1.0\nx: " + _merge_chain(7) + "\n",
+     "error: x: unknown key\n"),
+], ids=["known_key", "unknown_key"])
+def test_merge_chain_config_exits_2_at_once(tmp_path, capsys, command, text, message):
+    # each level of merges copies the last one's pairs ten times: composed and
+    # merged, 6 levels took 1.2 s and 7 levels ten times that
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -405,6 +440,29 @@ YAML_VALUES = st.one_of(
     st.one_of(st.integers(-3, 10), st.integers(2**62, 2**65), st.just(10**400)).map(str),
     st.sampled_from(["true", "false", "yes", "no", "~"]),
     st.text(max_size=4).map(json.dumps))
+
+
+@st.composite
+def flat_config_text(draw):
+    """Unique config keys in drawn order, the required ones always, each with a scalar value."""
+    optional = draw(st.lists(st.sampled_from(CONFIG_KEYS[3:]), unique=True))
+    keys = draw(st.permutations(["lambda_a", "lambda_b", "t_max", *optional]))
+    return "".join(f"{key}: {draw(st.sampled_from(GOOD_VALUES[key]) | YAML_VALUES)}\n"
+                   for key in keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_config_text())
+def test_parse_config_loads_flat_configs_as_plain_yaml(text):
+    # the loader's checks change nothing for a flat mapping of unique known keys
+    try:
+        expected = ScenarioConfig(**oracle.load_yaml(text))
+    except EntwitnessError as exc:
+        with pytest.raises(type(exc)) as caught:
+            parse_config(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_config(text) == expected
 
 
 @st.composite

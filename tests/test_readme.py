@@ -2,7 +2,8 @@ import dataclasses
 import re
 from pathlib import Path
 
-from entwitness import ScenarioConfig
+from entwitness import ScenarioConfig, parse_config
+from entwitness.scenario import PRESETS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +22,10 @@ def test_readme_config_table_matches_schema():
     for key in re.findall(r"^\| `(\w+(?:/b)?)` ", section, re.M):
         documented += [key[:-2], key[:-3] + "b"] if key.endswith("/b") else [key]
     assert sorted(documented) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+
+
+def test_readme_config_example_loads():
+    # the example config file in README is the fig1a_d16 preset
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]) == PRESETS["fig1a_d16"]

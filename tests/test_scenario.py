@@ -88,20 +88,34 @@ def test_parse_config_rejects_duplicate_keys():
         parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\nt_max: 1.0\n")
     with pytest.raises(ValidationError, match="^lambda_b: duplicate key$"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n'lambda_b': 0.2\n")
-    # a key that a << merge gives is overridden, not duplicated
-    cfg = parse_config("<<: {lambda_b: 0.3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
-    assert cfg == ScenarioConfig(lambda_a=0.1, lambda_b=0.2, t_max=1.0)
+    # the first fault in document order is reported
+    with pytest.raises(ValidationError, match="^lambda_a: duplicate key$"):
+        parse_config("lambda_a: 0.1\nlambda_a: 5.0\nfoo: 1\n")
+    with pytest.raises(ValidationError, match="^foo: unknown key$"):
+        parse_config("foo: 1\nlambda_a: 0.1\nlambda_a: 5.0\n")
 
 
 def test_parse_config_rejects_duplicate_keys_in_a_merged_mapping():
-    # PyYAML merges a << mapping's pairs without the loader's mapping check
-    with pytest.raises(ValidationError, match="^lambda_b: duplicate key$"):
+    # a merge key is no config key, and a merge's mapping is a nested value:
+    # either is rejected before the mapping it brings in is composed
+    with pytest.raises(ValidationError, match="^<<: unknown key$"):
         parse_config("<<: {lambda_b: 0.3, lambda_b: 3}\nlambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
-    with pytest.raises(ValidationError, match="^t_max: duplicate key$"):
-        parse_config("<<: [{lambda_b: 0.3}, {t_max: 1.0, t_max: 2.0}]\nlambda_a: 0.1\n")
-    # a key given once in each of two merged mappings is no duplicate: the first wins
-    cfg = parse_config("<<: [{t_max: 1.0}, {t_max: 2.0}]\nlambda_a: 0.1\nlambda_b: 0.2\n")
-    assert cfg == ScenarioConfig(lambda_a=0.1, lambda_b=0.2, t_max=1.0)
+    with pytest.raises(ValidationError, match="^<<: unknown key$"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n<<: {lambda_b: 0.3}\n")
+    with pytest.raises(ParseError, match="^t_max: must be a plain value, got a YAML mapping$"):
+        parse_config("lambda_a: 0.1\nlambda_b: 0.2\nt_max: {<<: [{t_max: 1.0}, {t_max: 2.0}]}\n")
+
+
+def test_parse_config_rejects_nested_keys_and_items():
+    # with nothing to name, the message says what a config must be
+    for text, kind in (("? [lambda_a]\n: 0.1\n", "sequence"), ("{lambda_a: 0.1}: 2\n", "mapping"),
+                       ("- [1]\n", "sequence"), ("- &a 1\n- *a\n", "alias")):
+        with pytest.raises(ParseError, match="^config must be a flat mapping of plain values, "
+                                             f"got a YAML {kind}$"):
+            parse_config(text)
+    # a key that is not a plain string is no config key, whatever it reads
+    with pytest.raises(ValidationError, match="^lambda_a: unknown key$"):
+        parse_config("!!null lambda_a: 0.1\nlambda_b: 0.2\nt_max: 1.0\n")
 
 
 def test_parse_config_full_equals_preset():
