@@ -1,7 +1,7 @@
 """Scenario configuration, built-in presets, runs, sweeps, and CSV output.
 
 Configs are flat YAML mappings in units of ``gamma0`` (the unit, so not a key).
-PyYAML is imported only when a config is parsed.
+PyYAML is imported only when a config is parsed, orjson only when a series CSV is written.
 """
 
 import dataclasses
@@ -147,7 +147,10 @@ def _config_loader():
     merge's too) is a :class:`ParseError` naming its key, raised before it is
     composed; a key that is no config key (``<<`` too) or is given twice is a
     :class:`ValidationError` as soon as it is composed, where PyYAML would keep
-    the last value.  So the first fault in document order is reported.  YAML
+    the last value.  A value is constructed as soon as it is composed, and text
+    that its tag cannot read (``!!int abc``, ``!!bool maybe``, ``0x_``) is a
+    :class:`ParseError` naming its key, not PyYAML's own exception.  So the
+    first fault in document order is reported.  YAML
     1.1 takes a float to need a ``.`` and a signed exponent; here ``1e-3``,
     ``2E5`` or ``1.0e308`` load as floats, not strings.
     """
@@ -169,6 +172,13 @@ def _config_loader():
                     raise ValidationError(f"{node.value}: unknown key")
                 if any(key.value == node.value for key, _ in parent.value):   # <= 7 pairs
                     raise ValidationError(f"{node.value}: duplicate key")
+            elif isinstance(node, yaml.ScalarNode):   # a value, or the whole document
+                try:   # the constructor keeps the value for the document's construction
+                    self.construct_object(node, deep=True)
+                except (AttributeError, LookupError, ValueError) as exc:
+                    tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+                    where = "config" if parent is None else index.value
+                    raise ParseError(f"{where}: {node.value!r} is not a valid {tag}") from exc
             return node
 
     Loader.add_implicit_resolver(
@@ -255,8 +265,30 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
 
 def _fmt(x) -> str:
     # repr of a float is the shortest string that round-trips exactly,
-    # so it always carries >= 12 significant digits of information
+    # so it always carries >= 12 significant digits of information;
+    # _fmt_column writes the same text for a whole column at once
     return repr(float(x))
+
+
+def _fmt_column(column: np.ndarray) -> list:
+    """``repr`` of each float of a 1-D float column, from one orjson pass over it.
+
+    orjson writes the same shortest round-trip digits as ``repr``, and in the
+    same positional form for ``1e-4 <= |x| < 1e16`` and for zeros of either
+    sign; outside that range it switches to exponent form at other points and
+    writes NaN and infinities as ``null``, so those cells are ``repr``'s own.
+    orjson is imported here, not at module level: its import takes several
+    milliseconds that only a series CSV needs to pay.
+    """
+    import orjson
+
+    values = column.tolist()
+    cells = orjson.dumps(values).decode()[1:-1].split(",")
+    magnitude = np.abs(column)
+    not_positional = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (column != 0)   # NaN too
+    for k in np.flatnonzero(not_positional).tolist():
+        cells[k] = repr(values[k])
+    return cells
 
 
 def _cell(value, none: str) -> str:
@@ -272,7 +304,7 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
-    # formatted a column at a time: one repr per float, then one join per row.
+    # formatted a column at a time (see _fmt_column), then one join per row.
     # A column with the bits of one already formatted (f_b of two equal
     # reservoirs) reuses its cells; bits, not ==, so -0.0 and 0.0 stay apart.
     formatted = {}
@@ -280,7 +312,7 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     for c in columns:
         key = (c.dtype.str, c.tobytes())
         if key not in formatted:
-            formatted[key] = list(map(repr, c.tolist()))
+            formatted[key] = _fmt_column(c)
         cells.append(formatted[key])
     path = str(path)
     _overwrite(path, CSV_HEADER + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")

@@ -75,6 +75,26 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value, message", [
+    ("!!int abc", "'abc' is not a valid !!int"),
+    ("!!int 0x", "'0x' is not a valid !!int"),
+    ("0x_", "'0x_' is not a valid !!int"),   # resolved as an int without a tag
+    ("!!float abc", "'abc' is not a valid !!float"),
+    ("!!timestamp abc", "'abc' is not a valid !!timestamp"),
+    ("!!bool maybe", "'maybe' is not a valid !!bool"),
+], ids=["int", "int_prefix", "implicit_int", "float", "timestamp", "bool"])
+def test_value_its_tag_cannot_read_exits_2(tmp_path, capsys, command, value, message):
+    # PyYAML's constructors raise ValueError, AttributeError or KeyError here
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"lambda_a: {value}\nlambda_b: 0.2\nt_max: 1.0\n")
+    out = tmp_path / "x.csv"
+    grid = ["--lambda", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *grid]) == 2
+    assert capsys.readouterr().err == f"error: lambda_a: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_duplicate_key_in_a_merged_mapping_exits_2(tmp_path, capsys, command):
     # the merge key is no config key, so its mapping is never composed
     cfg = tmp_path / "cfg.yaml"
@@ -367,6 +387,25 @@ def test_cli_preset_leaves_yaml_unloaded(tmp_path):
                           env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_orjson_is_loaded_only_to_write_a_series_csv(tmp_path):
+    # orjson formats the series CSV; its import is not paid by a sweep or by import
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    code = ("import sys, entwitness.cli; "
+            "loaded = ['orjson' in sys.modules]; "
+            f"assert entwitness.cli.main(['sweep', '--config', {str(cfg)!r}, '--lambda', '1', "
+            f"'--out', {str(tmp_path / 's.csv')!r}]) == 0; "
+            "loaded.append('orjson' in sys.modules); "
+            f"assert entwitness.cli.main(['preset', 'fig1b_l5', '--tmax', '0.5', "
+            f"'--out', {str(tmp_path / 'p.csv')!r}]) == 0; "
+            "loaded.append('orjson' in sys.modules); "
+            "print(loaded)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"
 
 
 def test_run_accepts_exponent_floats(tmp_path):

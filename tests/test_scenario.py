@@ -61,6 +61,22 @@ def test_parse_config_malformed_text():
         parse_config("")
 
 
+def test_parse_config_names_a_value_its_tag_cannot_read():
+    # PyYAML's constructors raise ValueError, IndexError, KeyError or AttributeError here
+    for value, message in (("!!int ''", "lambda_b: '' is not a valid !!int"),
+                           ("!!float '-'", "lambda_b: '-' is not a valid !!float"),
+                           ("!!timestamp 2001-13-01", "lambda_b: '2001-13-01' is not a valid "
+                                                      "!!timestamp")):
+        with pytest.raises(ParseError) as info:
+            parse_config(f"lambda_a: 0.1\nlambda_b: {value}\nt_max: 10\n")
+        assert str(info.value) == message
+    with pytest.raises(ParseError, match="^config: 'abc' is not a valid !!bool$"):
+        parse_config("!!bool abc\n")
+    # the first fault in document order is the one reported
+    with pytest.raises(ParseError, match="lambda_a"):
+        parse_config("lambda_a: !!int abc\ngamma0: 1\n")
+
+
 def test_parse_config_rejects_wrong_types():
     with pytest.raises(ValidationError, match="t_max"):
         parse_config("lambda_a: 0.1\nlambda_b: 0.1\nt_max: yes\n")
@@ -275,6 +291,71 @@ def test_emit_csv_reuses_only_bit_equal_columns(tmp_path, preset_run, change):
     cells = text.splitlines()[1 + k].split(",")
     assert cells[6] != cells[4] and float(cells[6]) == f_b[k].real
     assert cells[6] == ("-0.0" if change == "sign_of_zero" else repr(float(f_b[k].real)))
+
+
+def _neighbours(value: float, ulps: int) -> list:
+    """``value`` and the ``ulps`` floats on each side of it, in order."""
+    steps = np.arange(-ulps, ulps + 1)
+    return (np.array(value).view(np.int64) + steps).view(np.float64).tolist()
+
+
+# emit_csv's text comes from orjson, which switches to exponent form at other
+# points than repr outside 1e-4 <= |x| < 1e16.  So floats a few ulps either
+# side of those edges (and of 2**53 and the smallest normal float) are drawn
+# among floats of every magnitude, subnormals, zeros of both signs, NaN and
+# infinities, which st.floats draws.
+CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.builds(lambda edge, ulps, sign: sign * _neighbours(edge, 4)[4 + ulps],
+              st.sampled_from([1e-4, 1e16, 2.0**53, float(np.finfo(float).tiny)]),
+              st.integers(-4, 4), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]))
+EMPTY_REPORT = ew.WitnessReport(crossing_found=False, t_ew=None, c_ew_threshold=None,
+                                death_time=None, mu_series_max=0.0)
+
+
+def _complex(real, imag) -> np.ndarray:
+    column = np.empty(len(real), dtype=complex)
+    column.real, column.imag = real, imag
+    return column
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[CSV_FLOATS] * 8), min_size=1, max_size=16),
+       st.sampled_from(["drawn", "bit_equal", "one_ulp", "sign_of_zero"]), st.data())
+def test_emit_csv_matches_the_reference_formatter_on_drawn_columns(rows, f_b_kind, data):
+    times, mu, lhs, concs, *parts = np.array(rows).T
+    f_a, f_b = _complex(*parts[:2]), _complex(*parts[2:])
+    # f_b as two equal reservoirs give it, or off f_a's bits in one sample only
+    k = data.draw(st.integers(0, len(rows) - 1), label="k")
+    if f_b_kind != "drawn":
+        f_b = f_a.copy()
+    if f_b_kind == "one_ulp":
+        f_b.real[k] = np.nextafter(f_a.real[k], np.inf)
+    elif f_b_kind == "sign_of_zero":
+        f_a.real[k], f_b.real[k] = 0.0, -0.0
+    traj = ew.Trajectory(times=times, p_a=times, p_b=times, mu=mu, lhs=lhs, concurrence=concs,
+                         f_a=f_a, f_b=f_b)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "run.csv")
+        emit_csv(traj, EMPTY_REPORT, out)
+        assert out.read_text() == oracle.emit_reference(traj)
+
+
+def test_emit_csv_matches_the_reference_formatter_next_to_the_exponent_edges(tmp_path):
+    # repr writes 1e-4 as 0.0001 and the float below it in exponent form, and
+    # 1e16 in exponent form and the float below it positionally
+    values = np.array([sign * x for edge in (1e-4, 1e16) for sign in (1.0, -1.0)
+                       for x in _neighbours(edge, 8)])
+    f = _complex(values, values[::-1])
+    traj = ew.Trajectory(times=values, p_a=values, p_b=values, mu=-values, lhs=values[::-1],
+                         concurrence=values, f_a=f, f_b=f)
+    emit_csv(traj, EMPTY_REPORT, tmp_path / "run.csv")
+    text = (tmp_path / "run.csv").read_text()
+    assert text == oracle.emit_reference(traj)
+    cells = {line.split(",")[0] for line in text.splitlines()[1:]}
+    assert {"0.0001", "9.999999999999999e-05", "1e+16", "9999999999999998.0"} <= cells
+    assert {"-0.0001", "-9.999999999999999e-05", "-1e+16", "-9999999999999998.0"} <= cells
 
 
 def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path):
