@@ -29,6 +29,8 @@ MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~1
 # Most row-samples a sweep evaluates at once: a complex (2, rows, N) temporary of
 # a block, both atoms, is then at most 8 MiB whatever the grid, or one row where N > 2**18.
 BLOCK_SAMPLES = 2**18
+# Rows of a series CSV formatted in one pass: a chunk's text is then about 5 MB whatever N.
+ROWS_PER_CHUNK = 2**15
 POPULATION_TOL = 1e-9
 
 
@@ -266,29 +268,36 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
 def _fmt(x) -> str:
     # repr of a float is the shortest string that round-trips exactly,
     # so it always carries >= 12 significant digits of information;
-    # _fmt_column writes the same text for a whole column at once
+    # _csv_rows writes the same text for a whole table at once
     return repr(float(x))
 
 
-def _fmt_column(column: np.ndarray) -> list:
-    """``repr`` of each float of a 1-D float column, from one orjson pass over it.
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float table, each cell ``repr`` of its float, from one orjson pass.
 
     orjson writes the same shortest round-trip digits as ``repr``, and in the
     same positional form for ``1e-4 <= |x| < 1e16`` and for zeros of either
     sign; outside that range it switches to exponent form at other points and
-    writes NaN and infinities as ``null``, so those cells are ``repr``'s own.
-    orjson is imported here, not at module level: its import takes several
-    milliseconds that only a series CSV needs to pay.
+    writes NaN and infinities as ``null``, so those cells are spliced in from
+    ``repr``.  orjson is imported here, not at module level: its import takes
+    several milliseconds that only a series CSV needs to pay.
     """
     import orjson
 
-    values = column.tolist()
-    cells = orjson.dumps(values).decode()[1:-1].split(",")
-    magnitude = np.abs(column)
-    not_positional = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (column != 0)   # NaN too
-    for k in np.flatnonzero(not_positional).tolist():
-        cells[k] = repr(values[k])
-    return cells
+    values = table.ravel()
+    text = bytearray(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY))
+    chars = np.frombuffer(text, dtype=np.uint8)
+    # cell k lies between delimiters k and k + 1: "[", the commas, "]"
+    delims = np.concatenate(([0], np.flatnonzero(chars == ord(",")), [len(text) - 1]))
+    chars[delims[table.shape[1]::table.shape[1]]] = ord("\n")   # each row's last comma, and "]"
+    bad = np.flatnonzero(~((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
+                         & (values != 0))   # NaN too
+    view, pieces, end = memoryview(text), [], 1
+    for first, last, value in zip(delims[bad].tolist(), delims[bad + 1].tolist(),
+                                  values[bad].tolist()):
+        pieces += (view[end:first + 1], repr(value).encode())
+        end = last
+    return b"".join((*pieces, view[end:]))
 
 
 def _cell(value, none: str) -> str:
@@ -304,35 +313,26 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
-    # formatted a column at a time (see _fmt_column), then one join per row.
-    # A column with the bits of one already formatted (f_b of two equal
-    # reservoirs) reuses its cells; bits, not ==, so -0.0 and 0.0 stay apart.
-    formatted = {}
-    cells = []
-    for c in columns:
-        key = (c.dtype.str, c.tobytes())
-        if key not in formatted:
-            formatted[key] = _fmt_column(c)
-        cells.append(formatted[key])
+    chunks = (_csv_rows(np.column_stack([c[k:k + ROWS_PER_CHUNK] for c in columns]))
+              for k in range(0, len(traj.times), ROWS_PER_CHUNK))
     path = str(path)
-    _overwrite(path, CSV_HEADER + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
-    _overwrite(path + ".report",
-               "".join(f"{key}: {_cell(getattr(report, key), 'none')}\n" for key in REPORT_KEYS))
+    _overwrite(path, itertools.chain([f"{CSV_HEADER}\n".encode()], chunks))
+    _overwrite(path + ".report", [
+        "".join(f"{key}: {_cell(getattr(report, key), 'none')}\n" for key in REPORT_KEYS).encode()])
 
 
-def _overwrite(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, over an existing file in place.
+def _overwrite(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` in turn, over an existing file in place.
 
-    The file is cut to the new length after the write, and only if it was
-    longer (a pipe or device has no length to cut).  Truncating an existing
-    file first, as ``open(path, "w")`` does, frees its blocks only to
-    allocate them again, which takes about ten times as long.
+    The file is cut to the new length after the last write, and only if it
+    was longer (a pipe or device has no length to cut).  Truncating an
+    existing file first, as ``open(path, "w")`` does, frees its blocks only
+    to allocate them again, which takes about ten times as long.
     """
-    data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        if os.fstat(fh.fileno()).st_size > len(data):
-            fh.truncate(len(data))
+        size = sum(map(fh.write, chunks))   # a chunk is freed once written
+        if os.fstat(fh.fileno()).st_size > size:
+            fh.truncate(size)
 
 
 class SweepRows(NamedTuple):
@@ -432,4 +432,4 @@ def write_sweep_csv(rows: SweepRows, path) -> None:
         columns.append([_cell(value, "") for value in values])
     columns.append([_quote(error) if error else "" for error in rows.errors])
     header = ",".join(("lambda", "delta", *SWEEP_KEYS, "error"))
-    _overwrite(path, "\n".join((header, *map(",".join, zip(*columns)))) + "\n")
+    _overwrite(path, ["\n".join((header, *map(",".join, zip(*columns)))).encode() + b"\n"])

@@ -19,7 +19,7 @@ column-wise sweep writer is compared; :func:`quadrature_direct` evaluates the
 f(t) quadrature with one ``np.exp`` per node and :func:`simpson` as written,
 against which the package's two-table phase and class-weight layout are
 compared; and :func:`emit_reference` formats every CSV cell on its own,
-against which the writer's reuse of equal columns is compared.
+against which the writer's chunked orjson passes are compared.
 :func:`load_yaml` loads a config with PyYAML's safe loader and no checks,
 against which ``parse_config`` is compared on flat configs of known keys.
 

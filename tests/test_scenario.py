@@ -271,7 +271,7 @@ def test_emit_csv_matches_the_reference_formatter_on_every_preset(tmp_path, pres
 
 
 @pytest.mark.parametrize("change", ["sign_of_zero", "one_ulp"])
-def test_emit_csv_reuses_only_bit_equal_columns(tmp_path, preset_run, change):
+def test_emit_csv_writes_f_b_one_bit_off_f_a_as_its_own_repr(tmp_path, preset_run, change):
     # equal reservoirs, so f_b has f_a's bits; f_b then moves by a bit of one sample
     traj, report = preset_run("fig1b_l5")
     assert traj.f_b.tobytes() == traj.f_a.tobytes()
@@ -340,6 +340,41 @@ def test_emit_csv_matches_the_reference_formatter_on_drawn_columns(rows, f_b_kin
         out = Path(tmp, "run.csv")
         emit_csv(traj, EMPTY_REPORT, out)
         assert out.read_text() == oracle.emit_reference(traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[CSV_FLOATS] * 8), min_size=1, max_size=16), st.data())
+def test_emit_csv_is_byte_identical_in_drawn_row_chunks(rows, data):
+    # a chunk of 1 row (the least a chunk holds) up to more rows than the
+    # series has: the CSV does not depend on the chunk size
+    chunk = data.draw(st.integers(1, len(rows) + 1), label="ROWS_PER_CHUNK")
+    times, mu, lhs, concs, *parts = np.array(rows).T
+    traj = ew.Trajectory(times=times, p_a=times, p_b=times, mu=mu, lhs=lhs, concurrence=concs,
+                         f_a=_complex(*parts[:2]), f_b=_complex(*parts[2:]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ew.scenario, "ROWS_PER_CHUNK", chunk):
+        out = Path(tmp, "run.csv")
+        emit_csv(traj, EMPTY_REPORT, out)
+        assert out.read_text() == oracle.emit_reference(traj)
+
+
+def test_emit_csv_memory_is_bounded_by_row_chunks(tmp_path):
+    # the rows are formatted ROWS_PER_CHUNK at a time, so the peak does not
+    # grow with the run: 16 MB at 10**5 and at 3 * 10**5 samples, where one
+    # pass over the whole series peaked at 86 MB and 264 MB
+    bound = 10 * ew.scenario.ROWS_PER_CHUNK * 8 * 8   # bytes: ten chunks of 8 floats a row, 21 MB
+    peaks = []
+    for samples in (10**5, 3 * 10**5):
+        traj, report = run_scenario(dataclasses.replace(PRESETS["fig1a_d16"], dt=70.0 / samples))
+        assert len(traj.times) == samples + 1
+        tracemalloc.start()
+        try:
+            emit_csv(traj, report, tmp_path / "run.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
 def test_emit_csv_matches_the_reference_formatter_next_to_the_exponent_edges(tmp_path):
