@@ -77,6 +77,26 @@ def is_number(value) -> bool:
         return False
 
 
+def checked_value(key: str, value) -> float:
+    """``value`` as a float if it is a finite real number in range, else a ValidationError.
+
+    A detuning (``delta_a``, ``delta_b``, ``delta``) must be >= 0, any other value
+    > 0, and a width (``lambda_a``, ``lambda_b``, ``lam``) at least ``MIN_WIDTH``.
+    """
+    if not is_number(value):
+        raise ValidationError(f"{key}: must be a finite number, got {value!r}")
+    value = float(value)
+    if key.startswith("delta"):
+        if value < 0:
+            raise ValidationError(f"{key}: must be >= 0, got {value}")
+    elif value <= 0:
+        raise ValidationError(f"{key}: must be > 0, got {value}")
+    if key.startswith("lam") and value < MIN_WIDTH:
+        raise ValidationError(
+            f"{key}: must be >= {MIN_WIDTH!r}, the smallest normal float, got {value}")
+    return value
+
+
 def _scale(lam: float, delta: float) -> complex:
     """Prefactor ``lam / (2 (lam - i delta))`` of ``f``, halved last so no ``2 lam`` overflows."""
     return 0.5 * (lam / (lam - 1j * delta))
@@ -86,17 +106,15 @@ def _scale(lam: float, delta: float) -> complex:
 class ReservoirParams:
     """Lorentzian reservoir parameters in units of ``gamma0``, the Markovian decay rate.
 
-    ``lam`` is the spectral width (>= ``MIN_WIDTH``), ``delta`` the detuning (>= 0).
+    ``lam`` is the spectral width, ``delta`` the detuning, stored as :func:`checked_value` returns.
     """
 
     lam: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (is_number(self.lam) and self.lam >= MIN_WIDTH):
-            raise ValidationError(f"lam: must be finite and >= {MIN_WIDTH!r}, got {self.lam!r}")
-        if not (is_number(self.delta) and self.delta >= 0):
-            raise ValidationError(f"delta: must be finite and >= 0, got {self.delta!r}")
+        for key in ("lam", "delta"):
+            object.__setattr__(self, key, checked_value(key, getattr(self, key)))
 
     @property
     def scale(self) -> complex:

@@ -10,7 +10,8 @@ class NoConvergence(EntwitnessError):
 
 
 class NotDensityMatrix(EntwitnessError):
-    """Trace or positivity of a supposed density matrix is violated."""
+    """A sampled state is not physical: a population outside [0, 1] (trace or positivity
+    violated), ``mu`` outside [-1, 2], or ``lhs < mu`` against the uncertainty relation."""
 
 
 class QuadratureUnconverged(EntwitnessError):

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (MIN_WIDTH, ReservoirColumns, Trajectory, correlation_f,
+from .dynamics import (ReservoirColumns, Trajectory, checked_value, correlation_f,
                        excited_population, is_number)
-from .errors import (EntwitnessError, NoConvergence, NotDensityMatrix, ParseError,
-                     ValidationError)
+from .errors import NoConvergence, NotDensityMatrix, ParseError, ValidationError
 from .information import uncertainty_columns
 from .numerics import MAX_EVALUATIONS
 from .witness import WitnessColumns, WitnessReport, concurrence, witness_rows
@@ -38,12 +37,10 @@ POPULATION_TOL = 1e-9
 class ScenarioConfig:
     """Complete description of one run; all rates/times in units of ``gamma0``.
 
-    The only place where config values are checked: each must be a real
-    number (Python or numpy, not a bool), finite and in range (a width at
-    least ``MIN_WIDTH``, the smallest normal float), ``sample_every`` a finite
-    integer >= 1, and ``t_max`` a whole number of sample spacings
-    ``dt * sample_every``, at most ``MAX_SAMPLES`` of them, so that any config
-    built can run.
+    The float keys are checked in field order by :func:`entwitness.dynamics.checked_value`,
+    which names the first bad one; then ``sample_every`` must be a finite integer
+    >= 1, and ``t_max`` a whole number of sample spacings ``dt * sample_every``, at
+    most ``MAX_SAMPLES`` of them, so that any config built can run.
     """
 
     lambda_a: float
@@ -56,21 +53,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for key in ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt"):
-            value = getattr(self, key)
-            if not is_number(value):
-                raise ValidationError(f"{key}: must be a finite number, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        for key in ("lambda_a", "lambda_b", "t_max", "dt"):
-            if getattr(self, key) <= 0:
-                raise ValidationError(f"{key}: must be > 0, got {getattr(self, key)}")
-        for key in ("lambda_a", "lambda_b"):
-            if getattr(self, key) < MIN_WIDTH:
-                raise ValidationError(
-                    f"{key}: must be >= {MIN_WIDTH!r}, the smallest normal float, "
-                    f"got {getattr(self, key)}")
-        for key in ("delta_a", "delta_b"):
-            if getattr(self, key) < 0:
-                raise ValidationError(f"{key}: must be >= 0, got {getattr(self, key)}")
+            object.__setattr__(self, key, checked_value(key, getattr(self, key)))
         every = self.sample_every
         if not (is_number(every) and isinstance(every, (int, np.integer))) or every < 1:
             raise ValidationError(
@@ -200,8 +183,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     try:
         raw = yaml.load(text, Loader=_config_loader())
-    except yaml.YAMLError as exc:
-        raise ParseError(f"invalid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:   # PyYAML's text draws the source line and a caret
+        mark = getattr(exc, "problem_mark", None)   # a ReaderError's text ends in its position
+        text = " ".join(str(exc).split()) if mark is None else (
+            f"{': '.join(filter(None, (exc.context, exc.problem)))} "
+            f"at line {mark.line + 1}, column {mark.column + 1}")
+        raise ParseError(f"invalid YAML: {text}") from exc
     if raw is None:
         raise ParseError("empty config")
     if not isinstance(raw, dict):
@@ -343,35 +330,32 @@ class SweepRows(NamedTuple):
     errors: list
 
 
-def _axis_checks(base: ScenarioConfig, axis, key_a: str, key_b: str):
-    """Per grid value: its overrides of both keys of ``base``, and the config they give or None.
-
-    A value's check does not depend on the other axis, so a point whose two
-    values both pass needs no check of its own.
-    """
+def _axis_checks(axis, key: str, base_values: tuple):
+    """Per grid value: the ``(a, b)`` floats it gives both reservoirs (``base_values`` for
+    None or a rejected value), and its :func:`checked_value` error under ``key``, or None."""
     checks = []
     for value in axis:
-        overrides = {} if value is None else {key_a: value, key_b: value}
         try:
-            checks.append((overrides, dataclasses.replace(base, **overrides)))
-        except EntwitnessError:
-            checks.append((overrides, None))
+            checks.append((base_values if value is None else (checked_value(key, value),) * 2,
+                            None))
+        except ValidationError as exc:
+            checks.append((base_values, exc))
     return checks
 
 
 def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     """Witness reports over the Cartesian grid of widths and detunings.
 
-    Each grid value is applied to both reservoirs of ``base`` and checked by
-    :class:`ScenarioConfig` as given, once per value (see :func:`_axis_checks`);
-    ``None`` or an empty sequence for a whole axis keeps the base values.
+    Each grid value is applied to both reservoirs of ``base`` and checked once,
+    as :class:`ScenarioConfig` checks ``lambda_a`` or ``delta_a`` (see :func:`_axis_checks`);
+    ``None`` or an empty sequence for a whole axis keeps the base values.  A
+    rejected point keeps its width's error, else its detuning's, as its run would.
     The grid points run in batches (see :func:`run_scenario`) on ``base``'s
-    sample grid, each of as many rows as fit in ``BLOCK_SAMPLES`` samples,
-    and at least one, which bounds a sweep's memory; a rejected point runs
-    as ``base``, unchecked, and keeps its config error.  Rows are
-    independent, root-find included, so the blocks give the rows of one
-    batch, bit for bit: a failing point is recorded in its row and does not
-    disturb the others.
+    sample grid, each of as many rows as fit in ``BLOCK_SAMPLES`` samples, and
+    at least one, which bounds a sweep's memory; a rejected value runs as
+    ``base``'s, unchecked.  Rows are independent, root-find included, so the
+    blocks give the rows of one batch, bit for bit: a failing point is
+    recorded in its row and does not disturb the others.
     Only package errors (:class:`EntwitnessError`) mark a row as failed; any
     other exception is a programming error and propagates.  Row order
     follows the given value order (lambdas outer, deltas inner).
@@ -380,20 +364,14 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
     delta_axis = [None] if deltas is None else list(deltas) or [None]
     if lam_axis == [None] and delta_axis == [None]:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
-    lam_checks = _axis_checks(base, lam_axis, "lambda_a", "lambda_b")
-    delta_checks = _axis_checks(base, delta_axis, "delta_a", "delta_b")
+    lam_checks = _axis_checks(lam_axis, "lambda_a", (base.lambda_a, base.lambda_b))
+    delta_checks = _axis_checks(delta_axis, "delta_a", (base.delta_a, base.delta_b))
     points, params, errors = [], [], []
-    for lam, (lam_overrides, lam_cfg) in zip(lam_axis, lam_checks):
-        for delta, (delta_overrides, delta_cfg) in zip(delta_axis, delta_checks):
+    for lam, (widths, lam_error) in zip(lam_axis, lam_checks):
+        for delta, (detunings, delta_error) in zip(delta_axis, delta_checks):
             points.append((lam, delta))
-            errors.append(None)
-            if lam_cfg is None or delta_cfg is None:
-                try:  # checked as a whole, so the message names the first key at fault
-                    dataclasses.replace(base, **lam_overrides, **delta_overrides)
-                except EntwitnessError as exc:
-                    errors[-1] = exc
-            widths, detunings = (lam_cfg, delta_cfg) if errors[-1] is None else (base, base)
-            params.append((widths.lambda_a, widths.lambda_b, detunings.delta_a, detunings.delta_b))
+            params.append((*widths, *detunings))
+            errors.append(lam_error or delta_error)
     times = base.sample_times()
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
     params = np.array(params, dtype=float)

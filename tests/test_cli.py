@@ -62,6 +62,16 @@ def test_run_validation_error_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["lambda_a: 'unclosed\n", "lambda_a 0.1\nlambda_b: 0.1\n",
+                                  "lambda_a: 0.1\n\tlambda_b: 0.1\n", "{lambda_a: 0.1\n"])
+def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid YAML: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.yaml"

@@ -34,27 +34,40 @@ def test_atom_operator_algebra():
 
 
 def test_reservoir_params_validation():
-    with pytest.raises(ValidationError):
+    # the rules and wording of ScenarioConfig's widths and detunings
+    with pytest.raises(ValidationError, match=r"^lam: must be > 0, got 0\.0$"):
         ReservoirParams(lam=0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^delta: must be >= 0, got -0\.5$"):
         ReservoirParams(lam=1.0, delta=-0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^lam: must be a finite number, got inf$"):
         ReservoirParams(lam=np.inf)
     # an integer beyond the float range is not finite, not an OverflowError
-    with pytest.raises(ValidationError, match="lam: must be finite"):
+    with pytest.raises(ValidationError, match="^lam: must be a finite number, got 1000"):
         ReservoirParams(10**400)
     # numpy's complex division by a subnormal z = i delta - lam gives NaN
     for lam in (5e-324, MIN_WIDTH / 2):
-        with pytest.raises(ValidationError, match="lam: must be finite and >= 2.2250738585072014e-308"):
+        with pytest.raises(ValidationError, match=r"^lam: must be >= 2\.2250738585072014e-308, "
+                                                  "the smallest normal float, got "):
             ReservoirParams(lam)
     # a string, None or a bool is no number: each is named, not a TypeError
     # from the comparison or a width of 1
     for value in ("0.1", None, True, np.True_):
-        with pytest.raises(ValidationError, match="lam: must be finite"):
+        with pytest.raises(ValidationError, match="^lam: must be a finite number"):
             ReservoirParams(value)
-        with pytest.raises(ValidationError, match="delta: must be finite"):
+        with pytest.raises(ValidationError, match="^delta: must be a finite number"):
             ReservoirParams(1.0, value)
     assert ReservoirParams(np.float32(0.5), np.int64(1)).scale == ReservoirParams(0.5, 1.0).scale
+
+
+def test_reservoir_params_stores_python_floats():
+    # numpy scalars are stored as the floats they hold, so the quadrature of a
+    # float32 width runs in float64: a Python complex, the float call's bits
+    r = ReservoirParams(np.float32(5.0), np.int64(1))
+    assert type(r.lam) is float and type(r.delta) is float
+    got = correlation_f_quadrature(ReservoirParams(np.float32(5.0)), 50.0)
+    want = correlation_f_quadrature(ReservoirParams(5.0), 50.0)
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 RESERVOIR = st.tuples(st.floats(MIN_WIDTH, 1e308), st.floats(0.0, 1e308))

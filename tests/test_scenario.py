@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles as oracle
 import entwitness as ew
@@ -109,6 +109,27 @@ def test_parse_config_rejects_duplicate_keys():
         parse_config("lambda_a: 0.1\nlambda_a: 5.0\nfoo: 1\n")
     with pytest.raises(ValidationError, match="^foo: unknown key$"):
         parse_config("foo: 1\nlambda_a: 0.1\nlambda_a: 5.0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lambda_a: 'unclosed\n",
+     "while scanning a quoted scalar: found unexpected end of stream at line 2, column 1"),
+    ("lambda_a 0.1\nlambda_b: 0.1\nt_max: 1\n",
+     "mapping values are not allowed here at line 2, column 9"),
+    ("lambda_a: 0.1\n\tlambda_b: 0.1\n",
+     "while scanning for the next token: found character '\\t' that cannot start any token "
+     "at line 2, column 1"),
+    ("{lambda_a: 0.1, lambda_b: 0.1\n",
+     "while parsing a flow mapping: expected ',' or '}', but got '<stream end>' "
+     "at line 2, column 1"),
+    ("lambda_a: 0.1\x00\n", "unacceptable character #x0000: special characters are not "
+                            'allowed in "<unicode string>", position 13'),
+])
+def test_parse_config_reports_invalid_yaml_on_one_line(text, message):
+    # PyYAML's own text spans several lines, drawing the source line and a caret
+    with pytest.raises(ParseError) as info:
+        parse_config(text)
+    assert str(info.value) == f"invalid YAML: {message}"
 
 
 def test_parse_config_rejects_duplicate_keys_in_a_merged_mapping():
@@ -331,7 +352,8 @@ def test_emit_csv_matches_the_reference_formatter_on_drawn_columns(rows, f_b_kin
     if f_b_kind != "drawn":
         f_b = f_a.copy()
     if f_b_kind == "one_ulp":
-        f_b.real[k] = np.nextafter(f_a.real[k], np.inf)
+        with np.errstate(over="ignore"):   # the step above the largest float is inf
+            f_b.real[k] = np.nextafter(f_a.real[k], np.inf)
     elif f_b_kind == "sign_of_zero":
         f_a.real[k], f_b.real[k] = 0.0, -0.0
     traj = ew.Trajectory(times=times, p_a=times, p_b=times, mu=mu, lhs=lhs, concurrence=concs,
@@ -613,13 +635,13 @@ def test_sweep_with_bad_axis_values_matches_the_point_loop(tmp_path):
         assert _rows(rows) == loop
         got = _sweep_csv_bytes(rows, tmp_path / "batch.csv")
         assert got == oracle.sweep_csv_reference(loop).encode("utf-8")
-    # with both values rejected, the message is that of the first check that fails:
-    # the type checks of every key come before the range checks
+    # with both values rejected, the message names the first bad key in field
+    # order: the width's, whichever of its checks fails
     assert sweep([float("nan"), -1.0], [-1.0, "abc"], base).errors == [
         "ValidationError: lambda_a: must be a finite number, got nan",
         "ValidationError: lambda_a: must be a finite number, got nan",
         "ValidationError: lambda_a: must be > 0, got -1.0",
-        "ValidationError: delta_a: must be a finite number, got 'abc'"]
+        "ValidationError: lambda_a: must be > 0, got -1.0"]
 
 
 def test_sweep_builds_no_reservoir_params(monkeypatch):
@@ -668,19 +690,81 @@ def test_run_evaluates_both_atoms_in_one_call_per_decision(monkeypatch):
                      "root_find": calls["root_find"]}
 
 
+FLOAT_KEYS = ("lambda_a", "lambda_b", "t_max", "delta_a", "delta_b", "dt")
+GOOD_VALUES = {"lambda_a": 0.5, "lambda_b": 2.0, "t_max": 1.0, "delta_a": 0.0, "delta_b": 1.5,
+               "dt": 0.01}
+NOT_NUMBERS = [float("nan"), float("inf"), float("-inf"), "abc", True, 10**400]
+
+
+def _bad_values(key):
+    """Values the rule rejects for ``key``: no number, out of range, a subnormal width."""
+    values = NOT_NUMBERS + [-1.0, -5e-324]
+    if not key.startswith("delta"):
+        values += [0.0, -0.0]
+    if key.startswith("lambda"):
+        values += [5e-324, MIN_WIDTH / 2]
+    return values
+
+
+def _yaml_value(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}[repr(value)]
+    return "true" if value is True else repr(value)
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({key: st.one_of(st.tuples(st.just(False), st.just(GOOD_VALUES[key])),
+                                             st.tuples(st.just(True),
+                                                       st.sampled_from(_bad_values(key))))
+                              for key in FLOAT_KEYS}))
+@example({**{key: (False, GOOD_VALUES[key]) for key in FLOAT_KEYS},
+          "lambda_a": (True, -1.0), "delta_a": (True, float("nan"))})
+@example({**{key: (False, GOOD_VALUES[key]) for key in FLOAT_KEYS},
+          "t_max": (True, 0.0), "dt": (True, "abc")})
+def test_the_first_bad_key_in_field_order_is_named(drawn):
+    values = {key: value for key, (_, value) in drawn.items()}
+    first = next((key for key in FLOAT_KEYS if drawn[key][0]), None)
+    message = _error(ScenarioConfig, *(values[key] for key in FLOAT_KEYS))
+    if first is None:
+        assert message is None
+    else:
+        assert message.startswith(f"{first}: must be "), message
+    # the same text through the config parser
+    text = "".join(f"{key}: {_yaml_value(value)}\n" for key, value in values.items())
+    assert _error(parse_config, text) == message
+    # a sweep point, its width and detuning on both reservoirs, against its single run
+    lam, delta = values["lambda_a"], values["delta_a"]
+    (_, _, want), = oracle.sweep_loop([lam], [delta], SWEEP_BASE)
+    assert sweep([lam], [delta], SWEEP_BASE).errors == [want]
+    if drawn["lambda_a"][0] or drawn["delta_a"][0]:
+        key = "lambda_a" if drawn["lambda_a"][0] else "delta_a"
+        assert want.startswith(f"ValidationError: {key}: must be "), want
+
+
 def test_sweep_checks_each_axis_value_once(monkeypatch):
     base = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0)
-    checks = []
-    post_init = ScenarioConfig.__post_init__
+    checks, configs = [], []
+    checked_value, post_init = ew.scenario.checked_value, ScenarioConfig.__post_init__
 
-    def counted(cfg):
-        checks.append(cfg)
-        post_init(cfg)
+    def counted(key, value):
+        checks.append((key, value))
+        return checked_value(key, value)
 
-    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+    monkeypatch.setattr(ew.scenario, "checked_value", counted)
+    monkeypatch.setattr(ScenarioConfig, "__post_init__",
+                        lambda cfg: configs.append(cfg) or post_init(cfg))
     rows = sweep([0.5, 1.0, 2.0, -1.0], [0.0, 1.0, 2.0], base)
-    # one check per axis value, plus one per point with a rejected value
-    assert len(checks) == 4 + 3 + 3
+    # one check of the shared rule per axis value, and no config is built
+    assert checks == [("lambda_a", v) for v in (0.5, 1.0, 2.0, -1.0)] + [
+        ("delta_a", v) for v in (0.0, 1.0, 2.0)]
+    assert configs == []
     assert [error is None for error in rows.errors] == [True] * 9 + [False] * 3
 
 
