@@ -34,7 +34,10 @@ holds the prefactor and exponent of ``f`` for both atoms of G rows as
 ``(2, G, 1)`` arrays, atom A first, and :func:`excited_population` evaluates
 them on one shared ``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`)
 as a ``(2, G, N)`` array.  A sweep is one such batch; a single run
-(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
+(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.  Where
+atom A's and atom B's columns hold the same bits, as for identical reservoirs,
+:func:`excited_population` and :func:`correlation_f` evaluate atom A's half only
+and copy it to atom B: the same bits for half the work.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state.
@@ -169,6 +172,27 @@ class Trajectory:
     f_b: np.ndarray
 
 
+def _equal_halves_once(function):
+    """``function(r, t)``, of atom A's half only where ``r``'s two atoms hold the same bits.
+
+    ``r``'s leading axis is the atom axis of :class:`ReservoirColumns` when it
+    has 2 entries and ``t`` does not reach it.  The halves are compared by
+    their bits, not their values, because a zero's sign can change the sign
+    of a zero in the result.  The half's result is copied once to both atoms,
+    so that each atom's rows are writeable and share no memory.
+    """
+    @functools.wraps(function)
+    def per_atom(r, t):
+        if (isinstance(r, ReservoirColumns) and len(r.scale) == len(r.z) == 2
+                and r.scale.ndim > np.ndim(t) and r.scale[0].tobytes() == r.scale[1].tobytes()
+                and r.z[0].tobytes() == r.z[1].tobytes()):
+            return function(ReservoirColumns(r.scale[:1], r.z[:1]), t).repeat(2, axis=0)
+        return function(r, t)
+
+    return per_atom
+
+
+@_equal_halves_once
 def correlation_f(r, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
 
@@ -355,6 +379,7 @@ def _where_finite(z, t, term, otherwise=0.0):
         return np.where(finite, value, otherwise)
 
 
+@_equal_halves_once
 def excited_population(r, t):
     """Excited-state population ``p(t) = |u(t)|^2 = exp(-2 Re integral_0^t f)``.
 

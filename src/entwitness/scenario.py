@@ -28,8 +28,9 @@ MAX_SAMPLES = 10**6   # most sample spacings in t_max; a run that long writes ~1
 # Most row-samples a sweep evaluates at once: a complex (2, rows, N) temporary of
 # a block, both atoms, is then at most 8 MiB whatever the grid, or one row where N > 2**18.
 BLOCK_SAMPLES = 2**18
-# Rows of a series CSV formatted in one pass: a chunk's text is then about 5 MB whatever N.
-ROWS_PER_CHUNK = 2**15
+# Rows of a series CSV formatted in one pass: a chunk's text is then about 300 KB whatever
+# N, so that its temporaries stay in a core's L2 cache and take no fresh pages.
+ROWS_PER_CHUNK = 2**11
 POPULATION_TOL = 1e-9
 
 
@@ -259,15 +260,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_rows(table: np.ndarray) -> bytes:
+def _csv_rows(table: np.ndarray):
     """The CSV rows of a 2-D float table, each cell ``repr`` of its float, from one orjson pass.
 
     orjson writes the same shortest round-trip digits as ``repr``, and in the
     same positional form for ``1e-4 <= |x| < 1e16`` and for zeros of either
     sign; outside that range it switches to exponent form at other points and
     writes NaN and infinities as ``null``, so those cells are spliced in from
-    ``repr``.  orjson is imported here, not at module level: its import takes
-    several milliseconds that only a series CSV needs to pay.
+    ``repr``.  The rows are yielded in pieces as they are made: slices of
+    orjson's text and each spliced cell's ``repr``.  The spliced cells are
+    walked ``ROWS_PER_CHUNK`` at a time, so that no more than that many
+    cells' Python objects are alive at once.  orjson is imported here, not at
+    module level: its import takes several milliseconds that only a series
+    CSV needs to pay.
     """
     import orjson
 
@@ -279,12 +284,15 @@ def _csv_rows(table: np.ndarray) -> bytes:
     chars[delims[table.shape[1]::table.shape[1]]] = ord("\n")   # each row's last comma, and "]"
     bad = np.flatnonzero(~((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
                          & (values != 0))   # NaN too
-    view, pieces, end = memoryview(text), [], 1
-    for first, last, value in zip(delims[bad].tolist(), delims[bad + 1].tolist(),
-                                  values[bad].tolist()):
-        pieces += (view[end:first + 1], repr(value).encode())
-        end = last
-    return b"".join((*pieces, view[end:]))
+    view, end = memoryview(text), 1
+    for k in range(0, len(bad), ROWS_PER_CHUNK):
+        cells = bad[k:k + ROWS_PER_CHUNK]
+        for first, last, value in zip(delims[cells].tolist(), delims[cells + 1].tolist(),
+                                      values[cells].tolist()):
+            yield view[end:first + 1]
+            yield repr(value).encode()
+            end = last
+    yield view[end:]
 
 
 def _cell(value, none: str) -> str:
@@ -300,16 +308,17 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
     """Write the sampled series as CSV plus a sibling ``<path>.report`` file."""
     columns = (traj.times, traj.mu, traj.lhs, traj.concurrence,
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
-    chunks = (_csv_rows(np.column_stack([c[k:k + ROWS_PER_CHUNK] for c in columns]))
-              for k in range(0, len(traj.times), ROWS_PER_CHUNK))
+    pieces = itertools.chain.from_iterable(
+        _csv_rows(np.column_stack([c[k:k + ROWS_PER_CHUNK] for c in columns]))
+        for k in range(0, len(traj.times), ROWS_PER_CHUNK))
     path = str(path)
-    _overwrite(path, itertools.chain([f"{CSV_HEADER}\n".encode()], chunks))
+    _overwrite(path, itertools.chain([f"{CSV_HEADER}\n".encode()], pieces))
     _overwrite(path + ".report", [
         "".join(f"{key}: {_cell(getattr(report, key), 'none')}\n" for key in REPORT_KEYS).encode()])
 
 
 def _overwrite(path, chunks) -> None:
-    """Write the byte strings ``chunks`` to ``path`` in turn, over an existing file in place.
+    """Write the bytes-like ``chunks`` to ``path`` in turn, over an existing file in place.
 
     The file is cut to the new length after the last write, and only if it
     was longer (a pipe or device has no length to cut).  Truncating an

@@ -99,6 +99,74 @@ def test_reservoir_columns_of_matches_reservoir_params_bit_for_bit(rows):
     assert cut.z.tobytes() == columns.z[:, picked, 0].tobytes()
 
 
+def _batch(rows, kind, k):
+    """``(2, G, 1)`` columns of atom A's ``(lam, delta)`` rows and atom B's as ``kind`` gives them.
+
+    ``equal``: B is A.  ``unequal``: B is A with the rows reversed.  ``sign_of_zero``:
+    B is A, but row ``k`` has detuning 0.0 on A and -0.0 on B, kept as the sign of
+    ``z``'s imaginary part (``ReservoirColumns.of``'s ``1j * delta`` drops it).
+    """
+    zero = kind == "sign_of_zero"
+    a = [(lam, 0.0 if zero and g == k else delta) for g, (lam, delta) in enumerate(rows)]
+    b = a[::-1] if kind == "unequal" else [(lam, -0.0 if zero and g == k else delta)
+                                           for g, (lam, delta) in enumerate(a)]
+    scale = np.array([[ReservoirParams(*row).scale for row in atom] for atom in (a, b)])
+    z = np.array([[complex(-lam, delta) for lam, delta in atom] for atom in (a, b)])
+    return ReservoirColumns(scale[..., None], z[..., None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RESERVOIR, min_size=1, max_size=6),
+       st.sampled_from(["equal", "unequal", "sign_of_zero"]), st.data())
+def test_equal_halves_give_the_two_atom_bits(rows, kind, data):
+    # where both atoms' columns hold the same bits, one atom's half is evaluated
+    # and copied: the same bits as evaluating both, on a shared grid and at a
+    # root-find's per-row times
+    k = data.draw(st.integers(0, len(rows) - 1), label="k")
+    r = _batch(rows, kind, k)
+    grid = np.arange(data.draw(st.integers(1, 50), label="N")) * data.draw(
+        st.sampled_from([1e-2, 0.7, 1e3]), label="dt")
+    per_row = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=len(rows),
+                                          max_size=len(rows)), label="t"))
+    for columns, t in ((r, grid), (r.take(np.arange(len(rows))), per_row)):
+        for function in (excited_population, correlation_f):
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                got, want = function(columns, t), function.__wrapped__(columns, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), function
+
+
+def test_equal_reservoirs_evaluate_half_the_elements(monkeypatch):
+    # the closed form's elements, counted where they are evaluated: an equal
+    # batch evaluates atom A's half, a batch one zero's sign apart both atoms
+    shapes = []
+    integral = ew.dynamics.correlation_integral
+
+    def counted(r, t):
+        value = integral(r, t)
+        shapes.append(value.shape)
+        return value
+
+    monkeypatch.setattr(ew.dynamics, "correlation_integral", counted)
+    times = np.linspace(0.0, 10.0, 101)
+    lams, deltas = np.array([0.1, 0.5, 2.0]), np.array([0.0, 1.6, 0.0])
+    equal = ReservoirColumns.of(np.stack([lams, lams]), np.stack([deltas, deltas]))
+    unequal = ReservoirColumns.of(np.stack([lams, lams[::-1]]), np.stack([deltas, deltas]))
+    z = equal.z.copy()
+    z[1, 0, 0] = complex(z[1, 0, 0].real, -0.0)   # detuning -0.0 on atom B of row 0
+    signed = ReservoirColumns(equal.scale, z)
+    assert signed.z[0].tobytes() != signed.z[1].tobytes() and np.all(signed.z[0] == signed.z[1])
+    for r, elements in ((equal, 3 * 101), (unequal, 2 * 3 * 101), (signed, 2 * 3 * 101)):
+        shapes.clear()
+        assert excited_population(r, times).shape == (2, 3, 101)
+        assert [math.prod(shape) for shape in shapes] == [elements]
+    # a whole sweep on an equal base, every root-find evaluation included
+    shapes.clear()
+    rows = ew.sweep([0.05, 0.1, 2.0], [0.0, 1.6], ScenarioConfig(lambda_a=0.1, lambda_b=0.1,
+                                                                 t_max=20.0, sample_every=5))
+    assert np.any(rows.witness.crossing_found)
+    assert len(shapes) > 2 and {shape[0] for shape in shapes} == {1}
+
+
 def test_correlation_f_zero_at_start():
     for r in (ReservoirParams(0.1), ReservoirParams(5.0, 1.6)):
         assert correlation_f(r, 0.0) == 0j

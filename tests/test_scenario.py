@@ -382,9 +382,9 @@ def test_emit_csv_is_byte_identical_in_drawn_row_chunks(rows, data):
 
 def test_emit_csv_memory_is_bounded_by_row_chunks(tmp_path):
     # the rows are formatted ROWS_PER_CHUNK at a time, so the peak does not
-    # grow with the run: 16 MB at 10**5 and at 3 * 10**5 samples, where one
+    # grow with the run: about 1 MB at 10**5 and at 3 * 10**5 samples, where one
     # pass over the whole series peaked at 86 MB and 264 MB
-    bound = 10 * ew.scenario.ROWS_PER_CHUNK * 8 * 8   # bytes: ten chunks of 8 floats a row, 21 MB
+    bound = 10 * ew.scenario.ROWS_PER_CHUNK * 8 * 8   # bytes: ten chunks of 8 floats a row, 1.3 MB
     peaks = []
     for samples in (10**5, 3 * 10**5):
         traj, report = run_scenario(dataclasses.replace(PRESETS["fig1a_d16"], dt=70.0 / samples))
@@ -397,6 +397,43 @@ def test_emit_csv_memory_is_bounded_by_row_chunks(tmp_path):
             tracemalloc.stop()
     assert peaks[0] < bound, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
+def test_emit_csv_memory_is_bounded_by_row_chunks_where_every_cell_is_spliced(tmp_path):
+    # every cell in (1e-7, 1e-6), outside orjson's positional range, so every
+    # cell is spliced from repr: no chunk may keep an object per spliced cell,
+    # which peaked at 131 MB at 10**5 rows, 6 times the bound of 2**15-row chunks
+    bound = 10 * ew.scenario.ROWS_PER_CHUNK * 8 * 8
+    rng = np.random.default_rng(7)
+
+    def spliced(samples):
+        c = rng.uniform(1e-7, 1e-6, (6, samples))
+        return ew.Trajectory(times=c[0], p_a=c[0], p_b=c[0], mu=c[1], lhs=c[2],
+                             concurrence=c[3], f_a=_complex(c[4], c[5]), f_b=_complex(c[5], c[4]))
+
+    emit_csv(spliced(10), EMPTY_REPORT, tmp_path / "run.csv")   # orjson's import is no chunk's
+    peaks = []
+    for samples in (10**5, 3 * 10**5):
+        traj = spliced(samples)
+        tracemalloc.start()
+        try:
+            emit_csv(traj, EMPTY_REPORT, tmp_path / "run.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
+def test_trajectory_columns_are_writeable_and_separate(preset_run):
+    # equal reservoirs evaluate one atom's half and copy it to both: each atom's
+    # columns are still arrays of their own, not read-only views of one another
+    traj, _ = preset_run("fig1a_d16")
+    for name in ("times", "p_a", "p_b", "mu", "lhs", "concurrence", "f_a", "f_b"):
+        assert getattr(traj, name).flags.writeable, name
+    assert traj.p_a.tobytes() == traj.p_b.tobytes() and traj.f_a.tobytes() == traj.f_b.tobytes()
+    assert not np.shares_memory(traj.p_a, traj.p_b)
+    assert not np.shares_memory(traj.f_a, traj.f_b)
 
 
 def test_emit_csv_matches_the_reference_formatter_next_to_the_exponent_edges(tmp_path):
