@@ -29,7 +29,7 @@ an X state fixed by the two excited-state populations
 and every observable is an element-wise function of them
 (:mod:`entwitness.information`, :mod:`entwitness.witness`).
 
-The closed form broadcasts over parameter columns: :class:`ReservoirColumns`
+The closed form takes only parameter columns: :class:`ReservoirColumns`
 holds the prefactor and exponent of ``f`` for both atoms of G rows as
 ``(2, G, 1)`` arrays, atom A first, and :func:`excited_population` evaluates
 them on one shared ``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`)
@@ -107,9 +107,10 @@ def _scale(lam: float, delta: float) -> complex:
 
 @dataclass(frozen=True)
 class ReservoirParams:
-    """Lorentzian reservoir parameters in units of ``gamma0``, the Markovian decay rate.
+    """Lorentzian reservoir parameters of :func:`correlation_f_quadrature`, in units of ``gamma0``.
 
     ``lam`` is the spectral width, ``delta`` the detuning, stored as :func:`checked_value` returns.
+    The closed form takes :class:`ReservoirColumns` instead.
     """
 
     lam: float
@@ -119,23 +120,14 @@ class ReservoirParams:
         for key in ("lam", "delta"):
             object.__setattr__(self, key, checked_value(key, getattr(self, key)))
 
-    @property
-    def scale(self) -> complex:
-        return _scale(self.lam, self.delta)
-
-    @property
-    def z(self) -> complex:
-        """Exponent ``i delta - lam`` of ``f``."""
-        return 1j * self.delta - self.lam
-
 
 class ReservoirColumns(NamedTuple):
     """``f``'s ``scale`` and ``z`` for G reservoirs, as arrays that broadcast against times.
 
-    :meth:`of` gives the ``(2, G, 1)`` columns, atom A first, of ``(2, G)`` checked widths
-    and detunings (``(G, 1)`` of ``(G,)``) for a batch on a shared ``(N,)`` grid; :meth:`take`
-    the ``(2, K)`` rows for a ``(K,)`` array of times.  :func:`correlation_integral` and
-    :func:`excited_population` take them wherever they take a ``ReservoirParams``.
+    :meth:`of` is the one place where widths and detunings become ``scale`` and ``z``:
+    it gives the ``(2, G, 1)`` columns, atom A first, of ``(2, G)`` checked widths and
+    detunings (``(G, 1)`` of ``(G,)``, ``(1,)`` of one reservoir's 0-d arrays) for a batch
+    on a shared ``(N,)`` grid; :meth:`take` the ``(2, K)`` rows for a ``(K,)`` array of times.
     """
 
     scale: np.ndarray
@@ -183,8 +175,8 @@ def _equal_halves_once(function):
     """
     @functools.wraps(function)
     def per_atom(r, t):
-        if (isinstance(r, ReservoirColumns) and len(r.scale) == len(r.z) == 2
-                and r.scale.ndim > np.ndim(t) and r.scale[0].tobytes() == r.scale[1].tobytes()
+        if (len(r.scale) == len(r.z) == 2 and r.scale.ndim > np.ndim(t)
+                and r.scale[0].tobytes() == r.scale[1].tobytes()
                 and r.z[0].tobytes() == r.z[1].tobytes()):
             return function(ReservoirColumns(r.scale[:1], r.z[:1]), t).repeat(2, axis=0)
         return function(r, t)
@@ -193,7 +185,7 @@ def _equal_halves_once(function):
 
 
 @_equal_halves_once
-def correlation_f(r, t):
+def correlation_f(r: ReservoirColumns, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
 
     ``f(t) = lam / (2 (lam - i delta)) * (1 - exp((i delta - lam) t))``;
@@ -338,11 +330,10 @@ def _simpson_classes(n):
     return m, classes
 
 
-def correlation_integral(r, t):
+def correlation_integral(r: ReservoirColumns, t):
     """Closed form of ``integral_0^t f(s) ds = scale (t - expm1(z t) / z)``.
 
-    ``r`` is a :class:`ReservoirParams` (scalar or array ``t``) or
-    :class:`ReservoirColumns` that broadcast against ``t``.  Where ``t > 0``
+    ``r`` is a :class:`ReservoirColumns` that broadcasts against ``t``.  Where ``t > 0``
     and ``|z t| < SERIES_LIMIT``, ``t - expm1(z t) / z`` cancels to ``-z t**2 / 2``
     (a width of 1e-100 over t = 1e49 loses every digit), so the two-term series
     ``-t (z t / 2 + (z t)**2 / 6)`` is used; the next term is below
@@ -380,7 +371,7 @@ def _where_finite(z, t, term, otherwise=0.0):
 
 
 @_equal_halves_once
-def excited_population(r, t):
+def excited_population(r: ReservoirColumns, t):
     """Excited-state population ``p(t) = |u(t)|^2 = exp(-2 Re integral_0^t f)``.
 
     The population at ``t`` of an atom that starts excited; in [0, 1], since

@@ -3,14 +3,17 @@
 Two oracles check the closed forms of the package:
 
 * the evolution oracle integrates the master equation itself, ``L_A + L_B``
-  assembled from explicit atom operators, with classical fixed-step RK4.  It
-  shares nothing with the closed form under test except the correlation
-  function ``f(t)``, which has its own quadrature cross-check;
-* the general-state oracle applies the exact two-channel solution to any
-  initial 4x4 state and reads every observable from the full density matrix:
-  entropies from ``eigvalsh``, the partial trace and the measured states
-  written out, the concurrence from the Takagi form of the spin flip.  It
-  knows nothing of the X-state structure the package's formulas rest on.
+  assembled from explicit atom operators, with classical fixed-step RK4, and
+  ``f(t)`` written out here (:func:`correlation_f`);
+* the general-state oracle applies the exact two-channel solution, with
+  the integral of ``f`` written out here (:func:`correlation_integral`), to
+  any initial 4x4 state and reads every observable from the full density
+  matrix: entropies from ``eigvalsh``, the partial trace and the measured
+  states written out, the concurrence from the Takagi form of the spin flip.
+  It knows nothing of the X-state structure the package's formulas rest on.
+
+Neither calls ``entwitness.dynamics``: a reservoir is a ``(lam, delta)`` pair
+here, and :func:`one_reservoir` builds the package's columns of one.
 
 A third, :func:`sweep_loop`, runs a parameter sweep one grid point at a time
 through ``run_scenario``, against which the batched sweep is compared;
@@ -38,8 +41,8 @@ import numpy as np
 import yaml
 
 from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged,
-                        ReservoirParams, ValidationError, correlation_f, run_scenario)
-from entwitness.dynamics import QUADRATURE_LADDER, correlation_integral, is_number
+                        ValidationError, run_scenario)
+from entwitness.dynamics import QUADRATURE_LADDER, ReservoirColumns, checked_value, is_number
 from entwitness.scenario import CSV_HEADER, SWEEP_KEYS
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
@@ -55,6 +58,23 @@ S_B_PLUS = np.kron(IDENTITY_2, S_PLUS)
 S_B_MINUS = np.kron(IDENTITY_2, S_MINUS)
 N_A = S_A_PLUS @ S_A_MINUS  # excited-state projector of atom A
 N_B = S_B_PLUS @ S_B_MINUS
+
+
+def correlation_f(lam, delta, t):
+    """``f(t) = lam / (2 (lam - i delta)) (1 - exp((i delta - lam) t))``, as written."""
+    return lam / (2.0 * (lam - 1j * delta)) * (1.0 - np.exp((1j * delta - lam) * t))
+
+
+def correlation_integral(lam, delta, t):
+    """``integral_0^t f = lam / (2 (lam - i delta)) (t - expm1(z t) / z)``, as written."""
+    z = 1j * delta - lam
+    return lam / (2.0 * (lam - 1j * delta)) * (t - np.expm1(z * t) / z)
+
+
+def one_reservoir(lam, delta=0.0) -> ReservoirColumns:
+    """The package's ``(1,)`` columns of one reservoir, its width and detuning checked."""
+    return ReservoirColumns.of(np.array(checked_value("lam", lam)),
+                               np.array(checked_value("delta", delta)))
 
 
 def liouvillian_apply(rho: np.ndarray, f_a: complex, f_b: complex) -> np.ndarray:
@@ -89,11 +109,11 @@ def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
 def rk4_evolve(rho: np.ndarray, r_a, r_b, t0: float, t1: float, max_step: float) -> np.ndarray:
     """State at ``t1`` from ``rho`` at ``t0`` by RK4 on the master equation.
 
-    Takes the fewest equal steps no longer than ``max_step``, so the last one
-    lands exactly on ``t1``.
+    ``r_a`` and ``r_b`` are ``(lam, delta)`` pairs.  Takes the fewest equal
+    steps no longer than ``max_step``, so the last one lands exactly on ``t1``.
     """
     def deriv(t, y):
-        return liouvillian_apply(y, correlation_f(r_a, t), correlation_f(r_b, t))
+        return liouvillian_apply(y, correlation_f(*r_a, t), correlation_f(*r_b, t))
 
     n = math.ceil((t1 - t0) / max_step - 1e-9)
     y = np.array(rho, dtype=complex)
@@ -315,9 +335,8 @@ def damped_states(rho0, u_a, u_b) -> np.ndarray:
 
 
 def reservoirs(cfg):
-    """The :class:`ReservoirParams` of a config's atoms A and B."""
-    return (ReservoirParams(lam=cfg.lambda_a, delta=cfg.delta_a),
-            ReservoirParams(lam=cfg.lambda_b, delta=cfg.delta_b))
+    """The ``(lam, delta)`` pairs of a config's atoms A and B."""
+    return (cfg.lambda_a, cfg.delta_a), (cfg.lambda_b, cfg.delta_b)
 
 
 def channel_states(rho0, r_a, r_b, times) -> np.ndarray:
@@ -325,10 +344,11 @@ def channel_states(rho0, r_a, r_b, times) -> np.ndarray:
 
     The generator splits into two local, phase-covariant amplitude dampings, so
     the state at ``t`` is ``(Lambda_A (x) Lambda_B) rho0`` with coherence
-    factors ``u_j = exp(-integral_0^t f_j)``.
+    factors ``u_j = exp(-integral_0^t f_j)``; ``r_a`` and ``r_b`` are
+    ``(lam, delta)`` pairs.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return damped_states(rho0, *(np.exp(-correlation_integral(r, times)) for r in (r_a, r_b)))
+    return damped_states(rho0, *(np.exp(-correlation_integral(*r, times)) for r in (r_a, r_b)))
 
 
 def observables(rhos):

@@ -23,7 +23,7 @@ import numpy as np
 import entwitness as ew
 import _oracles as oracle
 from entwitness import ReservoirParams, correlation_f, correlation_f_quadrature
-from _oracles import rk4_step
+from _oracles import one_reservoir, rk4_step
 
 TIME_REL = 0.05
 TIME_ABS = 0.05
@@ -144,14 +144,14 @@ def test_criterion5_memory_detuning_insensitivity(preset_run):
 def test_criterion6_correlation_function_shapes():
     checks = []
     ts = np.linspace(0.0, 50.0, 5001)
-    f_res = correlation_f(ReservoirParams(0.1, 0.0), ts)
+    f_res = correlation_f(one_reservoir(0.1, 0.0), ts)
     _check(checks, "criterion 6 resonant Re f >= 0", np.all(f_res.real >= -1e-15),
            f"min Re f = {f_res.real.min():.3e}")
     _check(checks, "criterion 6 resonant asymptote",
-           abs(f_res.real[-1] - 0.5) < 1e-2 and abs(complex(correlation_f(
-               ReservoirParams(0.1, 0.0), 200.0)) - 0.5) < 1e-8,
+           abs(f_res.real[-1] - 0.5) < 1e-2 and abs(correlation_f(
+               one_reservoir(0.1, 0.0), 200.0)[0] - 0.5) < 1e-8,
            f"Re f(50) = {f_res.real[-1]:.4f} -> 0.5")
-    f_det = correlation_f(ReservoirParams(0.1, 1.6), ts)
+    f_det = correlation_f(one_reservoir(0.1, 1.6), ts)
     _check(checks, "criterion 6 detuned Re f < 0 somewhere", np.any(f_det.real < 0),
            f"min Re f = {f_det.real.min():.4f}")
     _finish(checks)
@@ -194,13 +194,13 @@ def test_criterion7_property_suite(preset_run):
         for delta in (0.0, 0.5, 1.0, 1.6, 4.0):
             r = ReservoirParams(lam, delta)
             for t in (0.5, 5.0, 50.0):
-                worst_quad = max(worst_quad,
-                                 abs(correlation_f_quadrature(r, t) - correlation_f(r, t)))
+                closed = correlation_f(one_reservoir(lam, delta), t)[0]
+                worst_quad = max(worst_quad, abs(correlation_f_quadrature(r, t) - closed))
     _check(checks, "criterion 7 quadrature oracle", worst_quad < 1e-4,
            f"max |quad - closed| = {worst_quad:.3e} on the 5x5x3 grid")
 
     probes = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
-    p = ew.excited_population(ReservoirParams(lam=300.0), probes)
+    p = ew.excited_population(one_reservoir(300.0), probes)
     worst_rel = np.abs(p * p / np.exp(-2.0 * probes) - 1.0).max()  # |11> keeps p_A p_B excited
     _check(checks, "criterion 7 Markovian-limit decay", worst_rel < 2e-2,
            f"max relative error vs exp(-2t) = {worst_rel:.3e}")

@@ -10,17 +10,23 @@ from entwitness import (NotDensityMatrix, QuadratureUnconverged, ReservoirParams
                         ScenarioConfig, ValidationError, correlation_f,
                         correlation_f_quadrature, excited_population, run_scenario)
 from entwitness.dynamics import (MIN_WIDTH, QUADRATURE_LADDER, SERIES_LIMIT, ReservoirColumns,
-                                 _simpson_classes, correlation_integral)
+                                 _scale, _simpson_classes, correlation_integral)
 from _oracles import (N_A, N_B, S_A_MINUS, S_A_PLUS, S_MINUS, S_PLUS, S_Z, bell_rho,
-                      channel_states, liouvillian_apply, partial_trace, quadrature_direct,
-                      random_density, reservoirs, rk4_states, simpson)
+                      channel_states, liouvillian_apply, one_reservoir, partial_trace,
+                      quadrature_direct, random_density, reservoirs, rk4_states, simpson)
 
 
 def _populations(r_a, r_b, t_max, dt=1e-2, sample_every=1):
-    """The sample grid of a run and the exact excited populations ``p_A``, ``p_B`` on it."""
-    times = ScenarioConfig(lambda_a=r_a.lam, lambda_b=r_b.lam, t_max=t_max, dt=dt,
+    """The sample grid of a run and the exact ``p_A``, ``p_B`` on it, of ``(lam, delta)`` pairs."""
+    times = ScenarioConfig(lambda_a=r_a[0], lambda_b=r_b[0], t_max=t_max, dt=dt,
                            sample_every=sample_every).sample_times()
-    return times, excited_population(r_a, times), excited_population(r_b, times)
+    return times, *(excited_population(one_reservoir(*r), times) for r in (r_a, r_b))
+
+
+def _quadrature_gap(lam, delta, t):
+    """``|quadrature - closed form|`` of one reservoir's ``f(t)``."""
+    return abs(correlation_f_quadrature(ReservoirParams(lam, delta), t)
+               - correlation_f(one_reservoir(lam, delta), t)[0])
 
 
 def test_atom_operator_algebra():
@@ -56,7 +62,7 @@ def test_reservoir_params_validation():
             ReservoirParams(value)
         with pytest.raises(ValidationError, match="^delta: must be a finite number"):
             ReservoirParams(1.0, value)
-    assert ReservoirParams(np.float32(0.5), np.int64(1)).scale == ReservoirParams(0.5, 1.0).scale
+    assert ReservoirParams(np.float32(0.5), np.int64(1)) == ReservoirParams(0.5, 1.0)
 
 
 def test_reservoir_params_stores_python_floats():
@@ -84,8 +90,10 @@ def test_reservoir_columns_of_matches_reservoir_params_bit_for_bit(rows):
     columns = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
     want = [[ReservoirParams(*a) for a, _ in rows], [ReservoirParams(*b) for _, b in rows]]
     assert columns.scale.shape == columns.z.shape == (2, len(rows), 1)
-    assert columns.scale.tobytes() == np.array([[r.scale for r in atom] for atom in want]).tobytes()
-    assert columns.z.tobytes() == np.array([[r.z for r in atom] for atom in want]).tobytes()
+    assert columns.scale.tobytes() == np.array(
+        [[_scale(r.lam, r.delta) for r in atom] for atom in want]).tobytes()
+    assert columns.z.tobytes() == np.array(
+        [[1j * r.delta - r.lam for r in atom] for atom in want]).tobytes()
     # one atom's (G,) arrays give its (G, 1) columns, the same bits
     single = ReservoirColumns.of(params[:, 1], params[:, 3])
     assert single.scale.shape == single.z.shape == (len(rows), 1)
@@ -110,7 +118,7 @@ def _batch(rows, kind, k):
     a = [(lam, 0.0 if zero and g == k else delta) for g, (lam, delta) in enumerate(rows)]
     b = a[::-1] if kind == "unequal" else [(lam, -0.0 if zero and g == k else delta)
                                            for g, (lam, delta) in enumerate(a)]
-    scale = np.array([[ReservoirParams(*row).scale for row in atom] for atom in (a, b)])
+    scale = np.array([[_scale(*row) for row in atom] for atom in (a, b)])
     z = np.array([[complex(-lam, delta) for lam, delta in atom] for atom in (a, b)])
     return ReservoirColumns(scale[..., None], z[..., None])
 
@@ -133,6 +141,30 @@ def test_equal_halves_give_the_two_atom_bits(rows, kind, data):
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 got, want = function(columns, t), function.__wrapped__(columns, t)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), function
+
+
+WIDTH = st.floats(math.log(MIN_WIDTH), math.log(1e308)).map(
+    lambda x: min(max(math.exp(x), MIN_WIDTH), 1e308))          # log-uniform
+DETUNING = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WIDTH, DETUNING), min_size=6, max_size=6), st.integers(0, 5),
+       st.booleans(), st.lists(st.floats(0.0, 1e308), min_size=1, max_size=20))
+def test_one_reservoir_is_its_row_of_a_batch(pairs, k, equal, grid):
+    # one reservoir's columns, of its 0-d width and detuning, give the grid's
+    # shape and that reservoir's row of a 3-row batch, bit for bit, whether or
+    # not the batch's atoms are equal
+    if equal:
+        pairs = pairs[:3] * 2
+    lams, deltas = np.array(pairs).T.reshape(2, 2, 3)
+    batch = ReservoirColumns.of(lams, deltas)
+    single = ReservoirColumns.of(np.array(pairs[k][0]), np.array(pairs[k][1]))
+    t = np.array(grid)
+    for function in (correlation_integral, excited_population, correlation_f):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got, rows = function(single, t), function(batch, t)
+        assert got.shape == t.shape and got.tobytes() == rows[divmod(k, 3)].tobytes(), function
 
 
 def test_equal_reservoirs_evaluate_half_the_elements(monkeypatch):
@@ -168,23 +200,23 @@ def test_equal_reservoirs_evaluate_half_the_elements(monkeypatch):
 
 
 def test_correlation_f_zero_at_start():
-    for r in (ReservoirParams(0.1), ReservoirParams(5.0, 1.6)):
-        assert correlation_f(r, 0.0) == 0j
+    for r in (one_reservoir(0.1), one_reservoir(5.0, 1.6)):
+        assert correlation_f(r, 0.0)[0] == 0j
 
 
 def test_correlation_f_resonant_asymptote():
-    r = ReservoirParams(lam=0.1, delta=0.0)
-    assert correlation_f(r, 1e4) == pytest.approx(0.5 + 0j, abs=1e-12)
+    r = one_reservoir(0.1, 0.0)
+    assert correlation_f(r, 1e4)[0] == pytest.approx(0.5 + 0j, abs=1e-12)
 
 
 def test_correlation_f_detuned_asymptote():
     # lam/(2(lam - i delta)) with lam=5, delta=1 is (25 + 5i)/52
-    r = ReservoirParams(lam=5.0, delta=1.0)
-    assert correlation_f(r, 1e4) == pytest.approx(25 / 52 + 5j / 52, abs=1e-12)
+    r = one_reservoir(5.0, 1.0)
+    assert correlation_f(r, 1e4)[0] == pytest.approx(25 / 52 + 5j / 52, abs=1e-12)
 
 
 def test_correlation_f_vectorized_and_validated():
-    r = ReservoirParams(0.1, 1.2)
+    r = one_reservoir(0.1, 1.2)
     ts = np.linspace(0, 10, 11)
     out = correlation_f(r, ts)
     assert out.shape == ts.shape
@@ -204,16 +236,14 @@ def test_quadrature_zero_at_start():
 
 @pytest.mark.parametrize("lam,delta,t", [(0.1, 0.0, 5.0), (0.1, 1.2, 10.0)])
 def test_quadrature_matches_closed_form_examples(lam, delta, t):
-    r = ReservoirParams(lam, delta)
-    assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+    assert _quadrature_gap(lam, delta, t) < 1e-4
 
 
 def test_quadrature_matches_closed_form_small_grid():
     for lam in (0.1, 2.0):
         for delta in (0.0, 1.6):
-            r = ReservoirParams(lam, delta)
             for t in (0.5, 5.0):
-                assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+                assert _quadrature_gap(lam, delta, t) < 1e-4
 
 
 def test_quadrature_unconverged_on_unresolved_oscillation():
@@ -238,8 +268,7 @@ def test_quadrature_validates_window_and_nodes():
 def test_quadrature_at_a_width_whose_square_underflows():
     # lam**2 is 0, so the x = 0 limit must not divide 0 by 0; that node
     # alone is nonzero, and at this t the two sums agree within 1e-5
-    r = ReservoirParams(1e-170)
-    assert abs(correlation_f_quadrature(r, 0.1) - correlation_f(r, 0.1)) < 1e-4
+    assert _quadrature_gap(1e-170, 0.0, 0.1) < 1e-4
 
 
 def test_quadrature_ladder_rungs_and_halves_are_odd_for_simpson():
@@ -306,8 +335,7 @@ def test_quadrature_two_table_phase_matches_direct_exp(log_lam, delta, t):
 def test_quadrature_matches_closed_form_on_criterion7_ranges(log_lam, delta, t):
     # widths log-uniform over the criterion's range: each point settles on
     # some rung of the node ladder (QuadratureUnconverged would fail the test)
-    r = ReservoirParams(float(np.exp(log_lam)), delta)
-    assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+    assert _quadrature_gap(float(np.exp(log_lam)), delta, t) < 1e-4
 
 
 @pytest.mark.parametrize("turns", [1, 2])
@@ -319,9 +347,7 @@ def test_quadrature_does_not_alias_the_oscillation(turns):
     # where the integrand vanishes and both sums agree on 0.  The start rung
     # resolves 1 / t.
     h = 280 / 3127
-    r = ReservoirParams(1.0, h)
-    t = 2 * np.pi * turns / h
-    assert abs(correlation_f_quadrature(r, t) - correlation_f(r, t)) < 1e-4
+    assert _quadrature_gap(1.0, h, 2 * np.pi * turns / h) < 1e-4
 
 
 def test_liouvillian_annihilates_ground_state():
@@ -366,7 +392,7 @@ def test_bell_initial_state():
 
 def test_propagate_single_tiny_step_is_identity():
     # lam -> 0 limit: f(0) = 0, so one tiny step leaves the state unchanged
-    r = ReservoirParams(lam=1e-6)
+    r = (1e-6, 0.0)
     _, p_a, p_b = _populations(r, r, t_max=1e-4, dt=1e-4)
     assert 1.0 - p_a[-1] < 1e-8 and 1.0 - p_b[-1] < 1e-8
 
@@ -374,14 +400,14 @@ def test_propagate_single_tiny_step_is_identity():
 def test_propagate_markovian_limit_population_decay():
     # flat-spectrum limit: the doubly-excited population p_A p_B of an
     # initial |11> decays as exp(-2 t), also at the largest widths a float holds
-    for r in (ReservoirParams(lam=300.0), ReservoirParams(lam=1e308)):
+    for r in ((300.0, 0.0), (1e308, 0.0)):
         times, p_a, p_b = _populations(r, r, t_max=3.0, dt=1e-3)
         for t_probe in (0.1, 1.0, 3.0):
             idx = int(round(t_probe / 1e-3))
             pop = p_a[idx] * p_b[idx]
             assert pop == pytest.approx(np.exp(-2.0 * t_probe), rel=2e-2)
     # at the largest width the prefactor is 1/2 and the decay exactly Markovian
-    p = excited_population(ReservoirParams(1e308), times)
+    p = excited_population(one_reservoir(1e308), times)
     assert np.abs(p - np.exp(-times)).max() < 1e-15
 
 
@@ -389,7 +415,7 @@ def test_populations_of_a_tiny_width_over_a_long_horizon():
     # |z t| is at most 1e-50 while lam t**2 / 2 reaches 0.5: t - expm1(z t) / z
     # cancels to nothing there (p was inf), and the series keeps every digit
     t = np.array([1e49, 2e49, 1e50])
-    p = excited_population(ReservoirParams(1e-100), t)
+    p = excited_population(one_reservoir(1e-100), t)
     assert np.allclose(p, np.exp(-1e-100 * t**2 / 2), rtol=1e-12, atol=0)
 
 
@@ -397,11 +423,11 @@ def test_populations_of_a_tiny_width_over_a_long_horizon():
 def test_correlation_integral_on_both_sides_of_the_series_limit(factor):
     # |z| = 1e-3, so |z t| = factor * SERIES_LIMIT: the series below the
     # limit and the closed form above it agree with five terms of the series
-    r = ReservoirParams(0.8e-3, 0.6e-3)
+    lam, delta = 0.8e-3, 0.6e-3
     t = factor * SERIES_LIMIT / 1e-3
-    zt = r.z * t
-    want = r.scale * -t * sum(zt**k / math.factorial(k + 1) for k in range(1, 6))
-    assert abs(correlation_integral(r, t) - want) <= 1e-9 * abs(want)
+    zt = (1j * delta - lam) * t
+    want = _scale(lam, delta) * -t * sum(zt**k / math.factorial(k + 1) for k in range(1, 6))
+    assert abs(correlation_integral(one_reservoir(lam, delta), t)[0] - want) <= 1e-9 * abs(want)
 
 
 def test_populations_at_the_smallest_width():
@@ -410,15 +436,14 @@ def test_populations_at_the_smallest_width():
     # z t is subnormal too, p is within an ulp of 1
     times = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=10.0).sample_times()
     for delta in (0.0, 5e-324, 1.0):
-        p = excited_population(ReservoirParams(MIN_WIDTH, delta), times)
+        p = excited_population(one_reservoir(MIN_WIDTH, delta), times)
         assert np.abs(p - 1.0).max() < 1e-15, delta
 
 
 def test_propagate_matches_exact_channel_solution():
     # the closed-form populations against RK4 on the master equation at
     # dt = 1e-2, entry by entry of the damped Bell state
-    r_a = ReservoirParams(0.1, 1.2)
-    r_b = ReservoirParams(5.0, 0.5)
+    r_a, r_b = (0.1, 1.2), (5.0, 0.5)
     times, p_a, p_b = _populations(r_a, r_b, t_max=8.0, dt=1e-2)
     idx = [0, 100, 400, 800]
     rhos = rk4_states(bell_rho(), r_a, r_b, times[idx], max_step=1e-2)
@@ -438,10 +463,10 @@ def test_propagate_matches_rk4_oracle(lam_a, lam_b, delta_a, delta_b, t_max, see
     # its own error then stays below 2e-8 at the corners of the ranges.  The
     # general-state oracle's channel solution matches it from any initial
     # state, and each atom's excited population scales by the closed-form p
-    r_a, r_b = ReservoirParams(lam_a, delta_a), ReservoirParams(lam_b, delta_b)
+    r_a, r_b = (lam_a, delta_a), (lam_b, delta_b)
     rho0 = random_density(np.random.default_rng(seed), 4)
     times, p_a, p_b = _populations(r_a, r_b, t_max=t_max, dt=t_max / 20)
-    rate = max(abs(complex(r.lam, r.delta)) for r in (r_a, r_b))
+    rate = max(abs(complex(*r)) for r in (r_a, r_b))
     rhos = rk4_states(rho0, r_a, r_b, times, max_step=min(0.02, 0.2 / rate))
     assert np.abs(channel_states(rho0, r_a, r_b, times) - rhos).max() < 1e-7
     for n, p in ((N_A, p_a), (N_B, p_b)):
@@ -463,8 +488,7 @@ def test_propagate_preserves_trace_and_hermiticity(preset_run):
 def test_propagate_product_states_stay_product():
     # the two dissipators act on disjoint factors, so |10><10| stays the
     # product of A's decayed state diag(1 - p_A, p_A) and B's ground state
-    r_a = ReservoirParams(0.1, 1.2)
-    r_b = ReservoirParams(5.0, 0.0)
+    r_a, r_b = (0.1, 1.2), (5.0, 0.0)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[2, 2] = 1.0
     times, p_a, _ = _populations(r_a, r_b, t_max=20.0, dt=1e-2)
@@ -479,8 +503,7 @@ def test_propagate_product_states_stay_product():
 
 def test_propagate_swap_symmetry():
     # swapping the reservoirs swaps the populations, and the concurrence with them
-    r_a = ReservoirParams(0.1, 0.0)
-    r_b = ReservoirParams(5.0, 2.0)
+    r_a, r_b = (0.1, 0.0), (5.0, 2.0)
     _, fwd_a, fwd_b = _populations(r_a, r_b, t_max=2.0, dt=1e-2)
     _, rev_a, rev_b = _populations(r_b, r_a, t_max=2.0, dt=1e-2)
     assert np.array_equal(fwd_a, rev_b) and np.array_equal(fwd_b, rev_a)
@@ -506,7 +529,7 @@ def test_propagate_sampling_stride():
 
 def test_propagate_coarse_long_grid_stays_physical():
     # a step that made RK4 diverge: the closed form stays physical
-    r = ReservoirParams(5.0, 0.0)
+    r = (5.0, 0.0)
     times, p_a, _ = _populations(r, r, t_max=2000.0, dt=10.0)
     assert len(times) == 201
     assert np.all((p_a >= 0.0) & (p_a <= 1.0))
@@ -532,7 +555,7 @@ def test_excited_population_is_a_decay_in_the_unit_interval():
     # p = exp(-2 Re integral f) stays in [0, 1]: the accumulated decay is a
     # spectral average of (1 - cos) terms, non-negative even while Re f < 0
     t = np.linspace(0.0, 50.0, 5001)
-    for r in (ReservoirParams(0.01, 5.0), ReservoirParams(0.1, 1.6), ReservoirParams(20.0)):
+    for r in (one_reservoir(0.01, 5.0), one_reservoir(0.1, 1.6), one_reservoir(20.0)):
         p = excited_population(r, t)
         assert p[0] == 1.0 and np.all((p >= 0.0) & (p <= 1.0))
 

@@ -211,7 +211,7 @@ def test_batched_mu_is_bit_identical_to_single_state(preset_run):
     # arrays, through the same element-wise code and must see the same sign
     # of mu - 1 at a sample as the sampled column does
     traj, _ = preset_run("fig1b_l5")
-    r_a, r_b = oracle.reservoirs(ew.PRESETS["fig1b_l5"])
+    r_a, r_b = (oracle.one_reservoir(*r) for r in oracle.reservoirs(ew.PRESETS["fig1b_l5"]))
     for i in range(len(traj.times)):
         t = traj.times[i:i + 1]
         single = minimum_uncertainty(excited_population(r_a, t), excited_population(r_b, t))

@@ -6,9 +6,14 @@ These checks read the package's source and fail if a row check creeps back
 into ``dynamics``, ``information``, ``numerics`` or ``witness``, or if any
 function takes an error list to fill.  The tests keep their first names,
 from when they read only the three physics modules.
+
+:class:`entwitness.dynamics.ReservoirParams` is the input of the ``f(t)``
+quadrature alone; the closed form takes ``ReservoirColumns``.  A check reads
+where the package names it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,35 @@ def test_physics_module_takes_no_error_list(module):
             names = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
                                          *filter(None, (a.vararg, a.kwarg)))]
             assert "errors" not in names, getattr(node, "name", "lambda")
+
+
+def _names(node, name):
+    """Whether ``node`` names ``name``: as a name, an attribute, an import or a word of a string."""
+    return any(isinstance(sub, ast.Name) and sub.id == name
+               or isinstance(sub, ast.Attribute) and sub.attr == name
+               or isinstance(sub, ast.alias) and name in (sub.name, sub.asname)
+               or isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+               and re.search(rf"\b{name}\b", sub.value)
+               for sub in ast.walk(node))
+
+
+def _label(node):
+    if isinstance(node, ast.ImportFrom):
+        return f"from .{node.module}"
+    if isinstance(node, ast.Assign):
+        return node.targets[0].id
+    return getattr(node, "name", type(node).__name__)
+
+
+def test_reservoir_params_serves_only_the_quadrature():
+    # named only by its class, by correlation_f_quadrature and by the export:
+    # no docstring or signature of the closed form, and no property of f's
+    named = {(module, _label(node)) for module in ALL_MODULES for node in _tree(module).body
+             if _names(node, "ReservoirParams")}
+    assert named <= {("dynamics", "ReservoirParams"), ("dynamics", "correlation_f_quadrature"),
+                     ("__init__", "from .dynamics"), ("__init__", "__all__")}, named
+    params = next(node for node in _tree("dynamics").body
+                  if isinstance(node, ast.ClassDef) and node.name == "ReservoirParams")
+    defined = {node.name if isinstance(node, ast.FunctionDef) else node.target.id
+               for node in params.body if isinstance(node, (ast.FunctionDef, ast.AnnAssign))}
+    assert not defined & {"scale", "z"}, defined
