@@ -10,8 +10,7 @@ from .errors import (EntwitnessError, NoConvergence, NotDensityMatrix, ParseErro
                      QuadratureUnconverged, ValidationError)
 from .dynamics import (ReservoirParams, Trajectory, correlation_f,
                        correlation_f_quadrature, excited_population)
-from .information import minimum_uncertainty, uncertainty_columns
-from .witness import WitnessReport, concurrence
+from .witness import WitnessReport, concurrence, minimum_uncertainty, uncertainty_columns
 from .scenario import (PRESETS, ScenarioConfig, SweepRows, emit_csv,
                        parse_config, run_scenario, sweep)
 

@@ -27,7 +27,7 @@ Theory of Open Quantum Systems*, ch. 10).  From the Bell start the state stays
 an X state fixed by the two excited-state populations
 ``p_j(t) = |u_j(t)|^2 = exp(-2 Re integral_0^t f_j)``, sampled in closed form,
 and every observable is an element-wise function of them
-(:mod:`entwitness.information`, :mod:`entwitness.witness`).
+(:mod:`entwitness.witness`).
 
 The closed form takes only parameter columns: :class:`ReservoirColumns`
 holds the prefactor and exponent of ``f`` for both atoms of G rows as

@@ -17,9 +17,8 @@ import numpy as np
 from .dynamics import (ReservoirColumns, Trajectory, checked_value, correlation_f,
                        excited_population, is_number)
 from .errors import NoConvergence, NotDensityMatrix, ParseError, ValidationError
-from .information import uncertainty_columns
-from .numerics import MAX_EVALUATIONS
-from .witness import WitnessColumns, WitnessReport, concurrence, witness_rows
+from .witness import (MAX_EVALUATIONS, WitnessColumns, WitnessReport, concurrence,
+                      uncertainty_columns, witness_rows)
 
 CSV_HEADER = "t,mu,lhs,concurrence,f_a_re,f_a_im,f_b_re,f_b_im"
 REPORT_KEYS = ("t_ew", "c_ew_threshold", "death_time", "crossing_found", "mu_series_max")

@@ -210,13 +210,13 @@ def test_run_integration_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_run_physics_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
     # the joint entropy (the one over four eigenvalues) off by 4 bits puts mu
     # outside [-1, 2]
-    real_entropy = entwitness.information.entropy_bits
+    real_entropy = entwitness.witness.entropy_bits
 
     def inflated(*probs):
         h = real_entropy(*probs)
         return h + 4.0 if len(probs) == 4 else h
 
-    monkeypatch.setattr(entwitness.information, "entropy_bits", inflated)
+    monkeypatch.setattr(entwitness.witness, "entropy_bits", inflated)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(GOOD_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3

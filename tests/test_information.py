@@ -239,13 +239,13 @@ def _skew_joint_entropy(monkeypatch, bits):
     The run's first sample, the pure Bell state, keeps its true entropy, so a
     check fails first at a later sample.
     """
-    real_entropy = ew.information.entropy_bits
+    real_entropy = ew.witness.entropy_bits
 
     def skewed(*probs):
         h = real_entropy(*probs)
         return np.where(h > 0.0, h + bits, h) if len(probs) == 4 else h
 
-    monkeypatch.setattr(ew.information, "entropy_bits", skewed)
+    monkeypatch.setattr(ew.witness, "entropy_bits", skewed)
 
 
 SKEWED_RUN = ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=0.25)

@@ -3,9 +3,9 @@
 :func:`entwitness.scenario._run_batch` is the one place that sets a row's
 error, and it returns the errors rather than filling a list it is given.
 These checks read the package's source and fail if a row check creeps back
-into ``dynamics``, ``information``, ``numerics`` or ``witness``, or if any
-function takes an error list to fill.  The tests keep their first names,
-from when they read only the three physics modules.
+into ``dynamics`` or ``witness``, or if any function takes an error list to
+fill.  The tests keep their first names, from when they read only the three
+physics modules.
 
 :class:`entwitness.dynamics.ReservoirParams` is the input of the ``f(t)``
 quadrature alone; the closed form takes ``ReservoirColumns``.  A check reads
@@ -22,7 +22,7 @@ import entwitness
 
 PACKAGE = Path(entwitness.__file__).parent
 ALL_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
-ELEMENTWISE_MODULES = ("dynamics", "information", "numerics", "witness")
+ELEMENTWISE_MODULES = ("dynamics", "witness")
 ROW_CHECK_NAMES = {"flag_rows", "NotDensityMatrix", "NoConvergence"}
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entwitness.numerics import bracketed_root, entropy_bits
+from entwitness.witness import bracketed_root, entropy_bits
 
 
 def _bisect(f, lo, hi, tol=1e-15):

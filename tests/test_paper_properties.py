@@ -6,14 +6,16 @@ entropic witness detects the entanglement.  One sweep over 25 log-spaced
 widths (0.05 to 1.9) and 41 detunings (0 to 2) to ``t_max = 200`` checks
 both trends at every grid point, and that the witnessed-concurrence
 threshold is the same fixed point everywhere.  A point that never crosses
-``mu = 1`` by ``t_max`` counts as the longest ``t_ew``.
+``mu = 1`` by ``t_max`` counts as the longest ``t_ew``.  The paper has this
+"only if" the reservoirs are identical; one test shows a pair at width 0.1
+where detuning the memory's reservoir alone shortens ``t_ew``.
 """
 
 import numpy as np
 import pytest
 
 import entwitness as ew
-from entwitness.numerics import bracketed_root
+from entwitness.witness import bracketed_root
 
 WIDTHS = np.geomspace(0.05, 1.9, 25)
 DETUNINGS = np.linspace(0.0, 2.0, 41)
@@ -53,8 +55,26 @@ def test_identical_reservoirs_cross_at_one_concurrence(grid):
 
 
 def test_one_detuned_reservoir_still_lengthens_the_witnessed_time():
-    # the paper has the lengthening "only if" both reservoirs are identical;
-    # in the model detuning atom A's alone lengthens t_ew too, though less
+    # in these presets detuning atom A's reservoir alone lengthens t_ew too, though less
     t_ew = [ew.run_scenario(ew.PRESETS[f"fig2a_db{d}"])[1].t_ew for d in (0, 2, 4)]
     assert t_ew == pytest.approx([2.46, 3.72, 3.83], abs=0.005)
     assert t_ew[0] < t_ew[1] < t_ew[2]
+
+
+def test_detuning_only_the_memory_shortens_the_witnessed_time():
+    # the abstract's "only if": at width 0.1, detuning the memory's reservoir
+    # alone shortens t_ew, while detuning both reservoirs alike lengthens it
+    detunings = (1.4, 1.5, 1.6, 1.7)
+
+    def report(delta_a, delta_b):
+        return ew.run_scenario(ew.ScenarioConfig(lambda_a=0.1, lambda_b=0.1, delta_a=delta_a,
+                                                 delta_b=delta_b, t_max=100.0, dt=0.05))[1]
+
+    memory = [report(0.0, d) for d in detunings]
+    assert all(r.notes == "mu re-enters below 1 after the first crossing" for r in memory)
+    memory = [r.t_ew for r in memory]
+    assert memory == pytest.approx([5.0399, 4.9887, 4.9248, 4.8722], abs=5e-5)
+    assert sorted(memory, reverse=True) == memory
+    identical = [report(d, d).t_ew for d in detunings]
+    assert identical == pytest.approx([45.404, 53.425, 62.114, 71.346], abs=5e-4)
+    assert sorted(identical) == identical

@@ -2,6 +2,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import entwitness
 from entwitness import ScenarioConfig, parse_config
 from entwitness.scenario import PRESETS
 
@@ -29,3 +30,13 @@ def test_readme_config_example_loads():
     blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     assert parse_config(blocks[0]) == PRESETS["fig1a_d16"]
+
+
+def test_readme_layout_table_names_every_module():
+    # the module column of the "Library layout" table, against the package's files
+    section = README.read_text(encoding="utf-8").split("## Library layout")[1].split("\n## ")[0]
+    documented = re.findall(r"^\| `entwitness\.(\w+)` ", section, re.M)
+    package = Path(entwitness.__file__).parent
+    modules = [path.stem for path in package.glob("*.py")
+               if path.stem not in ("__init__", "__main__")]
+    assert sorted(documented) == sorted(modules)

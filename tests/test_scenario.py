@@ -838,7 +838,7 @@ def test_unphysical_population_marks_only_its_row(monkeypatch):
 def test_uncertainty_violation_marks_only_its_row(monkeypatch):
     # the joint entropy of the batch's second row off by 4 bits puts its mu
     # outside [-1, 2]; the first and third rows stay as they are
-    real_entropy = ew.information.entropy_bits
+    real_entropy = ew.witness.entropy_bits
 
     def skewed(*probs):
         h = real_entropy(*probs)
@@ -847,7 +847,7 @@ def test_uncertainty_violation_marks_only_its_row(monkeypatch):
             h[1] += 4.0
         return h
 
-    monkeypatch.setattr(ew.information, "entropy_bits", skewed)
+    monkeypatch.setattr(ew.witness, "entropy_bits", skewed)
     rows = _rows(sweep([5.0, 0.5, 0.1], None, SWEEP_BASE))
     assert [error is None for _, _, error in rows] == [True, False, True]
     assert rows[1][2].startswith("NotDensityMatrix: mu = ")
@@ -869,7 +869,7 @@ def test_unconverged_crossing_marks_only_its_row(monkeypatch):
     monkeypatch.setattr(ew.witness, "bracketed_root", unfinished_first)
     rows = _rows(sweep([5.0, 2.0, 0.1], [0.0], SWEEP_BASE))
     assert rows[0][2] == (f"NoConvergence: crossing root-find not done after "
-                          f"{ew.numerics.MAX_EVALUATIONS} evaluations")
+                          f"{ew.witness.MAX_EVALUATIONS} evaluations")
     assert all(error is None and report.crossing_found for _, report, error in rows[1:])
     with pytest.raises(ew.NoConvergence):
         run_scenario(SWEEP_BASE)
@@ -922,7 +922,7 @@ def test_one_batch_gives_each_row_its_first_offence(monkeypatch, tmp_path):
         "NotDensityMatrix: uncertainty inequality violated: lhs = 0.25, mu = 0.5 "
         "at sample 2 (t = 0.2)",
         f"NoConvergence: crossing root-find not done after "
-        f"{ew.numerics.MAX_EVALUATIONS} evaluations"]
+        f"{ew.witness.MAX_EVALUATIONS} evaluations"]
     # only the rows that passed every physical check get a root-find; the
     # others crossed, got no t_ew, and keep their physical error
     assert brackets == [2]
