@@ -19,8 +19,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, metavar="CSV",
                         help="output CSV path (a sibling <CSV>.report is written too)")
     common.add_argument("--dt", type=float, default=None,
-                        help="override the time step; t_max must be a whole number of "
-                             "dt * sample_every (units of 1/gamma0)")
+                        help="override dt, the base spacing of the time grid, which is "
+                             "sampled every sample_every-th point; t_max must be a whole "
+                             "number of dt * sample_every (units of 1/gamma0)")
     common.add_argument("--tmax", type=float, default=None,
                         help="override the final time (units of 1/gamma0)")
 

@@ -319,15 +319,20 @@ def emit_csv(traj: Trajectory, report: WitnessReport, path) -> None:
 def _overwrite(path, chunks) -> None:
     """Write the bytes-like ``chunks`` to ``path`` in turn, over an existing file in place.
 
-    The file is cut to the new length after the last write, and only if it
-    was longer (a pipe or device has no length to cut).  Truncating an
-    existing file first, as ``open(path, "w")`` does, frees its blocks only
-    to allocate them again, which takes about ten times as long.
+    The file is then cut to the bytes written if it is longer (a pipe or device has no
+    length to cut), also when a chunk or its write fails, so no old bytes are left.
+    Truncating an existing file first, as ``open(path, "w")`` does, frees its blocks
+    only to allocate them again, which takes about ten times as long.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        size = sum(map(fh.write, chunks))   # a chunk is freed once written
-        if os.fstat(fh.fileno()).st_size > size:
-            fh.truncate(size)
+        size = 0
+        try:
+            for chunk in chunks:
+                size += fh.write(chunk)
+                del chunk   # freed once written, before the next chunk is made
+        finally:
+            if os.fstat(fh.fileno()).st_size > size:
+                fh.truncate(size)
 
 
 class SweepRows(NamedTuple):
@@ -374,15 +379,12 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
         raise ValidationError("sweep grid: at least one of lambdas/deltas must be non-empty")
     lam_checks = _axis_checks(lam_axis, "lambda_a", (base.lambda_a, base.lambda_b))
     delta_checks = _axis_checks(delta_axis, "delta_a", (base.delta_a, base.delta_b))
-    points, params, errors = [], [], []
-    for lam, (widths, lam_error) in zip(lam_axis, lam_checks):
-        for delta, (detunings, delta_error) in zip(delta_axis, delta_checks):
-            points.append((lam, delta))
-            params.append((*widths, *detunings))
-            errors.append(lam_error or delta_error)
+    points = list(itertools.product(lam_axis, delta_axis))
+    checks = list(itertools.product(lam_checks, delta_checks))
+    params = np.array([(*widths, *detunings) for (widths, _), (detunings, _) in checks])
+    errors = [lam_error or delta_error for (_, lam_error), (_, delta_error) in checks]
     times = base.sample_times()
     rows_per_block = max(1, BLOCK_SAMPLES // len(times))
-    params = np.array(params, dtype=float)
     good = np.array([error is None for error in errors])
     witnesses, checked = zip(*(_run_batch(params[k:k + rows_per_block], times,
                                           good[k:k + rows_per_block])[2:]
@@ -394,28 +396,24 @@ def sweep(lambdas, deltas, base: ScenarioConfig) -> SweepRows:
                       for error in errors])
 
 
-def _quote(text: str) -> str:
-    """A text cell as RFC 4180 has it: quoted only if it holds a comma, ``"`` or a line break.
-
-    Each inner double quote is doubled; any other text is written as it is.
-    """
+def _given(value) -> str:
+    """A grid value or an error as given: empty for None, :func:`_fmt` of a finite real
+    number, and any other text as RFC 4180 has it, quoted only if it holds a comma,
+    ``"`` or a line break, with each inner double quote doubled."""
+    if value is None:
+        return ""
+    if is_number(value):
+        return _fmt(value)
+    text = str(value)
     return '"' + text.replace('"', '""') + '"' if re.search('[",\r\n]', text) else text
 
 
 def write_sweep_csv(rows: SweepRows, path) -> None:
-    """Write sweep rows as CSV (one witness report per row), a column at a time.
-
-    The text cells, an error and a grid value written as given, are quoted by :func:`_quote`.
-    """
-    failed = np.array([error is not None for error in rows.errors])
-
-    def opt(v):  # a value a config accepts as the float it holds, any other as given
-        return "" if v is None else (_fmt(v) if is_number(v) else _quote(str(v)))
-
-    columns = [list(map(opt, axis)) for axis in zip(*rows.points)]   # lambda, delta
-    for key in SWEEP_KEYS:
-        values = np.where(failed, None, getattr(rows.witness, key)).tolist()
-        columns.append([_cell(value, "") for value in values])
-    columns.append([_quote(error) if error else "" for error in rows.errors])
-    header = ",".join(("lambda", "delta", *SWEEP_KEYS, "error"))
-    _overwrite(path, ["\n".join((header, *map(",".join, zip(*columns)))).encode() + b"\n"])
+    """Write sweep rows as CSV, a line per row: its grid values and error by :func:`_given`,
+    its witness report by :func:`_cell`, with every report cell of a failed row empty."""
+    lines = [",".join(("lambda", "delta", *SWEEP_KEYS, "error"))]
+    columns = [getattr(rows.witness, key).tolist() for key in SWEEP_KEYS]
+    for (lam, delta), error, *values in zip(rows.points, rows.errors, *columns):
+        cells = [""] * len(values) if error else [_cell(value, "") for value in values]
+        lines.append(",".join((_given(lam), _given(delta), *cells, _given(error))))
+    _overwrite(path, ["\n".join(lines).encode() + b"\n"])

@@ -123,7 +123,9 @@ class WitnessReport:
 
 
 class WitnessColumns(NamedTuple):
-    """G rows' witness reports as ``(G,)`` columns, NaN for "none" (void in a failed row)."""
+    """G rows' witness reports as ``(G,)`` columns, NaN for "none".  ``crossing_found``,
+    ``death_time``, ``mu_series_max`` and ``reenters`` are filled in a failed row too;
+    only :func:`entwitness.scenario.write_sweep_csv` leaves its report cells empty."""
 
     crossing_found: np.ndarray
     t_ew: np.ndarray
@@ -235,7 +237,8 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     above = mu >= 1.0
     crossed = np.any(above, axis=-1)
     first = np.argmax(above, axis=-1)
-    reenters = crossed & np.any(~above & (np.arange(mu.shape[-1]) > first[:, None]), axis=-1)
+    # the samples before the first above 1 are below it, so one more is a re-entry
+    reenters = crossed & (np.count_nonzero(~above, axis=-1) > first)
     rows = np.flatnonzero(good & crossed)
     hi = first[rows]
     cut = reservoirs.take(rows)

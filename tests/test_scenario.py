@@ -468,6 +468,24 @@ def test_writers_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path):
     write_sweep_csv(rows, os.devnull)   # a device has no length to cut
 
 
+def test_a_failed_write_leaves_no_old_bytes(tmp_path):
+    class Interrupted(Exception):
+        pass
+
+    def chunks():
+        yield b"a" * 60
+        yield bytearray(b"b" * 30)
+        raise Interrupted
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 3000)
+    with pytest.raises(Interrupted):
+        ew.scenario._overwrite(path, chunks())
+    assert path.read_bytes() == b"a" * 60 + b"b" * 30
+    with pytest.raises(Interrupted):
+        ew.scenario._overwrite(os.devnull, chunks())
+
+
 def _rows(rows):
     """``(point, report, error)`` per row of a sweep, as :func:`oracle.sweep_loop` gives them."""
     return [(point, None if error else rows.witness.report(g), error)

@@ -200,6 +200,20 @@ def test_witness_columns_report_maps_nan_to_none_and_flags_to_notes():
                for report in reports for value in dataclasses.astuple(report))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, np.nan]), min_size=8,
+                         max_size=8), min_size=1, max_size=6))
+def test_reenters_is_a_sample_below_1_after_the_first_at_or_above_it(rows):
+    # rows start anywhere, NaN included; with no root-find the flag is read off the samples
+    mus = np.array(rows)
+    r = ReservoirColumns.of(np.ones((2, len(mus))), np.zeros((2, len(mus))))
+    columns = witness_rows(np.arange(8.0), mus, np.zeros_like(mus), r,
+                           np.zeros(len(mus), dtype=bool))
+    for mu, reenters in zip(mus.tolist(), columns.reenters.tolist()):
+        above = [k for k, value in enumerate(mu) if value >= 1.0]
+        assert reenters == (bool(above) and any(not value >= 1.0 for value in mu[above[0]:]))
+
+
 _WIDTH = st.floats(MIN_WIDTH, 1.7e308)
 _DETUNING = st.floats(0.0, 1.7e308)
 
