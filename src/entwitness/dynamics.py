@@ -144,6 +144,15 @@ class ReservoirColumns(NamedTuple):
     def take(self, rows) -> "ReservoirColumns":
         return ReservoirColumns(self.scale[..., rows, 0], self.z[..., rows, 0])
 
+    def atoms_alike(self) -> bool:
+        """Whether the leading axis holds two atoms whose columns hold the same bits.
+
+        Bits, not values, because a zero's sign can change the sign of a zero in a result.
+        """
+        return (len(self.scale) == len(self.z) == 2
+                and self.scale[0].tobytes() == self.scale[1].tobytes()
+                and self.z[0].tobytes() == self.z[1].tobytes())
+
 
 @dataclass
 class Trajectory:
@@ -168,16 +177,13 @@ def _equal_halves_once(function):
     """``function(r, t)``, of atom A's half only where ``r``'s two atoms hold the same bits.
 
     ``r``'s leading axis is the atom axis of :class:`ReservoirColumns` when it
-    has 2 entries and ``t`` does not reach it.  The halves are compared by
-    their bits, not their values, because a zero's sign can change the sign
-    of a zero in the result.  The half's result is copied once to both atoms,
-    so that each atom's rows are writeable and share no memory.
+    has 2 entries and ``t`` does not reach it; the halves are compared by
+    :meth:`ReservoirColumns.atoms_alike`.  The half's result is copied once to
+    both atoms, so that each atom's rows are writeable and share no memory.
     """
     @functools.wraps(function)
     def per_atom(r, t):
-        if (len(r.scale) == len(r.z) == 2 and r.scale.ndim > np.ndim(t)
-                and r.scale[0].tobytes() == r.scale[1].tobytes()
-                and r.z[0].tobytes() == r.z[1].tobytes()):
+        if r.scale.ndim > np.ndim(t) and r.atoms_alike():
             return function(ReservoirColumns(r.scale[:1], r.z[:1]), t).repeat(2, axis=0)
         return function(r, t)
 

@@ -281,8 +281,9 @@ def _csv_rows(table: np.ndarray):
     # cell k lies between delimiters k and k + 1: "[", the commas, "]"
     delims = np.concatenate(([0], np.flatnonzero(chars == ord(",")), [len(text) - 1]))
     chars[delims[table.shape[1]::table.shape[1]]] = ord("\n")   # each row's last comma, and "]"
-    bad = np.flatnonzero(~((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
-                         & (values != 0))   # NaN too
+    magnitude = np.abs(values)
+    bad = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0))   # NaN too
+    del magnitude   # not held while the cells are yielded
     view, end = memoryview(text), 1
     for k in range(0, len(bad), ROWS_PER_CHUNK):
         cells = bad[k:k + ROWS_PER_CHUNK]

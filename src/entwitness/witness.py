@@ -31,8 +31,14 @@ crossing (the witnessed-concurrence interval is ``(threshold, 1]`` for a
 maximally entangled start), and the time at which entanglement dies.
 Reports are made for a ``(G, N)`` batch of rows at once (:func:`witness_rows`),
 as ``(G,)`` columns with one bracketed root-find (:func:`bracketed_root`) for
-every crossing of the batch; a single run is the batch with ``G = 1``.  All
-functions are stateless and safe to call concurrently on distinct arguments.
+every crossing of the batch; a single run is the batch with ``G = 1``.  The
+root-find's objective, :func:`minimum_uncertainty`, stacks its six entropy
+terms as one array and sums them in the order of the sampled column
+(:func:`uncertainty_columns`), so both give the same bits; the sampled
+columns sum term by term, so that a ``(G, N)`` block keeps few arrays of its
+size alive.  For identical reservoirs, decided once per root-find, the
+objective evaluates one atom's populations for both.  All functions are
+stateless and safe to call concurrently on distinct arguments.
 """
 
 import math
@@ -62,37 +68,51 @@ def entropy_bits(*probs):
     return total
 
 
-def _memory_entropy(p_b):
-    """``H(rho_B)`` of the memory's marginal ``diag(1 - p_B/2, p_B/2)``."""
-    return entropy_bits(1.0 - 0.5 * p_b, 0.5 * p_b)
+def _memory_spectrum(p_b):
+    """The spectrum of the memory's marginal ``diag(1 - p_B/2, p_B/2)``."""
+    return 1.0 - 0.5 * p_b, 0.5 * p_b
 
 
-def minimum_uncertainty(p_a, p_b):
-    """``mu = 1 + H(A|B)`` of the X state with excited populations ``p_a``, ``p_b``."""
-    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
-    return _minimum_uncertainty(p_a, p_b, _memory_entropy(p_b))
-
-
-def _minimum_uncertainty(p_a, p_b, h_memory):
-    """``mu`` given the memory's entropy ``h_memory = H(rho_B)``.
+def _joint_spectrum(p_a, p_b):
+    """The X state's four eigenvalues.
 
     The ``{|00>, |11>}`` block has eigenvalues ``big`` and ``det / big``; taking
     the smaller one from the determinant keeps it accurate where it nears 0.
+    The two middle populations follow.
     """
     both_decayed = (1.0 - p_a) * (1.0 - p_b)
     excited = 0.5 * p_a * p_b                     # rho_11,11; also 2 |rho_00,11|^2
     ground = 0.5 + 0.5 * both_decayed             # rho_00,00
     big = 0.5 * (ground + excited) + np.sqrt((0.5 * (ground - excited)) ** 2 + 0.5 * excited)
     small = 0.5 * excited * both_decayed / big    # (rho_00,00 rho_11,11 - |rho_00,11|^2) / big
-    h_joint = entropy_bits(big, small, 0.5 * (1.0 - p_a) * p_b, 0.5 * p_a * (1.0 - p_b))
-    return 1.0 + h_joint - h_memory
+    return big, small, 0.5 * (1.0 - p_a) * p_b, 0.5 * p_a * (1.0 - p_b)
+
+
+def minimum_uncertainty(p_a, p_b):
+    """``mu = 1 + H(A|B)`` of the X state with excited populations ``p_a``, ``p_b``.
+
+    The crossing root-find's objective: its six Shannon terms are taken as one
+    stacked array, a few numpy calls in all, and summed in the order of
+    :func:`uncertainty_columns`, which gives the same bits.
+    """
+    p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
+    if p_a.shape != p_b.shape:
+        p_a, p_b = np.broadcast_arrays(p_a, p_b)
+    probs = np.array((*_joint_spectrum(p_a, p_b), *_memory_spectrum(p_b)))
+    terms = probs * np.log2(np.where(probs > 0.0, probs, 1.0))
+    h_joint = 0.0 - terms[0] - terms[1] - terms[2] - terms[3]
+    return 1.0 + h_joint - (0.0 - terms[4] - terms[5])
 
 
 def uncertainty_columns(p_a, p_b):
-    """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, element by element."""
+    """The bound ``mu`` and ``lhs = H(Sx|B) + H(Sy|B) = 2 H(Sx|B)``, element by element.
+
+    The entropies are summed a term at a time, each spectrum as it is made, so
+    that a ``(G, N)`` batch keeps few arrays of its size alive.
+    """
     p_a, p_b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
-    h_memory = _memory_entropy(p_b)
-    mu = _minimum_uncertainty(p_a, p_b, h_memory)
+    h_memory = entropy_bits(*_memory_spectrum(p_b))
+    mu = 1.0 + entropy_bits(*_joint_spectrum(p_a, p_b)) - h_memory
     big = 0.5 + 0.5 * np.sqrt((1.0 - p_b) ** 2 + p_a * p_b)
     small = 0.25 * p_b * (2.0 - p_a - p_b) / big  # (1/4 - radius^2) / big
     lhs = 2.0 * (1.0 + entropy_bits(big, small) - h_memory)
@@ -183,38 +203,61 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol: float):
     returned is where the chord through the final bracket's ends crosses zero:
     inside the bracket, and on a smooth root far closer to it than ``xtol``.
     A bracket that is not done after ``MAX_EVALUATIONS`` evaluations of ``f``
-    gets NaN, so each caller decides which of its rows failed.
+    gets NaN, so each caller decides which of its rows failed.  On a few
+    brackets each numpy call costs more than its arithmetic, so a pass forms
+    each difference once, the chord root only when some bracket finishes, and
+    the interpolation only when some bracket takes it.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
     x3, f3 = np.full_like(x1, np.nan), np.full_like(x1, np.nan)  # no third point yet
     root = np.full_like(x1, np.nan)
     done = np.zeros(x1.shape, dtype=bool)
+    finished = 0                    # np.count_nonzero(done)
     last_widths = (np.inf, np.inf)  # bracket widths one and two evaluations ago
+    relative_tol = 4.0 * np.finfo(float).eps
+    half = np.full_like(x1, 0.5)
+    sign1 = np.sign(f1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for evaluations in range(MAX_EVALUATIONS + 1):
-            width = np.abs(x2 - x1)
-            tol = xtol + 4.0 * np.finfo(float).eps * np.abs(x1)
-            newly = ~done & ((width < tol) | (f1 == 0.0) | (f2 == 0.0))
-            root[newly] = (x1 - f1 * (x2 - x1) / (f2 - f1))[newly]
-            done |= newly
-            if done.all() or evaluations == MAX_EVALUATIONS:
+            span = x2 - x1
+            width = np.abs(span)
+            tol = xtol + relative_tol * np.abs(x1)
+            # a bracket that goes on keeps a nonzero end value as x2, so only
+            # the first pass looks at f2
+            newly = (width < tol) | (f1 == 0.0)
+            if not evaluations:
+                newly |= f2 == 0.0
+            if finished:
+                newly &= ~done
+            if np.count_nonzero(newly):
+                root[newly] = (x1 - f1 * span / (f2 - f1))[newly]
+                done |= newly
+                finished = np.count_nonzero(done)
+            if finished == done.size or evaluations == MAX_EVALUATIONS:
                 return root
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            interpolate = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                           & (width <= 0.5 * last_widths[1]))
+            t = half
+            if evaluations:  # else x3 is NaN and no bracket interpolates
+                df12, df32 = f1 - f2, f3 - f2
+                xi = (x1 - x2) / (x3 - x2)
+                phi = df12 / df32
+                interpolate = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                               & (width <= 0.5 * last_widths[1]))
+                if np.count_nonzero(interpolate):
+                    alpha = (x3 - x1) / span
+                    t = np.where(interpolate, f1 / df12 * f3 / df32
+                                 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), half)
             last_widths = (width, last_widths[0])
-            t = np.where(interpolate, f1 / (f1 - f2) * f3 / (f3 - f2)
-                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             t_min = 0.5 * tol / width
-            t = np.where(done, 0.5, np.clip(t, t_min, 1.0 - t_min))
-            x = x1 + t * (x2 - x1)
+            t = np.clip(t, t_min, 1.0 - t_min)
+            if finished:
+                t = np.where(done, half, t)
+            x = x1 + t * span
             fx = np.asarray(f(x), dtype=float)
-            same_side = np.sign(fx) == np.sign(f1)
+            sign_x = np.sign(fx)
+            same_side = sign_x == sign1
             x3, f3 = np.where(same_side, x1, x2), np.where(same_side, f1, f2)
             x2, f2 = np.where(same_side, x2, x1), np.where(same_side, f2, f1)
-            x1, f1 = x, fx
+            x1, f1, sign1 = x, fx, sign_x
 
 
 def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> WitnessColumns:
@@ -242,15 +285,24 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     rows = np.flatnonzero(good & crossed)
     hi = first[rows]
     cut = reservoirs.take(rows)
+    if cut.atoms_alike():   # atom A's populations serve both, as in the sampled columns
+        atom_a = ReservoirColumns(cut.scale[:1], cut.z[:1])
+
+        def populations(t):
+            p = excited_population(atom_a, t)[0]
+            return p, p
+    else:
+        def populations(t):
+            return excited_population(cut, t)
 
     def excess(t):
         # the same element-wise code as the sampled mu, so the root-find sees
         # the sign change that the samples show
-        return minimum_uncertainty(*excited_population(cut, t)) - 1.0
+        return minimum_uncertainty(*populations(t)) - 1.0
 
     t_ew, c_ew = np.full(len(mu), np.nan), np.full(len(mu), np.nan)
     t_ew[rows] = bracketed_root(excess, times[hi - 1], times[hi], mu[rows, hi - 1] - 1.0,
                                 mu[rows, hi] - 1.0, CROSSING_TIME_TOL)
-    c_ew[rows] = concurrence(*excited_population(cut, t_ew[rows]))
+    c_ew[rows] = concurrence(*populations(t_ew[rows]))
     return WitnessColumns(crossed, t_ew, np.minimum(np.maximum(c_ew, 0.0), 1.0),
                           death_times(times, concs), np.max(mu, axis=-1), reenters)

@@ -22,7 +22,10 @@ column-wise sweep writer is compared; :func:`quadrature_direct` evaluates the
 f(t) quadrature with one ``np.exp`` per node and :func:`simpson` as written,
 against which the package's two-table phase and class-weight layout are
 compared; and :func:`emit_reference` formats every CSV cell on its own,
-against which the writer's chunked orjson passes are compared.
+against which the writer's chunked orjson passes are compared;
+:func:`bracketed_root_reference` is the crossing root-find as first written,
+with every quantity formed anew in every pass, against which the package's
+root-find is compared bit for bit.
 :func:`load_yaml` loads a config with PyYAML's safe loader and no checks,
 against which ``parse_config`` is compared on flat configs of known keys.
 
@@ -44,6 +47,7 @@ from entwitness import (EntwitnessError, NotDensityMatrix, QuadratureUnconverged
                         ValidationError, run_scenario)
 from entwitness.dynamics import QUADRATURE_LADDER, ReservoirColumns, checked_value, is_number
 from entwitness.scenario import CSV_HEADER, SWEEP_KEYS
+from entwitness.witness import MAX_EVALUATIONS
 
 # Single-qubit operators in the basis (|0>, |1>), |1> = excited.
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -423,6 +427,44 @@ def emit_reference(traj) -> str:
                traj.f_a.real, traj.f_a.imag, traj.f_b.real, traj.f_b.imag)
     cells = [[repr(x) for x in column.tolist()] for column in columns]
     return CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def bracketed_root_reference(f, lo, hi, f_lo, f_hi, xtol: float):
+    """``entwitness.witness.bracketed_root`` as first written: every quantity formed in every pass.
+
+    Chandrupatla's method on each bracket ``[lo, hi]``, with the package's
+    arguments, done test and ``MAX_EVALUATIONS``; NaN for a bracket not done.
+    """
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
+    x3, f3 = np.full_like(x1, np.nan), np.full_like(x1, np.nan)  # no third point yet
+    root = np.full_like(x1, np.nan)
+    done = np.zeros(x1.shape, dtype=bool)
+    last_widths = (np.inf, np.inf)  # bracket widths one and two evaluations ago
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for evaluations in range(MAX_EVALUATIONS + 1):
+            width = np.abs(x2 - x1)
+            tol = xtol + 4.0 * np.finfo(float).eps * np.abs(x1)
+            newly = ~done & ((width < tol) | (f1 == 0.0) | (f2 == 0.0))
+            root[newly] = (x1 - f1 * (x2 - x1) / (f2 - f1))[newly]
+            done |= newly
+            if done.all() or evaluations == MAX_EVALUATIONS:
+                return root
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            interpolate = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                           & (width <= 0.5 * last_widths[1]))
+            last_widths = (width, last_widths[0])
+            t = np.where(interpolate, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t_min = 0.5 * tol / width
+            t = np.where(done, 0.5, np.clip(t, t_min, 1.0 - t_min))
+            x = x1 + t * (x2 - x1)
+            fx = np.asarray(f(x), dtype=float)
+            same_side = np.sign(fx) == np.sign(f1)
+            x3, f3 = np.where(same_side, x1, x2), np.where(same_side, f1, f2)
+            x2, f2 = np.where(same_side, x2, x1), np.where(same_side, f2, f1)
+            x1, f1 = x, fx
 
 
 def simpson(y, dx) -> complex:

@@ -220,6 +220,31 @@ def test_batched_mu_is_bit_identical_to_single_state(preset_run):
     assert np.array_equal(mu, traj.mu) and np.array_equal(lhs, traj.lhs)
 
 
+# populations in [0, 1], its ends, subnormals, and rounding-level values just outside
+_population = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2e-308, 1e-300, -5e-324, -1e-17,
+                     1.0 + 2.2e-16, 1.0 - 1.1e-16, 1.0 + 1e-15]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_population, _population), min_size=1, max_size=12),
+       st.booleans(), st.booleans())
+def test_objective_mu_is_the_sampled_mu_bit_for_bit(pairs, equal, batch):
+    # the root-find's objective sums its stacked terms in the sampled column's
+    # order, so it sees the sign of mu - 1 that the samples show; identical
+    # reservoirs hand it one array as both atoms
+    p_a, p_b = (np.array(c) for c in zip(*pairs))
+    if equal:
+        p_b = p_a
+    if batch and len(p_a) % 2 == 0:
+        p_a, p_b = p_a.reshape(2, -1), p_b.reshape(2, -1)
+    with np.errstate(invalid="ignore"):
+        mu = minimum_uncertainty(p_a, p_b)
+        sampled = uncertainty_columns(p_a, p_b)[0]
+    assert mu.shape == sampled.shape and mu.tobytes() == sampled.tobytes()
+
+
 def test_checks_name_the_first_offending_sample(monkeypatch):
     # a non-finite population fails the mu range mask at its own sample,
     # row by row: the second row is left as it is.  The batch runner checks

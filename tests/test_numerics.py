@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entwitness.witness import bracketed_root, entropy_bits
+import _oracles as oracle
+from entwitness.witness import MAX_EVALUATIONS, bracketed_root, entropy_bits
 
 
 def _bisect(f, lo, hi, tol=1e-15):
@@ -99,3 +101,76 @@ def test_bracketed_root_halves_the_bracket_every_three_evaluations():
     w = np.array(widths[2:])  # from the bracket [0, 1] on
     live = w[:-3] > 1e-9
     assert not (live & (w[3:] > 0.5 * w[:-3] * (1.0 + 1e-12))).any()
+
+
+@st.composite
+def _brackets(draw):
+    """Brackets, their objective and ``xtol`` for :func:`test_bracketed_root_matches_its_reference`.
+
+    Each bracket has its own root ``r``: a smooth one with different powers on
+    its two sides, or a jump; at an end (an exact-zero end value), at 0 (a
+    jump there with ``xtol`` 0 never finishes), or inside.  Half the draws are
+    increasing, half decreasing.  The brackets come as a ``(K,)`` array, or
+    as 0-d values for one bracket.
+    """
+    k = draw(st.integers(1, 5))
+    scalar = k == 1 and draw(st.booleans())
+    lo = np.array(draw(st.lists(st.floats(-2.0, 1.0), min_size=k, max_size=k)))
+    width = 10.0 ** np.array(draw(st.lists(st.floats(-12.0, 0.5), min_size=k, max_size=k)))
+    hi = lo + width
+    place = draw(st.lists(st.sampled_from(["lo", "hi", "zero", "inside"]), min_size=k, max_size=k))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    r = np.where([p == "lo" for p in place], lo,
+                 np.where([p == "hi" for p in place], hi, lo + u * (hi - lo)))
+    r = np.where([p == "zero" for p in place] & (lo < 0.0) & (hi > 0.0), 0.0, r)
+    jump = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    p_pos, p_neg = 10.0 ** np.array(draw(st.lists(st.floats(-1.0, 0.5), min_size=2 * k,
+                                                  max_size=2 * k))).reshape(2, k)
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    if scalar:
+        lo, hi, r, jump, p_pos, p_neg = (v[0] for v in (lo, hi, r, jump, p_pos, p_neg))
+
+    def f(x):
+        y = np.abs(x - r)
+        smooth = np.where(x > r, y ** p_pos, -(y ** p_neg))
+        return direction * np.where(jump, np.where(x < r, -1.0, 1.0), smooth)
+
+    return f, lo, hi, draw(st.sampled_from([0.0, 1e-10]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_brackets())
+def test_bracketed_root_matches_its_reference(case):
+    # the root-find as first written, every quantity formed anew in every
+    # pass: the same roots bit for bit (NaN rows and signed zeros included)
+    # from the same sequence of abscissae
+    f, lo, hi, xtol = case
+    calls = {"package": [], "reference": []}
+
+    def logged(name):
+        def objective(x):
+            calls[name].append(np.asarray(x).tobytes())
+            return f(x)
+        return objective
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_lo, f_hi = f(lo), f(hi)
+        got = bracketed_root(logged("package"), lo, hi, f_lo, f_hi, xtol)
+        want = oracle.bracketed_root_reference(logged("reference"), lo, hi, f_lo, f_hi, xtol)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert calls["package"] == calls["reference"]
+
+
+def test_bracketed_root_reference_runs_out_on_a_jump_at_zero():
+    # the draws above include this case: the package and its reference both
+    # give NaN after MAX_EVALUATIONS evaluations
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.where(x < 0.0, -1.0, 1.0)
+
+    for root_find in (bracketed_root, oracle.bracketed_root_reference):
+        calls.clear()
+        assert np.isnan(root_find(f, -1.0, 0.1, -1.0, 1.0, xtol=0.0))
+        assert len(calls) == MAX_EVALUATIONS
