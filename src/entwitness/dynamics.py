@@ -30,14 +30,15 @@ and every observable is an element-wise function of them
 (:mod:`entwitness.witness`).
 
 The closed form takes only parameter columns: :class:`ReservoirColumns`
-holds the prefactor and exponent of ``f`` for both atoms of G rows as
-``(2, G, 1)`` arrays, atom A first, and :func:`excited_population` evaluates
-them on one shared ``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`)
-as a ``(2, G, N)`` array.  A sweep is one such batch; a single run
-(:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.  Where
-atom A's and atom B's columns hold the same bits, as for identical reservoirs,
-:func:`excited_population` and :func:`correlation_f` evaluate atom A's half only
-and copy it to atom B: the same bits for half the work.
+holds the prefactor and exponent of ``f`` for the atoms of G rows as
+``(A, G, 1)`` arrays, and :func:`excited_population` evaluates them on one
+shared ``(N,)`` grid (:meth:`entwitness.scenario.ScenarioConfig.sample_times`)
+as an ``(A, G, N)`` array.  The atom axis has ``A = 2`` entries, atom A first,
+or ``A = 1`` where both atoms' widths and detunings hold the same bits, as for
+identical reservoirs: one row then serves both atoms, the same bits for half
+the work.  :meth:`ReservoirColumns.of` alone decides which, and every caller
+reads atom A at ``[0]`` and atom B at ``[-1]``.  A sweep is one such batch; a
+single run (:func:`entwitness.scenario.run_scenario`) is the batch with ``G = 1``.
 
 Conventions fixed package-wide: two-qubit basis ordering |00>, |01>, |10>, |11>
 with atom A as the left (slow) tensor factor, |1> the excited state.
@@ -124,10 +125,13 @@ class ReservoirParams:
 class ReservoirColumns(NamedTuple):
     """``f``'s ``scale`` and ``z`` for G reservoirs, as arrays that broadcast against times.
 
-    :meth:`of` is the one place where widths and detunings become ``scale`` and ``z``:
-    it gives the ``(2, G, 1)`` columns, atom A first, of ``(2, G)`` checked widths and
-    detunings (``(G, 1)`` of ``(G,)``, ``(1,)`` of one reservoir's 0-d arrays) for a batch
-    on a shared ``(N,)`` grid; :meth:`take` the ``(2, K)`` rows for a ``(K,)`` array of times.
+    :meth:`of` is the one place where widths and detunings become ``scale`` and ``z``,
+    and the one place that decides whether both atoms share a row.  Of ``(2, G)``
+    checked widths and detunings, atom A first, it gives ``(2, G, 1)`` columns for a
+    batch on a shared ``(N,)`` grid, or ``(1, G, 1)`` where atom A's and atom B's
+    widths and detunings hold the same bits; so read atom A at ``[0]`` and atom B at
+    ``[-1]``.  Of ``(G,)`` arrays it gives ``(G, 1)``, of one reservoir's 0-d arrays
+    ``(1,)``.  :meth:`take` gives the rows for a ``(K,)`` array of times, atom axis kept.
     """
 
     scale: np.ndarray
@@ -135,6 +139,10 @@ class ReservoirColumns(NamedTuple):
 
     @classmethod
     def of(cls, lams: np.ndarray, deltas: np.ndarray) -> "ReservoirColumns":
+        # identical reservoirs share one row; compared by bits, so a -0.0 detuning
+        # against 0.0 keeps both rows (their scale and z, and so every result, agree)
+        if lams.ndim == 2 and all(a[0].tobytes() == a[1].tobytes() for a in (lams, deltas)):
+            lams, deltas = lams[:1], deltas[:1]
         # Prefactors in Python complex arithmetic, row by row: numpy's complex division of
         # whole columns is off by an ulp on some rows, which would move the written values.
         scale = list(map(_scale, lams.ravel().tolist(), deltas.ravel().tolist()))
@@ -143,15 +151,6 @@ class ReservoirColumns(NamedTuple):
 
     def take(self, rows) -> "ReservoirColumns":
         return ReservoirColumns(self.scale[..., rows, 0], self.z[..., rows, 0])
-
-    def atoms_alike(self) -> bool:
-        """Whether the leading axis holds two atoms whose columns hold the same bits.
-
-        Bits, not values, because a zero's sign can change the sign of a zero in a result.
-        """
-        return (len(self.scale) == len(self.z) == 2
-                and self.scale[0].tobytes() == self.scale[1].tobytes()
-                and self.z[0].tobytes() == self.z[1].tobytes())
 
 
 @dataclass
@@ -173,24 +172,6 @@ class Trajectory:
     f_b: np.ndarray
 
 
-def _equal_halves_once(function):
-    """``function(r, t)``, of atom A's half only where ``r``'s two atoms hold the same bits.
-
-    ``r``'s leading axis is the atom axis of :class:`ReservoirColumns` when it
-    has 2 entries and ``t`` does not reach it; the halves are compared by
-    :meth:`ReservoirColumns.atoms_alike`.  The half's result is copied once to
-    both atoms, so that each atom's rows are writeable and share no memory.
-    """
-    @functools.wraps(function)
-    def per_atom(r, t):
-        if r.scale.ndim > np.ndim(t) and r.atoms_alike():
-            return function(ReservoirColumns(r.scale[:1], r.z[:1]), t).repeat(2, axis=0)
-        return function(r, t)
-
-    return per_atom
-
-
-@_equal_halves_once
 def correlation_f(r: ReservoirColumns, t):
     """Zero-temperature reservoir correlation function ``f(t)``.
 
@@ -376,7 +357,6 @@ def _where_finite(z, t, term, otherwise=0.0):
         return np.where(finite, value, otherwise)
 
 
-@_equal_halves_once
 def excited_population(r: ReservoirColumns, t):
     """Excited-state population ``p(t) = |u(t)|^2 = exp(-2 Re integral_0^t f)``.
 

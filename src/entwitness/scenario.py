@@ -61,7 +61,7 @@ class ScenarioConfig:
         object.__setattr__(self, "sample_every", int(every))
         spacing = self.dt * self.sample_every
         ratio = self.t_max / spacing
-        n_samples = round(ratio) if np.isfinite(ratio) else 0   # inf when dt is tiny against t_max
+        n_samples = round(ratio) if np.isfinite(ratio) else np.inf   # dt is tiny against t_max
         if n_samples > MAX_SAMPLES:
             raise ValidationError(
                 f"t_max: must be at most {MAX_SAMPLES} sample spacings dt * sample_every = "
@@ -202,16 +202,17 @@ def parse_config(text: str) -> ScenarioConfig:
 def _run_batch(params: np.ndarray, times: np.ndarray, good):
     """Evaluate G rows of checked ``(lambda_a, lambda_b, delta_a, delta_b)`` at the sample times.
 
-    Returns the rows' :class:`ReservoirColumns` (atom A, then B), the ``(G, N)`` columns
-    ``(p_a, p_b, mu, lhs, concurrence)``, the :class:`WitnessColumns` and the
-    G rows' errors (None for a good row).  Only the rows set in the ``(G,)``
-    mask ``good`` are checked, in this order: ``p_a``, ``p_b`` in [0, 1],
-    ``mu`` in [-1, 2], ``lhs >= mu``, then the crossing's root-find.  A row's
-    first offence, at its first offending sample, is its error, and the row
-    gets no later check.
+    Returns the rows' :class:`ReservoirColumns` (atom A at ``[0]``, atom B at
+    ``[-1]``), the ``(G, N)`` columns ``(p_a, p_b, mu, lhs, concurrence)``, the
+    :class:`WitnessColumns` and the G rows' errors (None for a good row).  Only
+    the rows set in the ``(G,)`` mask ``good`` are checked, in this order:
+    ``p_a``, ``p_b`` in [0, 1], ``mu`` in [-1, 2], ``lhs >= mu``, then the
+    crossing's root-find.  A row's first offence, at its first offending
+    sample, is its error, and the row gets no later check.
     """
     reservoirs = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
-    p_a, p_b = excited_population(reservoirs, times)
+    p = excited_population(reservoirs, times)
+    p_a, p_b = p[0], p[-1]
     with np.errstate(invalid="ignore"):  # an unphysical row is flagged, not warned about
         mu, lhs = uncertainty_columns(p_a, p_b)
         concs = concurrence(p_a, p_b)
@@ -246,9 +247,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Trajectory, WitnessReport]:
     if error is not None:
         raise error
     p_a, p_b, mu, lhs, concs = (column[0] for column in columns)
-    f_a, f_b = correlation_f(reservoirs, times)[:, 0]
-    traj = Trajectory(times=times, p_a=p_a, p_b=p_b, mu=mu, lhs=lhs, concurrence=concs,
-                      f_a=f_a, f_b=f_b)
+    f = correlation_f(reservoirs, times)[:, 0]
+    # atom B's columns are copies: for identical reservoirs they are atom A's row
+    traj = Trajectory(times=times, p_a=p_a, p_b=p_b.copy(), mu=mu, lhs=lhs, concurrence=concs,
+                      f_a=f[0], f_b=f[-1].copy())
     return traj, witness.report(0)
 
 

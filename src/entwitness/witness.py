@@ -36,9 +36,10 @@ root-find's objective, :func:`minimum_uncertainty`, stacks its six entropy
 terms as one array and sums them in the order of the sampled column
 (:func:`uncertainty_columns`), so both give the same bits; the sampled
 columns sum term by term, so that a ``(G, N)`` block keeps few arrays of its
-size alive.  For identical reservoirs, decided once per root-find, the
-objective evaluates one atom's populations for both.  All functions are
-stateless and safe to call concurrently on distinct arguments.
+size alive.  The objective reads atom A's and atom B's populations at ``[0]``
+and ``[-1]`` of the reservoir columns' atom axis, which has one entry for
+identical reservoirs (:meth:`entwitness.dynamics.ReservoirColumns.of` decides).
+All functions are stateless and safe to call concurrently on distinct arguments.
 """
 
 import math
@@ -264,7 +265,9 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     """Witness reports of a ``(G, N)`` batch: first time each row's ``mu`` reaches 1.
 
     ``mu`` and ``concs`` hold each row's samples at ``times``; ``reservoirs`` are the
-    rows' ``(2, G, 1)`` reservoir columns, for the exact ``mu(t)`` between samples.  A row's
+    rows' ``(A, G, 1)`` reservoir columns, ``A`` 1 or 2 as
+    :meth:`~entwitness.dynamics.ReservoirColumns.of` decided, atom A at ``[0]`` and atom B
+    at ``[-1]``, for the exact ``mu(t)`` between samples.  A row's
     first sample with ``mu >= 1`` brackets its crossing together with the
     sample before it; one root-find over all these brackets places every
     ``t_ew`` to ``CROSSING_TIME_TOL``, and the threshold is the exact
@@ -285,15 +288,10 @@ def witness_rows(times, mu, concs, reservoirs: ReservoirColumns, good) -> Witnes
     rows = np.flatnonzero(good & crossed)
     hi = first[rows]
     cut = reservoirs.take(rows)
-    if cut.atoms_alike():   # atom A's populations serve both, as in the sampled columns
-        atom_a = ReservoirColumns(cut.scale[:1], cut.z[:1])
 
-        def populations(t):
-            p = excited_population(atom_a, t)[0]
-            return p, p
-    else:
-        def populations(t):
-            return excited_population(cut, t)
+    def populations(t):
+        p = excited_population(cut, t)
+        return p[0], p[-1]
 
     def excess(t):
         # the same element-wise code as the sampled mu, so the root-find sees

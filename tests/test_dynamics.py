@@ -83,64 +83,77 @@ RESERVOIR = st.tuples(st.floats(MIN_WIDTH, 1e308), st.floats(0.0, 1e308))
 @given(st.lists(st.tuples(RESERVOIR, RESERVOIR), min_size=1, max_size=8))
 @example([((MIN_WIDTH, 1e308), (1e308, 1e308)), ((1e308, 0.0), (1.0, -0.0)),
           ((0.1, 1.6), (5.0, 0.0))])
+@example([((0.1, 1.6), (0.1, 1.6)), ((5.0, 0.0), (5.0, 0.0))])
 def test_reservoir_columns_of_matches_reservoir_params_bit_for_bit(rows):
     # a batch's (G, 4) rows (lambda_a, lambda_b, delta_a, delta_b), read as
-    # (2, G) transposed views, atom A first, as in a sweep
+    # (2, G) transposed views, atom A first, as in a sweep; atom A is read at
+    # [0] and atom B at [-1], one row where the two atoms are the same
     params = np.array([(a[0], b[0], a[1], b[1]) for a, b in rows])
     columns = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
     want = [[ReservoirParams(*a) for a, _ in rows], [ReservoirParams(*b) for _, b in rows]]
-    assert columns.scale.shape == columns.z.shape == (2, len(rows), 1)
-    assert columns.scale.tobytes() == np.array(
+    atoms = 1 if all(_bits(a) == _bits(b) for a, b in rows) else 2
+    assert columns.scale.shape == columns.z.shape == (atoms, len(rows), 1)
+    assert columns.scale[[0, -1]].tobytes() == np.array(
         [[_scale(r.lam, r.delta) for r in atom] for atom in want]).tobytes()
-    assert columns.z.tobytes() == np.array(
+    assert columns.z[[0, -1]].tobytes() == np.array(
         [[1j * r.delta - r.lam for r in atom] for atom in want]).tobytes()
     # one atom's (G,) arrays give its (G, 1) columns, the same bits
     single = ReservoirColumns.of(params[:, 1], params[:, 3])
     assert single.scale.shape == single.z.shape == (len(rows), 1)
-    assert single.scale.tobytes() == columns.scale[1].tobytes()
-    assert single.z.tobytes() == columns.z[1].tobytes()
+    assert single.scale.tobytes() == columns.scale[-1].tobytes()
+    assert single.z.tobytes() == columns.z[-1].tobytes()
     # take keeps the atom axis, rows reordered and repeated
     picked = [len(rows) - 1, 0, 0]
     cut = columns.take(np.array(picked))
-    assert cut.scale.shape == cut.z.shape == (2, len(picked))
+    assert cut.scale.shape == cut.z.shape == (atoms, len(picked))
     assert cut.scale.tobytes() == columns.scale[:, picked, 0].tobytes()
     assert cut.z.tobytes() == columns.z[:, picked, 0].tobytes()
 
 
-def _batch(rows, kind, k):
-    """``(2, G, 1)`` columns of atom A's ``(lam, delta)`` rows and atom B's as ``kind`` gives them.
+def _bits(reservoir):
+    """A ``(lam, delta)`` pair's bits: -0.0 and 0.0 differ."""
+    return tuple(map(float.hex, reservoir))
 
-    ``equal``: B is A.  ``unequal``: B is A with the rows reversed.  ``sign_of_zero``:
-    B is A, but row ``k`` has detuning 0.0 on A and -0.0 on B, kept as the sign of
-    ``z``'s imaginary part (``ReservoirColumns.of``'s ``1j * delta`` drops it).
-    """
-    zero = kind == "sign_of_zero"
-    a = [(lam, 0.0 if zero and g == k else delta) for g, (lam, delta) in enumerate(rows)]
-    b = a[::-1] if kind == "unequal" else [(lam, -0.0 if zero and g == k else delta)
-                                           for g, (lam, delta) in enumerate(a)]
-    scale = np.array([[_scale(*row) for row in atom] for atom in (a, b)])
-    z = np.array([[complex(-lam, delta) for lam, delta in atom] for atom in (a, b)])
-    return ReservoirColumns(scale[..., None], z[..., None])
+
+def _two_rows(lams, deltas):
+    """``(2, G, 1)`` columns of ``(2, G)`` widths and detunings, as ``ReservoirColumns.of``
+    computes them, but built directly: two atom rows whatever they hold."""
+    scale = np.array([list(map(_scale, lam.tolist(), delta.tolist()))
+                      for lam, delta in zip(lams, deltas)])
+    return ReservoirColumns(scale[..., None], (1j * deltas - lams)[..., None])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(RESERVOIR, min_size=1, max_size=6),
        st.sampled_from(["equal", "unequal", "sign_of_zero"]), st.data())
-def test_equal_halves_give_the_two_atom_bits(rows, kind, data):
-    # where both atoms' columns hold the same bits, one atom's half is evaluated
-    # and copied: the same bits as evaluating both, on a shared grid and at a
-    # root-find's per-row times
+def test_one_atom_row_exactly_where_both_atoms_hold_the_same_bits(rows, kind, data):
+    # of keeps one atom row where atom A's and atom B's widths and detunings hold
+    # the same bits, and a -0.0 detuning against 0.0 keeps two; read at [0] and
+    # [-1], both atoms' results are those of two rows built directly, bit for bit,
+    # on a shared grid and at a root-find's per-row times
     k = data.draw(st.integers(0, len(rows) - 1), label="k")
-    r = _batch(rows, kind, k)
+    lams, deltas = (np.stack([column, column]) for column in np.array(rows).T)
+    if kind == "unequal":   # B is A with the rows reversed
+        lams[1], deltas[1] = lams[0, ::-1], deltas[0, ::-1]
+    elif kind == "sign_of_zero":   # B is A, but row k has detuning 0.0 on A and -0.0 on B
+        deltas[:, k] = 0.0, -0.0
+    columns = ReservoirColumns.of(lams, deltas)
+    shared = kind == "equal" or kind == "unequal" and list(map(_bits, rows)) == list(
+        map(_bits, rows[::-1]))
+    assert len(columns.scale) == len(columns.z) == (1 if shared else 2)
+    direct = _two_rows(lams, deltas)
     grid = np.arange(data.draw(st.integers(1, 50), label="N")) * data.draw(
         st.sampled_from([1e-2, 0.7, 1e3]), label="dt")
     per_row = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=len(rows),
                                           max_size=len(rows)), label="t"))
-    for columns, t in ((r, grid), (r.take(np.arange(len(rows))), per_row)):
+    everything = np.arange(len(rows))
+    for r, want_r, t in ((columns, direct, grid),
+                         (columns.take(everything), direct.take(everything), per_row)):
         for function in (excited_population, correlation_f):
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                got, want = function(columns, t), function.__wrapped__(columns, t)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), function
+                got, want = function(r, t), function(want_r, t)
+            assert got.shape == (len(columns.scale), *want.shape[1:]), function
+            assert got[[0, -1]].tobytes() == want.tobytes(), function
 
 
 WIDTH = st.floats(math.log(MIN_WIDTH), math.log(1e308)).map(
@@ -154,7 +167,7 @@ DETUNING = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e308))
 def test_one_reservoir_is_its_row_of_a_batch(pairs, k, equal, grid):
     # one reservoir's columns, of its 0-d width and detuning, give the grid's
     # shape and that reservoir's row of a 3-row batch, bit for bit, whether or
-    # not the batch's atoms are equal
+    # not the batch's atoms are equal (atom A at [0], atom B at [-1])
     if equal:
         pairs = pairs[:3] * 2
     lams, deltas = np.array(pairs).T.reshape(2, 2, 3)
@@ -164,12 +177,13 @@ def test_one_reservoir_is_its_row_of_a_batch(pairs, k, equal, grid):
     for function in (correlation_integral, excited_population, correlation_f):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             got, rows = function(single, t), function(batch, t)
-        assert got.shape == t.shape and got.tobytes() == rows[divmod(k, 3)].tobytes(), function
+        atom, g = divmod(k, 3)
+        assert got.shape == t.shape and got.tobytes() == rows[-atom, g].tobytes(), function
 
 
 def test_equal_reservoirs_evaluate_half_the_elements(monkeypatch):
     # the closed form's elements, counted where they are evaluated: an equal
-    # batch evaluates atom A's half, a batch one zero's sign apart both atoms
+    # batch evaluates one atom row, a batch one zero's sign apart both atoms
     shapes = []
     integral = ew.dynamics.correlation_integral
 
@@ -183,13 +197,13 @@ def test_equal_reservoirs_evaluate_half_the_elements(monkeypatch):
     lams, deltas = np.array([0.1, 0.5, 2.0]), np.array([0.0, 1.6, 0.0])
     equal = ReservoirColumns.of(np.stack([lams, lams]), np.stack([deltas, deltas]))
     unequal = ReservoirColumns.of(np.stack([lams, lams[::-1]]), np.stack([deltas, deltas]))
-    z = equal.z.copy()
-    z[1, 0, 0] = complex(z[1, 0, 0].real, -0.0)   # detuning -0.0 on atom B of row 0
-    signed = ReservoirColumns(equal.scale, z)
-    assert signed.z[0].tobytes() != signed.z[1].tobytes() and np.all(signed.z[0] == signed.z[1])
-    for r, elements in ((equal, 3 * 101), (unequal, 2 * 3 * 101), (signed, 2 * 3 * 101)):
+    signed_deltas = np.stack([deltas, deltas])
+    signed_deltas[1, 0] = -0.0   # detuning -0.0 on atom B of row 0
+    signed = ReservoirColumns.of(np.stack([lams, lams]), signed_deltas)
+    for r, atoms, elements in ((equal, 1, 3 * 101), (unequal, 2, 2 * 3 * 101),
+                               (signed, 2, 2 * 3 * 101)):
         shapes.clear()
-        assert excited_population(r, times).shape == (2, 3, 101)
+        assert excited_population(r, times).shape == (atoms, 3, 101)
         assert [math.prod(shape) for shape in shapes] == [elements]
     # a whole sweep on an equal base, every root-find evaluation included
     shapes.clear()

@@ -9,7 +9,9 @@ physics modules.
 
 :class:`entwitness.dynamics.ReservoirParams` is the input of the ``f(t)``
 quadrature alone; the closed form takes ``ReservoirColumns``.  A check reads
-where the package names it.
+where the package names it.  Another keeps the construction of
+``ReservoirColumns`` in ``dynamics``, so that ``ReservoirColumns.of`` alone
+decides whether both atoms share one row.
 """
 
 import ast
@@ -86,3 +88,14 @@ def test_reservoir_params_serves_only_the_quadrature():
     defined = {node.name if isinstance(node, ast.FunctionDef) else node.target.id
                for node in params.body if isinstance(node, (ast.FunctionDef, ast.AnnAssign))}
     assert not defined & {"scale", "z"}, defined
+
+
+def test_only_dynamics_builds_reservoir_columns():
+    # any other module takes its columns from ReservoirColumns.of or take, so
+    # the equal-atoms decision is made in one place
+    built = [(module, node.lineno) for module in ALL_MODULES if module != "dynamics"
+             for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call) and (
+                 isinstance(node.func, ast.Name) and node.func.id == "ReservoirColumns"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "ReservoirColumns")]
+    assert not built, built

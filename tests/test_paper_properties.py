@@ -9,12 +9,21 @@ threshold is the same fixed point everywhere.  A point that never crosses
 ``mu = 1`` by ``t_max`` counts as the longest ``t_ew``.  The paper has this
 "only if" the reservoirs are identical; one test shows a pair at width 0.1
 where detuning the memory's reservoir alone shortens ``t_ew``.
+
+The abstract also has both trends "reduce the lower bound" ``mu`` itself.  A
+second grid of identical reservoirs, 30 log-spaced widths (0.02 to 5) and 41
+detunings (0 to 4), run through the batch runner to ``t_max = 100`` at a
+spacing of 0.05, compares neighbouring points at every sample before the
+first crossing of either: a narrower width never raises ``mu``, and more
+detuning raises it at some sample in 447 of the 1200 detuning steps, all at
+widths up to 0.42.
 """
 
 import numpy as np
 import pytest
 
 import entwitness as ew
+from entwitness.scenario import _run_batch
 from entwitness.witness import bracketed_root
 
 WIDTHS = np.geomspace(0.05, 1.9, 25)
@@ -78,3 +87,54 @@ def test_detuning_only_the_memory_shortens_the_witnessed_time():
     identical = [report(d, d).t_ew for d in detunings]
     assert identical == pytest.approx([45.404, 53.425, 62.114, 71.346], abs=5e-4)
     assert sorted(identical) == identical
+
+
+BOUND_WIDTHS = np.geomspace(0.02, 5.0, 30)
+BOUND_DETUNINGS = np.linspace(0.0, 4.0, 41)
+
+
+@pytest.fixture(scope="module")
+def bound_steps():
+    """Per pair of neighbouring points, ``mu`` of the second minus ``mu`` of the first at its
+    highest, over the samples before the first crossing of either: ``(width, detuning)`` steps
+    to the next narrower width, as ``(29, 41)``, and to the next larger detuning, ``(30, 40)``."""
+    times = ew.ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=100.0, dt=0.05).sample_times()
+    good = np.ones(len(BOUND_DETUNINGS), dtype=bool)
+    mu = []
+    for lam in BOUND_WIDTHS:   # a batch per width keeps the temporaries small
+        params = np.array([(lam, lam, delta, delta) for delta in BOUND_DETUNINGS])
+        _, (_, _, mu_rows, _, _), _, errors = _run_batch(params, times, good)
+        assert errors == [None] * len(params)
+        mu.append(mu_rows)
+    mu = np.array(mu)
+    above = mu >= 1.0
+    first = np.where(np.any(above, axis=-1), np.argmax(above, axis=-1), len(times))
+
+    def rise(to, start, first_to, first_start):
+        before = np.arange(len(times)) < np.minimum(first_to, first_start)[..., None]
+        return np.max(np.where(before, to - start, -np.inf), axis=-1)
+
+    return (rise(mu[:-1], mu[1:], first[:-1], first[1:]),
+            rise(mu[:, 1:], mu[:, :-1], first[:, 1:], first[:, :-1]))
+
+
+def test_narrower_width_never_raises_the_bound(bound_steps):
+    # claim (a) for the width: at no sample before a crossing does the narrower
+    # of two neighbouring identical pairs have the larger mu
+    narrower, _ = bound_steps
+    assert narrower.shape == (29, 41)
+    assert np.count_nonzero(narrower > 0.0) == 0, narrower.max()
+
+
+def test_more_detuning_lowers_the_bound_only_at_wider_widths(bound_steps):
+    # claim (a) for the detuning holds at widths from 0.51 up; at narrow widths
+    # the more detuned pair's mu lies above at some sample in 447 of 1200 steps
+    _, detuned = bound_steps
+    assert detuned.shape == (30, 40)
+    rises = detuned > 0.0
+    assert np.count_nonzero(rises) == 447
+    assert detuned.max() == pytest.approx(0.1816, abs=5e-5)
+    widths = BOUND_WIDTHS[np.any(rises, axis=-1)]
+    assert widths.max() == pytest.approx(0.4208, abs=5e-5)
+    assert not np.any(rises[BOUND_WIDTHS >= 0.5])
+    assert np.count_nonzero(BOUND_WIDTHS >= 0.5) == 13

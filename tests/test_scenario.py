@@ -226,6 +226,10 @@ def test_scenario_config_caps_the_sample_count():
     for dt, every in ((1e-300, 1), (1e-7, 1), (1e-8, 10)):
         with pytest.raises(ValidationError, match="t_max: must be at most 1000000 sample"):
             ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=1.0, dt=dt, sample_every=every)
+    # a count that overflows to inf is too many samples too, not a fraction of one
+    for t_max, dt in ((1e308, 1e-2), (1.0, 5e-324)):
+        with pytest.raises(ValidationError, match="t_max: must be at most 1000000 sample"):
+            ScenarioConfig(lambda_a=1.0, lambda_b=1.0, t_max=t_max, dt=dt)
 
 
 def test_sample_grid_takes_a_sample_every_past_int64():

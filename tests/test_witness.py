@@ -228,7 +228,8 @@ def test_every_row_starts_below_the_witness_boundary(rows):
     # and mu is exactly 0, whatever the widths and detunings
     params = np.array(rows)
     reservoirs = ReservoirColumns.of(params[:, :2].T, params[:, 2:].T)
-    p_a, p_b = excited_population(reservoirs, np.zeros(1))
+    p = excited_population(reservoirs, np.zeros(1))
+    p_a, p_b = p[0], p[-1]
     mu, _ = uncertainty_columns(p_a, p_b)
     assert np.all(p_a == 1.0) and np.all(p_b == 1.0)
     assert np.all(mu == 0.0)
